@@ -113,7 +113,8 @@ class Weaver:
     """Installs pointcuts into classes and emits their events to an engine."""
 
     engine: MonitoringEngine
-    _installed: list[tuple[type, str, Any]] = field(default_factory=list)
+    #: (class, method, original, whether the class itself defined it).
+    _installed: list[tuple[type, str, Any, bool]] = field(default_factory=list)
     #: (class, method) -> list of pointcuts sharing that join point.
     _by_joinpoint: dict[tuple[type, str], list[Pointcut]] = field(default_factory=dict)
 
@@ -167,8 +168,9 @@ class Weaver:
 
         advised.__rv_original__ = original  # type: ignore[attr-defined]
         advised.__rv_weaver__ = weaver  # type: ignore[attr-defined]
+        own = method in cls.__dict__
         setattr(cls, method, advised)
-        self._installed.append((cls, method, original))
+        self._installed.append((cls, method, original, own))
 
     @staticmethod
     def _passes(pointcut: Pointcut, context: CallContext) -> bool:
@@ -185,17 +187,22 @@ class Weaver:
         attribute alone: its own advice already degrades to a pass-through
         (``_by_joinpoint`` is cleared), so out-of-order teardown cannot
         break the program; the attribute is restored when the top weaver
-        exits.
+        exits.  A method the class only inherited is deleted again rather
+        than restored, so the subclass keeps following its base class.
         """
-        for cls, method, original in reversed(self._installed):
+        for cls, method, original, own in reversed(self._installed):
             current = cls.__dict__.get(method)
             foreign_wrapper = (
                 current is not None
                 and getattr(current, "__rv_original__", None) is not None
                 and getattr(current, "__rv_weaver__", None) is not self
             )
-            if not foreign_wrapper:
+            if foreign_wrapper:
+                continue
+            if own:
                 setattr(cls, method, original)
+            else:
+                delattr(cls, method)
         self._installed.clear()
         self._by_joinpoint.clear()
 

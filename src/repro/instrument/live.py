@@ -633,7 +633,8 @@ class LiveSession:
         self._backend = backend
         self._weaver: Weaver | None = None
         self._trace_weaver: TraceWeaver | None = None
-        #: (cls, method, original, patched) monkey-patches, LIFO-restored.
+        #: (cls, method, original, patched) monkey-patches, LIFO-restored;
+        #: ``original`` is None where the class only inherited the method.
         self._patches: list[tuple[type, str, Any, Any]] = []
         self._active = False
         self._m_live_events = None
@@ -711,7 +712,10 @@ class LiveSession:
             self._weaver = None
         for cls, method, original, patched in reversed(self._patches):
             if cls.__dict__.get(method) is patched:
-                setattr(cls, method, original)
+                if original is None:
+                    delattr(cls, method)  # inherited: follow the base again
+                else:
+                    setattr(cls, method, original)
         self._patches.clear()
         if self._active:
             self._active = False
@@ -829,8 +833,9 @@ class LiveSession:
         def patched(*args: Any, **kwargs: Any) -> Any:
             return around(original, *args, **kwargs)
 
+        own = method in cls.__dict__
         setattr(cls, method, patched)
-        self._patches.append((cls, method, original, patched))
+        self._patches.append((cls, method, original if own else None, patched))
 
     def probe(
         self,

@@ -1,11 +1,11 @@
 """Sampled per-property, per-stage overhead attribution.
 
-Answers the question PR 6's counters cannot: **where did the
-millisecond go?**  On a deterministically sampled fraction of emit
-calls (riding the same lock-free :class:`~repro.obs.metrics.Sampler`
-family as the latency timers), the engine decomposes the full wall time
-of that call into pipeline stages and charges each slice to the
-property that consumed it:
+Answers the question plain counters cannot: **where did the
+millisecond go?**  On a deterministically sampled fraction of events
+(riding the same lock-free :class:`~repro.obs.metrics.Sampler` family
+as the latency timers), the engine decomposes the full wall time of
+that event into pipeline stages and charges each slice to the property
+that consumed it:
 
 ========== ==========================================================
 stage      what it measures
@@ -14,9 +14,9 @@ dispatch   per-event plan work minus the two timed sections below
            (binding extraction, creation, bookkeeping)
 tree-walk  indexing-tree lookup (``DispatchPlan.tree.lookup_vals``)
 fsm-step   stepping the monitors on the matched leaf (incl. verdicts)
-gc         death propagation and budgeted sweeps inside the call
-emit-batch the engine-level remainder: routing, taps, loop overhead
-           (charged to the pseudo-property ``engine``)
+gc         death propagation and budgeted sweeps inside the event
+emit-batch the engine-level remainder of the event: routing, death
+           bookkeeping, later observers (pseudo-property ``engine``)
 queue-wait time the queue head sat waiting for a shard worker
            (charged to the pseudo-property ``shard:<n>``)
 ========== ==========================================================
@@ -37,6 +37,7 @@ time, which is how the acceptance test prices the decomposition.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator
 
 from .catalogue import declare
@@ -93,13 +94,18 @@ class AttributionPlane:
     the same catalogue counter child, so thread shards sharing one
     registry aggregate exactly.
 
-    ``active`` is set by the engine's emit boundary for the duration of
-    a sampled call; runtime-level wrappers check it and, when set, run
-    the timed decomposed path and add their elapsed time to ``charged``
-    so the boundary can compute the un-attributed remainder.
+    The plane is itself the engine's first boundary observer: its
+    ``before_event`` hook ticks the sampler and, on a sampled event, sets
+    ``active`` until its ``after_event`` hook runs.  Runtime-level
+    wrappers check ``active`` and, when set, run the timed decomposed
+    path and add their elapsed time to ``charged``, so ``after_event``
+    can charge the un-attributed remainder to ``emit-batch``.
     """
 
-    __slots__ = ("interval", "sampler", "active", "charged", "_seconds", "_samples", "_cells")
+    __slots__ = (
+        "interval", "sampler", "active", "charged", "_start", "_remainder",
+        "_seconds", "_samples", "_cells",
+    )
 
     def __init__(self, telemetry: "Telemetry") -> None:
         self.interval = telemetry.sample_interval
@@ -109,6 +115,22 @@ class AttributionPlane:
         self._seconds = declare(telemetry.registry, "repro_prop_stage_seconds_total")
         self._samples = declare(telemetry.registry, "repro_prop_stage_samples_total")
         self._cells: dict[tuple[str, str], StageCell] = {}
+        self._start = 0.0
+        self._remainder = self.cell(ENGINE_LABEL, "emit-batch")
+
+    def before_event(self, event: str, params: Any) -> None:
+        """Boundary hook: start timing the event when the sampler picks it."""
+        if self.sampler.sample():
+            self.active = True
+            self.charged = 0.0
+            self._start = perf_counter()
+
+    def after_event(self, event: str, params: Any) -> None:
+        """Boundary hook: charge what no runtime charged to ``emit-batch``."""
+        if self.active:
+            self.active = False
+            total = perf_counter() - self._start
+            self._remainder.add(max(0.0, total - self.charged))
 
     def cell(self, label: str, stage: str) -> StageCell:
         """The (create-once) tally cell for one property label and stage."""

@@ -20,9 +20,10 @@ Because verdict entries carry the engine's full provenance stamps,
 :func:`replay_dump_verdict` can hand the triggering verdict straight to
 ``repro.obs.provenance.replay_verdict`` for a time-travel postmortem.
 
-Attaching a recorder is opt-in (``engine.enable_flight_recorder()``)
-and interposes per-instance wrappers exactly like telemetry does —
-default-off hot paths stay byte-identical.
+Attaching a recorder is opt-in (``engine.enable_flight_recorder()``):
+the recorder registers on the engine's ordered boundary observer list
+(``after_event``, ``on_deaths``, ``on_registry_op``, ``on_verdict``
+hooks), so an engine without observers runs its plain hot paths.
 """
 
 from __future__ import annotations
@@ -82,6 +83,17 @@ class FlightRecorder:
         self.on_dump = on_dump
         self.dumps: list[dict[str, Any]] = []
         self.dump_counter: Any = None  # optional repro_recorder_dumps_total family
+        self._engine: Any = None
+
+    def attach(self, engine: Any) -> "FlightRecorder":
+        """Register on ``engine``'s boundary observer list; returns self.
+
+        One engine per recorder: events are stamped with that engine's
+        ``provenance_source`` coordinates.
+        """
+        self._engine = engine
+        engine.add_observer(self)
+        return self
 
     # -- recording -----------------------------------------------------
 
@@ -106,9 +118,15 @@ class FlightRecorder:
             wal=dict(wal) if wal is not None else None,
         )
 
+    def after_event(self, event: str, params: Mapping[str, Any]) -> None:
+        """Boundary hook: record the event with its own WAL coordinates
+        (a write-ahead log appended it before dispatch)."""
+        source = self._engine.provenance_source
+        self.record_event(event, params, source() if source is not None else None)
+
     def record_deaths(self, dead: Any) -> None:
-        """Record a batch of parameter deaths injected via ``note_deaths``."""
-        self.record("deaths", params=[_safe(value) for value in dead])
+        """Record the parameter names of one ``note_deaths`` mapping."""
+        self.record("deaths", params=sorted(dead))
 
     def record_registry_op(self, op: str, **fields: Any) -> None:
         """Record a dynamic-registry operation (attach/detach/enable)."""
@@ -151,6 +169,10 @@ class FlightRecorder:
         ):
             return self.trigger("verdict-burst", verdict=entry)
         return None
+
+    on_deaths = record_deaths
+    on_registry_op = record_registry_op
+    on_verdict = record_verdict
 
     # -- dumping -------------------------------------------------------
 

@@ -137,8 +137,9 @@ class DurableEngine:
     """A monitoring engine whose state survives process death.
 
     ``specs`` is anything :class:`MonitoringEngine` accepts.  All events
-    must flow through :meth:`emit` (or the engine's own ``emit`` — the
-    WAL is attached as the engine's emission tap, so both paths log).
+    must flow through :meth:`emit` (or any of the engine's own emit entry
+    points — the durable engine is a boundary observer of its engine, so
+    every path logs).
 
     ``checkpoint_every`` (optional) auto-checkpoints after that many
     events; explicit :meth:`checkpoint` calls are always allowed.
@@ -190,7 +191,7 @@ class DurableEngine:
         self.prune_on_checkpoint = prune_on_checkpoint
         self._events_since_checkpoint = 0
         self._closed = False
-        self.engine.on_emit = self._on_emit
+        self.engine.add_observer(self)
         #: Checkpoint floor carried in verdict provenance (0 = the whole
         #: log reproduces the verdict without restoring a snapshot first).
         self._provenance_floor = 0
@@ -215,7 +216,8 @@ class DurableEngine:
 
     # -- ingestion -----------------------------------------------------------
 
-    def _on_emit(self, event: str, params: dict[str, Any]) -> None:
+    def before_event(self, event: str, params: dict[str, Any]) -> None:
+        """Boundary hook: write-ahead log the event before dispatch."""
         self.wal.append(event, params)
         self._events_since_checkpoint += 1
 

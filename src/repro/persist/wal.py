@@ -175,12 +175,18 @@ class WalWriter:
         self.sync = sync  # type: ignore[method-assign]
         self._rotate = _rotate  # type: ignore[method-assign]
 
-    # -- the tap side --------------------------------------------------------
+    # -- the observer side ---------------------------------------------------
 
     def attach(self, engine: Any) -> "WalWriter":
-        """Register as an engine's emission tap (like a TraceRecorder)."""
-        engine.on_emit = self.append
+        """Register on an engine's boundary observer list (like a
+        TraceRecorder): every event is appended before dispatch."""
+        engine.add_observer(self)
         return self
+
+    def before_event(self, event: str, params: Mapping[str, Any]) -> None:
+        # ``append`` is looked up per call: telemetry and tracers wrap it
+        # on the instance.
+        self.append(event, params)
 
     def _write_failed(self, op: str, exc: OSError) -> None:
         """Convert an ``OSError`` into the typed, supervisor-visible failure.

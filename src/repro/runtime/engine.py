@@ -395,13 +395,13 @@ class PropertyRuntime:
     def _wire_attribution(self, plane: Any, compiled: bool) -> None:
         """Wrap the entry points with per-stage attribution (see obs docs).
 
-        Outside a sampled emit (``plane.active`` false — the engine's
-        boundary wrapper owns that flag) every call falls straight
+        Outside a sampled event (``plane.active`` false — the plane's
+        boundary observer hooks own that flag) every call falls straight
         through to the raw path; inside one, the compiled handle runs
         the timed decomposed clone and GC entry points charge the ``gc``
         stage.  Each wrapper also adds its elapsed time to
         ``plane.charged`` so the boundary can attribute the remainder of
-        the emit call to the engine-level ``emit-batch`` stage.
+        the event to the engine-level ``emit-batch`` stage.
 
         ``compiled`` is true for both the ``"compiled"`` and
         ``"codegen"`` dispatch modes: the generated kernels are
@@ -1217,7 +1217,9 @@ class PropertyRuntime:
         """
         self._serial = payload["serial"]
         self._event_serial = payload["event_serial"]
-        self.stats = MonitorStats.from_snapshot(payload["stats"])
+        # In place: generated kernels and collection callbacks bound this
+        # very stats object when the runtime was built.
+        vars(self.stats).update(vars(MonitorStats.from_snapshot(payload["stats"])))
         for record in payload["touched"]:
             values = {name: tokens[symbol] for name, symbol in record["params"].items()}
             leaf = self.trees[frozenset(values)].lookup(values, create=True)
@@ -1314,6 +1316,10 @@ class MonitoringEngine:
             batch = _declare_metric(self.telemetry.registry, "repro_engine_batch_size")
             self._batch_emit = batch.labels("emit")
             self._batch_selected = batch.labels("selected")
+        #: Boundary observers in registration order (:meth:`add_observer`);
+        #: :meth:`_refresh_hooks` caches one tuple per hook from them.
+        self._observers: list[Any] = []
+        self._refresh_hooks()
         #: Per-stage overhead attribution plane (``repro.obs.attribution``),
         #: built only when the telemetry policy asks for it; None otherwise
         #: (no wrappers installed, hot paths untouched).
@@ -1323,7 +1329,7 @@ class MonitoringEngine:
 
             self.attribution = AttributionPlane(self.telemetry)
         #: Optional flight recorder (``enable_flight_recorder``); None by
-        #: default, in which case no recording wrappers exist.
+        #: default, in which case nothing is recorded.
         self.flight_recorder = None
 
         #: The engine's own property registry.  A registry argument is
@@ -1349,9 +1355,6 @@ class MonitoringEngine:
         self._dead_lock = threading.Lock()
         #: id -> (weakref guard, positions the object is registered under).
         self._watched: dict[int, tuple[weakref.ref, set[tuple[int, str]]]] = {}
-        #: Optional tap invoked as ``on_emit(event, params)`` for every
-        #: emitted event, before dispatch (used by runtime.tracelog).
-        self.on_emit = None
         #: Statistics of detached properties, folded into the engine totals
         #: (slot -> (spec name, formalism, final stats)).
         self._retired: dict[int, tuple[str, str, MonitorStats]] = {}
@@ -1369,7 +1372,7 @@ class MonitoringEngine:
         self._by_event: dict[str, list[PropertyRuntime]] = {}
         self._rebuild_event_index()
         if self.attribution is not None:
-            self._wire_attribution_boundary()
+            self.add_observer(self.attribution)
 
     def enable_telemetry(self, telemetry: "Telemetry | bool") -> "Telemetry":
         """Attach a telemetry plane to an already-built engine.
@@ -1401,88 +1404,66 @@ class MonitoringEngine:
                     )
                 runtime._wire_telemetry(resolved)
         if self.attribution is not None:
-            self._wire_attribution_boundary()
+            self.add_observer(self.attribution)
         # Wrapped handles invalidate the codegen direct-kernel routes.
         self._rebuild_event_index()
         return resolved
 
-    def _wire_attribution_boundary(self) -> None:
-        """Interpose the sampled attribution boundary on the emit paths.
+    # -- boundary observers ------------------------------------------------------
 
-        One deterministic sampler tick per emit/batch call decides
-        whether the *entire* call is attributed: while it runs,
-        ``plane.active`` makes every runtime wrapper take the timed
-        decomposed path, and whatever wall time the runtimes did not
-        charge (routing, taps, death propagation bookkeeping, loop
-        overhead) lands on the engine-level ``emit-batch`` stage.
-        Unsampled calls pay a single sampler tick and fall through.
+    def add_observer(self, observer: Any) -> Any:
+        """Append ``observer`` to the engine's boundary observers.
+
+        ``observer`` defines any subset of these hooks, each called in
+        registration order: ``before_event(event, params)`` and
+        ``after_event(event, params)`` around every event any emit entry
+        point takes in (``after_event`` also when dispatch raises);
+        ``on_deaths(dead)`` on every :meth:`note_deaths` call;
+        ``on_registry_op(op, **fields)`` after every attach / detach /
+        enable; and ``on_verdict(prop, category, monitor)`` per verdict,
+        after the constructor's ``on_verdict`` callback.  The write-ahead
+        log, trace recorder, flight recorder and attribution plane all
+        attach this way.  Returns ``observer``.
         """
-        from ..obs.attribution import ENGINE_LABEL
+        if observer in self._observers:
+            raise ValueError("observer is already registered on this engine")
+        self._observers.append(observer)
+        self._refresh_hooks()
+        return observer
 
-        plane = self.attribution
-        batch_cell = plane.cell(ENGINE_LABEL, "emit-batch")
-        sampler = plane.sampler
-        inner_emit = self.emit
-        inner_emit_values = self.emit_values
-        inner_emit_batch = self.emit_batch
-        inner_selected = self.emit_selected
-        inner_selected_batch = self.emit_selected_batch
+    def remove_observer(self, observer: Any) -> None:
+        """Unregister an observer (``ValueError`` when it is not registered)."""
+        self._observers.remove(observer)
+        self._refresh_hooks()
 
-        def attributed(call, args, kwargs):
-            plane.active = True
-            plane.charged = 0.0
-            start = perf_counter()
-            try:
-                return call(*args, **kwargs)
-            finally:
-                total = perf_counter() - start
-                plane.active = False
-                batch_cell.add(max(0.0, total - plane.charged))
+    def _refresh_hooks(self) -> None:
+        """Cache one tuple per hook, so an engine without observers pays a
+        single falsy ``_tapped`` check per emit call."""
 
-        def emit(event, _strict=True, **params):
-            if not sampler.sample():
-                return inner_emit(event, _strict, **params)
-            return attributed(inner_emit, (event, _strict), params)
+        def hooks(name: str) -> tuple[Callable[..., Any], ...]:
+            found = (getattr(observer, name, None) for observer in self._observers)
+            return tuple(hook for hook in found if hook is not None)
 
-        def emit_values(event, values, _strict=True):
-            # Rebinding this alongside ``emit`` keeps the replay hot loop
-            # (``tracelog.replay_entries``) on its repack-free entry: the
-            # loop trusts an instance-level ``emit_values`` to observe
-            # events exactly as the wrapped ``emit`` would.
-            if not sampler.sample():
-                return inner_emit_values(event, values, _strict)
-            return attributed(inner_emit_values, (event, values, _strict), {})
+        self._before = hooks("before_event")
+        self._after = hooks("after_event")
+        self._tapped = bool(self._before or self._after)
+        self._death_hooks = hooks("on_deaths")
+        self._registry_hooks = hooks("on_registry_op")
+        callback = () if self._on_verdict is None else (self._on_verdict,)
+        self._verdict_hooks = callback + hooks("on_verdict")
 
-        def emit_batch(events, _strict=True):
-            if not sampler.sample():
-                return inner_emit_batch(events, _strict)
-            return attributed(inner_emit_batch, (events, _strict), {})
-
-        def emit_selected(*args, **kwargs):
-            if not sampler.sample():
-                return inner_selected(*args, **kwargs)
-            return attributed(inner_selected, args, kwargs)
-
-        def emit_selected_batch(deliveries):
-            if not sampler.sample():
-                return inner_selected_batch(deliveries)
-            return attributed(inner_selected_batch, (deliveries,), {})
-
-        self.emit = emit  # type: ignore[method-assign]
-        self.emit_values = emit_values  # type: ignore[method-assign]
-        self.emit_batch = emit_batch  # type: ignore[method-assign]
-        self.emit_selected = emit_selected  # type: ignore[method-assign]
-        self.emit_selected_batch = emit_selected_batch  # type: ignore[method-assign]
+    def _report_verdict(self, prop: CompiledProperty, category: str, monitor: Any) -> None:
+        for hook in self._verdict_hooks:
+            hook(prop, category, monitor)
 
     def enable_flight_recorder(self, recorder: Any = None) -> Any:
         """Attach a flight recorder (``repro.obs.recorder``) to this engine.
 
-        Interposes recording wrappers on the emit paths, ``note_deaths``,
-        and the registry operations, and taps the verdict callback —
-        per-instance rebinding, exactly like telemetry, so engines
-        without a recorder keep byte-identical hot paths.  Events are
-        recorded with the WAL coordinates of ``provenance_source`` when a
-        persistence wrapper set one.  Returns the attached recorder.
+        The recorder registers as a boundary observer: it records every
+        event after dispatch, ``note_deaths`` calls, registry operations
+        and verdicts.  Events carry the WAL coordinates of
+        ``provenance_source`` when a persistence wrapper set one.
+        Returns the attached recorder.
         """
         from ..obs.recorder import FlightRecorder
 
@@ -1494,118 +1475,7 @@ class MonitoringEngine:
             recorder.dump_counter = _declare_metric(
                 self.telemetry.registry, "repro_recorder_dumps_total"
             )
-        self.flight_recorder = recorder
-
-        def wal_coords():
-            source = self.provenance_source
-            return source() if source is not None else None
-
-        previous_on_verdict = self._on_verdict
-
-        def on_verdict(prop, category, monitor):
-            recorder.record_verdict(prop, category, monitor)
-            if previous_on_verdict is not None:
-                previous_on_verdict(prop, category, monitor)
-
-        self._on_verdict = on_verdict
-        for runtime in self.runtimes:
-            if runtime is not None:
-                runtime._on_verdict = on_verdict
-
-        inner_emit = self.emit
-        inner_emit_values = self.emit_values
-        inner_emit_batch = self.emit_batch
-        inner_selected = self.emit_selected
-        inner_selected_batch = self.emit_selected_batch
-        inner_note_deaths = self.note_deaths
-        inner_attach = self.attach_property
-        inner_detach = self.detach_property
-        inner_set_enabled = self.set_property_enabled
-
-        def emit(event, _strict=True, **params):
-            try:
-                return inner_emit(event, _strict, **params)
-            finally:
-                recorder.record_event(event, params, wal_coords())
-
-        def emit_values(event, values, _strict=True):
-            # Rebound alongside ``emit`` so replay's repack-free entry
-            # (which trusts an instance-level ``emit_values``) records too.
-            try:
-                return inner_emit_values(event, values, _strict)
-            finally:
-                recorder.record_event(event, values, wal_coords())
-
-        def _record_batch(events):
-            # The WAL (when present) assigned consecutive sequence numbers
-            # ending at the post-batch cursor; back-count so every recorded
-            # event carries its own coordinates.
-            coords = wal_coords()
-            if coords is None or coords.get("seq") is None:
-                for event, params in events:
-                    recorder.record_event(event, params, None)
-                return
-            last = coords["seq"]
-            first = last - len(events) + 1
-            for offset, (event, params) in enumerate(events):
-                recorder.record_event(
-                    event, params, {**coords, "seq": first + offset}
-                )
-
-        def emit_batch(events, _strict=True):
-            events = list(events)
-            try:
-                return inner_emit_batch(events, _strict)
-            finally:
-                _record_batch([(event, params) for event, params in events])
-
-        def emit_selected(event, params, *args, **kwargs):
-            try:
-                return inner_selected(event, params, *args, **kwargs)
-            finally:
-                recorder.record_event(event, params, wal_coords())
-
-        def emit_selected_batch(deliveries):
-            deliveries = list(deliveries)
-            try:
-                return inner_selected_batch(deliveries)
-            finally:
-                _record_batch(
-                    [(event, params) for event, params, _ in deliveries]
-                )
-
-        def note_deaths(dead):
-            dead = {
-                param: list(ids) for param, ids in dict(dead).items()
-            }
-            recorder.record("deaths", params=sorted(dead))
-            return inner_note_deaths(dead)
-
-        def attach_property(item, name=None, origin=None, enabled=True):
-            indexes = inner_attach(item, name=name, origin=origin, enabled=enabled)
-            recorder.record_registry_op(
-                "attach", name=name, slots=list(indexes), enabled=enabled
-            )
-            return indexes
-
-        def detach_property(ref):
-            stats = inner_detach(ref)
-            recorder.record_registry_op("detach", ref=str(ref))
-            return stats
-
-        def set_property_enabled(ref, enabled):
-            inner_set_enabled(ref, enabled)
-            recorder.record_registry_op("enable", ref=str(ref), enabled=enabled)
-
-        self.emit = emit  # type: ignore[method-assign]
-        self.emit_values = emit_values  # type: ignore[method-assign]
-        self.emit_batch = emit_batch  # type: ignore[method-assign]
-        self.emit_selected = emit_selected  # type: ignore[method-assign]
-        self.emit_selected_batch = emit_selected_batch  # type: ignore[method-assign]
-        self.note_deaths = note_deaths  # type: ignore[method-assign]
-        self.attach_property = attach_property  # type: ignore[method-assign]
-        self.detach_property = detach_property  # type: ignore[method-assign]
-        self.set_property_enabled = set_property_enabled  # type: ignore[method-assign]
+        self.flight_recorder = recorder.attach(self)
         return recorder
 
     def _build_runtime(self, index: int, prop: CompiledProperty) -> PropertyRuntime:
@@ -1613,7 +1483,7 @@ class MonitoringEngine:
             prop,
             gc=self.gc,
             scan_budget=self.scan_budget,
-            on_verdict=self._on_verdict,
+            on_verdict=self._report_verdict,
             on_param_registered=(
                 (lambda name, value, _index=index: self._watch_param(_index, name, value))
                 if self._eager
@@ -1648,8 +1518,8 @@ class MonitoringEngine:
         self._paused_events = declared - set(by_event)
         # Codegen batch routing: per event, (runtime, kernel, batch kernel).
         # Kernels are entered directly only while the runtime's handle is
-        # still unwrapped — telemetry/attribution/recording wrappers must
-        # see every call, so wrapped runtimes degrade to ``handle``.
+        # still unwrapped — telemetry/attribution wrappers must see every
+        # call, so wrapped runtimes degrade to ``handle``.
         routes: dict[str, list[tuple[PropertyRuntime, Any, Any]]] = {}
         singles: dict[str, Any] = {}
         if self.dispatch == "codegen":
@@ -1715,6 +1585,8 @@ class MonitoringEngine:
             self.properties.append(prop)
             indexes.append(entry.index)
         self._rebuild_event_index()
+        for hook in self._registry_hooks:
+            hook("attach", name=name, slots=list(indexes), enabled=enabled)
         return indexes
 
     def detach_property(self, ref: Any) -> MonitorStats:
@@ -1761,6 +1633,8 @@ class MonitoringEngine:
                 if not positions:
                     del self._watched[key]
         self._rebuild_event_index()
+        for hook in self._registry_hooks:
+            hook("detach", ref=str(ref))
         return stats
 
     def set_property_enabled(self, ref: Any, enabled: bool) -> None:
@@ -1774,6 +1648,8 @@ class MonitoringEngine:
         if runtime.enabled != enabled:
             runtime.enabled = enabled
             self._rebuild_event_index()
+        for hook in self._registry_hooks:
+            hook("enable", ref=str(ref), enabled=enabled)
 
     # -- the public event interface ---------------------------------------------
 
@@ -1787,8 +1663,11 @@ class MonitoringEngine:
         uses this because a woven program point may produce events for
         specifications that are not currently monitored.
         """
+        if self._tapped:
+            self._emit_tapped(event, params, _strict)
+            return
         routes = self._codegen_routes
-        if routes and not self._eager and self.on_emit is None:
+        if routes and not self._eager:
             # Codegen fast route: straight from the emit surface into the
             # generated kernel, skipping the per-runtime handle closure.
             # Routes cover every declared event, so a miss below falls
@@ -1807,8 +1686,6 @@ class MonitoringEngine:
                 return
         if self._eager and self._pending_dead:
             self._propagate_deaths()
-        if self.on_emit is not None:
-            self.on_emit(event, params)
         runtimes = self._by_event.get(event)
         if not runtimes:
             if _strict and event not in self._paused_events:
@@ -1826,13 +1703,13 @@ class MonitoringEngine:
 
         Semantically identical to ``emit(event, **values)`` without the
         keyword repack — the replay hot loop already holds the dict.
-        Callers that wrap ``emit`` per instance (telemetry, attribution,
-        flight recorder, durability) are respected by going through this
-        method only when ``emit`` is unwrapped — see
-        :func:`repro.runtime.tracelog.replay_entries`.
+        Boundary observers see it exactly as they see :meth:`emit`.
         """
+        if self._tapped:
+            self._emit_tapped(event, values, _strict)
+            return
         routes = self._codegen_routes
-        if routes and not self._eager and self.on_emit is None:
+        if routes and not self._eager:
             kernel = self._codegen_single.get(event)
             if kernel is not None:
                 kernel(values)
@@ -1847,8 +1724,6 @@ class MonitoringEngine:
                 return
         if self._eager and self._pending_dead:
             self._propagate_deaths()
-        if self.on_emit is not None:
-            self.on_emit(event, values)
         runtimes = self._by_event.get(event)
         if not runtimes:
             if _strict and event not in self._paused_events:
@@ -1868,29 +1743,42 @@ class MonitoringEngine:
         dispatched to at least one property.
 
         Per-event semantics are identical to :meth:`emit` — eager death
-        propagation still happens at every event boundary — but the
-        per-call overhead (tap/attribute lookups, the Python call itself)
-        is amortized across the batch.
+        propagation still happens at every event boundary, and boundary
+        observers see every event — but the per-call overhead (attribute
+        lookups, the Python call itself) is amortized across the batch.
 
-        Under ``dispatch="codegen"`` with lazy propagation and no emit
-        tap, the batch is processed by the grouped kernel path instead:
-        consecutive same-event runs step through generated kernels (and,
-        for creation-free FSM events, through the vectorized batch
-        kernel) — see :meth:`_emit_batch_codegen`.
+        Under ``dispatch="codegen"`` with lazy propagation and no
+        ``before_event`` observer, the batch is processed by the grouped
+        kernel path instead: consecutive same-event runs step through
+        generated kernels (and, for creation-free FSM events, through the
+        vectorized batch kernel) — see :meth:`_emit_batch_codegen`.
         """
-        if self._codegen_routes and not self._eager and self.on_emit is None:
+        if self._batch_emit is not None:
+            events = list(events)
+            self._batch_emit.observe(len(events))
+        if self._tapped:
+            if self._before or not self._codegen_routes or self._eager:
+                return sum(
+                    self._emit_tapped(event, params, _strict) for event, params in events
+                )
+            # After-only observers (the flight recorder) keep the grouped
+            # codegen path: each event's after hooks run, in order, once
+            # the batch is through.
+            events = events if isinstance(events, list) else list(events)
+            try:
+                return self._emit_batch_codegen(events, _strict)
+            finally:
+                for event, params in events:
+                    for hook in self._after:
+                        hook(event, params)
+        if self._codegen_routes and not self._eager:
             return self._emit_batch_codegen(events, _strict)
         eager = self._eager
         by_event = self._by_event
         accepted = 0
-        if self._batch_emit is not None:
-            events = list(events)
-            self._batch_emit.observe(len(events))
         for event, params in events:
             if eager and self._pending_dead:
                 self._propagate_deaths()
-            if self.on_emit is not None:
-                self.on_emit(event, params)
             runtimes = by_event.get(event)
             if not runtimes:
                 if _strict and event not in self._paused_events:
@@ -1902,6 +1790,34 @@ class MonitoringEngine:
             for runtime in runtimes:
                 runtime.handle(event, params)
         return accepted
+
+    def _emit_tapped(
+        self, event: str, params: Mapping[str, Any], _strict: bool
+    ) -> int:
+        """Dispatch one event between its ``before_event`` and
+        ``after_event`` hooks; returns 1 when a property received it."""
+        for hook in self._before:
+            hook(event, params)
+        try:
+            if self._eager and self._pending_dead:
+                self._propagate_deaths()
+            kernel = self._codegen_single.get(event)
+            if kernel is not None:
+                kernel(params)
+                return 1
+            runtimes = self._by_event.get(event)
+            if not runtimes:
+                if _strict and event not in self._paused_events:
+                    raise UnknownEventError(
+                        f"no monitored specification declares event {event!r}"
+                    )
+                return 0
+            for runtime in runtimes:
+                runtime.handle(event, params)
+            return 1
+        finally:
+            for hook in self._after:
+                hook(event, params)
 
     def _emit_batch_codegen(
         self,
@@ -1920,12 +1836,10 @@ class MonitoringEngine:
         discovers deaths on access, so the exact operation order is part
         of the observable semantics the equivalence suite pins down.
         Eager propagation never reaches this path (its death boundaries
-        interleave with dispatch), nor does an engine with an ``on_emit``
-        tap (the tap must see every event in order).
+        interleave with dispatch), nor does an engine with a
+        ``before_event`` observer (it must see each event before dispatch).
         """
         events = events if isinstance(events, list) else list(events)
-        if self._batch_emit is not None:
-            self._batch_emit.observe(len(events))
         n = len(events)
         if n == 1:
             # Tiny chunks dominate replayed traces (death boundaries flush
@@ -2008,25 +1922,12 @@ class MonitoringEngine:
         properties record the event without processing it (the router
         proved the event can do nothing on any shard).
         """
-        if self._eager and self._pending_dead:
-            self._propagate_deaths()
-        if self.on_emit is not None:
-            self.on_emit(event, params)
-        for index in count_only:
-            counter = self.runtimes[index]
-            if counter is not None and counter.enabled:
-                counter.stats.record_event()
-        for index in prop_indexes:
-            runtime = self.runtimes[index]
-            if runtime is None or not runtime.enabled:
-                continue
-            if event in runtime.event_domains:
-                runtime.handle(
-                    event,
-                    params,
-                    record=record_indexes is None or index in record_indexes,
-                    pretouched=None if pretouched is None else pretouched.get(index),
-                )
+        selection = (prop_indexes, record_indexes, pretouched, count_only)
+        deliveries = [(event, params, selection)]
+        if self._tapped:
+            self._selected_tapped(deliveries)
+        else:
+            self._selected_batch_plain(deliveries)
 
     def emit_selected_batch(
         self,
@@ -2040,15 +1941,37 @@ class MonitoringEngine:
         exactly :meth:`emit_selected`; batching amortizes the per-event
         call and attribute overhead at the queue-drain boundary.
         """
-        eager = self._eager
-        runtimes = self.runtimes
         if self._batch_selected is not None:
             self._batch_selected.observe(len(deliveries))
+        if self._tapped:
+            self._selected_tapped(deliveries)
+        else:
+            self._selected_batch_plain(deliveries)
+
+    def _selected_tapped(
+        self, deliveries: Sequence[tuple[str, Mapping[str, Any], tuple]]
+    ) -> None:
+        """:meth:`emit_selected_batch` with boundary observers attached."""
+        before, after = self._before, self._after
+        for delivery in deliveries:
+            event, params = delivery[0], delivery[1]
+            for hook in before:
+                hook(event, params)
+            try:
+                self._selected_batch_plain((delivery,))
+            finally:
+                for hook in after:
+                    hook(event, params)
+
+    def _selected_batch_plain(
+        self, deliveries: Sequence[tuple[str, Mapping[str, Any], tuple]]
+    ) -> None:
+        """The routed-delivery loop, without observers."""
+        eager = self._eager
+        runtimes = self.runtimes
         for event, params, (prop_indexes, record_indexes, pretouched, count_only) in deliveries:
             if eager and self._pending_dead:
                 self._propagate_deaths()
-            if self.on_emit is not None:
-                self.on_emit(event, params)
             for index in count_only:
                 counter = runtimes[index]
                 if counter is not None and counter.enabled:
@@ -2088,6 +2011,8 @@ class MonitoringEngine:
         never in a created monitor); their buckets are purged too, which
         only removes provably dead state.
         """
+        for hook in self._death_hooks:
+            hook(dead)
         if not self._eager:
             return
         with self._dead_lock:

@@ -102,8 +102,9 @@ class TraceRecorder:
             self.registry.on_death = self._note_death
 
     def attach(self, engine: MonitoringEngine) -> "TraceRecorder":
-        """Register as the engine's emission tap (one tap per engine)."""
-        engine.on_emit = self.record
+        """Register on the engine's boundary observer list: every event is
+        recorded before dispatch, next to any other observer."""
+        engine.add_observer(self)
         return self
 
     def record(self, event: str, params: dict[str, Any]) -> None:
@@ -131,6 +132,8 @@ class TraceRecorder:
         if pending:
             self._sink.write(json.dumps({"die": pending}) + "\n")
             self.deaths_recorded += len(pending)
+
+    before_event = record
 
 
 def read_trace(lines: Iterable[str]) -> list[dict]:
@@ -201,13 +204,10 @@ def replay_entries(
     pending: list[tuple[str, dict[str, Any]]] = []
     emit_batch = target.emit_batch if batch_size else None
     # Mapping-taking fast entry: skips the per-event keyword repack of
-    # ``emit(event, **params)``.  Per-instance wrappers (telemetry
-    # boundaries, attribution, flight recorder, durability) must see every
-    # event, and all of them rebind ``emit`` in the instance dict — so the
-    # fast entry is used only while ``emit`` is the plain class method,
-    # *unless* the wrapper also rebound ``emit_values`` (the attribution
-    # boundary and the flight recorder do), in which case the instance
-    # ``emit_values`` observes events exactly as the wrapped ``emit`` would.
+    # ``emit(event, **params)``.  Engine observers see both entries alike;
+    # but a caller that wraps ``emit`` in the target's instance dict (a
+    # tracer, a test probe) must see every event, so the fast entry is
+    # skipped then, unless ``emit_values`` was wrapped as well.
     emit_values = getattr(target, "emit_values", None)
     if (
         emit_values is not None

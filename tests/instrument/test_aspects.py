@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
 import pytest
 
+from repro.bench.workloads import WORKLOADS, run_workload
 from repro.core.errors import ReproError
+from repro.instrument import collections_shim
 from repro.instrument.aspects import CallContext, Weaver, after_returning, before
+from repro.properties import ALL_PROPERTIES
 from repro.runtime.engine import MonitoringEngine
 from repro.spec import compile_spec
 
@@ -172,3 +176,43 @@ class TestBindingSources:
         pointcut = before(Door, "open", event="opened", bind={"d": "bogus"})
         with pytest.raises(ReproError):
             pointcut.extract(context)
+
+
+class _Tally:
+    """Emit target that only counts events by name."""
+
+    def __init__(self):
+        self.events = Counter()
+
+    def emit(self, event, _strict=True, **params):
+        self.events[event] += 1
+
+
+class TestReweave:
+    def test_weave_unweave_cycle_leaves_class_dicts_and_event_counts_unchanged(self):
+        # Subclasses that inherit a woven method (SynchronizedCollection
+        # inherits MonitoredCollection.iterator) must follow the base again
+        # after unweaving; a stale copy in the subclass dict would bypass
+        # the next weaver's advice and drop its events.
+        classes = [
+            value
+            for value in vars(collections_shim).values()
+            if isinstance(value, type)
+            and value.__module__ == collections_shim.__name__
+        ]
+        dicts = {cls: dict(vars(cls)) for cls in classes}
+        profile = WORKLOADS["pmd"].scaled(0.05)
+        counts = []
+        for _round in range(2):
+            tally = _Tally()
+            weaver = Weaver(tally)
+            for prop in ALL_PROPERTIES.values():
+                weaver.weave(prop.pointcuts())
+            try:
+                run_workload(profile)
+            finally:
+                weaver.unweave()
+            counts.append(tally.events)
+            assert {cls: dict(vars(cls)) for cls in classes} == dicts
+        assert counts[0]["createiter"] > 0
+        assert counts[1] == counts[0]

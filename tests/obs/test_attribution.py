@@ -101,8 +101,9 @@ class TestStageAccounting:
     def test_attributed_sum_matches_emit_wall_time_on_bloat(self):
         entries = bloat_entries()
         engine, telemetry = attributed_engine(interval=1)
-        # Replay ingests through the attribution boundary's ``emit_values``
-        # (the repack-free instance rebinding) — time that exact entry.
+        # Replay ingests through the repack-free ``emit_values`` entry,
+        # whose boundary observers include the attribution plane — time
+        # that exact entry.
         inner_emit_values = engine.emit_values
         wall = 0.0
 

@@ -2,9 +2,8 @@
 
 Covers the recorder half of the trace plane: the lock-guarded ring and
 its triggers (verdict burst with cooldown, queue saturation, worker
-exception), the per-instance engine wrappers behind
-``enable_flight_recorder`` (default-off hot paths stay byte-identical),
-and the acceptance criterion — a triggered dump on a durable engine
+exception), the boundary observer behind ``enable_flight_recorder``
+(default-off hot paths stay byte-identical), and the acceptance criterion — a triggered dump on a durable engine
 carries WAL refs from which :func:`replay_dump_verdict` reproduces the
 triggering verdict through ``repro.obs.provenance``.
 """

@@ -152,6 +152,34 @@ class TestStateFidelity:
         assert stats.events == 2
         assert stats.monitors_created == engine.stats_for("UnsafeIter").monitors_created
 
+    @pytest.mark.parametrize("dispatch", ["reference", "compiled", "codegen"])
+    def test_restored_engine_keeps_counting_under_every_dispatch(self, dispatch):
+        # Generated kernels bind the runtime's stats object when they are
+        # built, so a restore must fill that object rather than replace it.
+        keepalive = []
+
+        def triples(engine, start, count):
+            for k in range(start, start + count):
+                c, i = Obj(f"c{k}"), Obj(f"i{k}")
+                keepalive.append((c, i))
+                engine.emit("create", c=c, i=i)
+                engine.emit("update", c=c)
+                engine.emit("next", i=i)
+
+        uninterrupted = make_engine(dispatch=dispatch)
+        triples(uninterrupted, 0, 7)
+        source = make_engine(dispatch=dispatch)
+        triples(source, 0, 3)
+        restored = make_engine(dispatch=dispatch)
+        tokens = restore_into(restored, snapshot_engine(source))
+        triples(restored, 3, 4)
+        expected = uninterrupted.stats_for("UnsafeIter")
+        stats = restored.stats_for("UnsafeIter")
+        assert stats.events == expected.events == 21
+        assert stats.monitors_created == expected.monitors_created
+        assert stats.verdicts == expected.verdicts
+        del tokens
+
     def test_cfg_chart_round_trip(self):
         """An Earley-chart monitor survives serialization mid-derivation.
 
