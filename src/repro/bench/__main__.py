@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
                         "'evaluated' (resolved via repro.properties."
                         "property_registry)")
     parser.add_argument("--systems", default="tm,mop,rv")
-    parser.add_argument("--dispatch", default="compiled",
+    parser.add_argument("--dispatch", default="codegen",
                         choices=("reference", "compiled", "codegen"),
                         help="engine dispatch implementation; all three are "
                         "verdict-equivalent, so this only moves the overhead "

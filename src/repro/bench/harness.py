@@ -210,7 +210,7 @@ def run_cell(
     repeats: int = 1,
     measure_tracemalloc: bool = False,
     original_seconds: float | None = None,
-    dispatch: str = "compiled",
+    dispatch: str = "codegen",
 ) -> CellResult:
     """Measure one cell; ``properties`` may be one key or several ("ALL").
 
@@ -311,7 +311,7 @@ def run_grid(
     scale: float = 1.0,
     repeats: int = 1,
     include_all_column: bool = False,
-    dispatch: str = "compiled",
+    dispatch: str = "codegen",
 ) -> GridResult:
     """Run the full Figure 9/10 grid.
 

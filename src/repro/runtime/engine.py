@@ -6,7 +6,7 @@ This is the production counterpart of the abstract Algorithm MONITOR
 * **Indexing trees** (Figure 6): per event-parameter-subset trees locate, in
   a couple of weak-map lookups, every monitor instance more informative
   than the event's binding.
-* **Compiled dispatch** (the default): every ``(property, event)`` pair is
+* **Compiled dispatch**: every ``(property, event)`` pair is
   specialized at property-compile time into a
   :class:`~repro.spec.dispatch.DispatchPlan` — interned event ids, slot
   indices so hot-path bindings are plain value tuples in tree order, the
@@ -14,9 +14,12 @@ This is the production counterpart of the abstract Algorithm MONITOR
   ``(tree, extraction)`` lists.  Finite-state formalisms step through flat
   :class:`~repro.formalism.fsm.FSMTable` rows — two array reads per monitor
   per event.  Rich :class:`~repro.core.params.Binding` objects appear only
-  at creation and verdict boundaries.  ``dispatch="reference"`` selects the
-  retained dict-based interpretation of the same semantics; the
-  dispatch-equivalence suite asserts both produce identical verdicts.
+  at creation and verdict boundaries.  The default ``dispatch="codegen"``
+  runs each plan entry as generated straight-line code
+  (:mod:`repro.spec.codegen`), ``"compiled"`` interprets the plan, and
+  ``"reference"`` selects the retained dict-based interpretation of the
+  same semantics; the dispatch-equivalence suite asserts all three
+  produce identical verdicts.
 * **Enable-set creation pruning** (Chen et al., ASE'09; the companion of
   coenable sets): a monitor for a new parameter instance is created only if
   the *knowledge* it would start from — the maximal defined sub-instance,
@@ -225,7 +228,7 @@ class PropertyRuntime:
         scan_budget: int,
         on_verdict: VerdictCallback | None,
         on_param_registered: Callable[[str, Any], None] | None,
-        dispatch: str = "compiled",
+        dispatch: str = "codegen",
         slot: int = -1,
         telemetry: "Telemetry | None" = None,
         provenance_get: Callable[[], Any] | None = None,
@@ -291,26 +294,19 @@ class PropertyRuntime:
         #: for ``weakref.finalize``'s global registry).
         self._collection_refs: set[Any] = set()
         #: Generated per-event kernels (codegen dispatch only; empty dicts
-        #: otherwise so the engine's batch fast path can probe cheaply).
+        #: until the first event binds them, see :meth:`_handle_codegen`).
         self._kernels: dict[str, Any] = {}
         self._batch_kernels: dict[str, Any] = {}
         self._kernel_module = None
+        #: Called once kernels are bound (the engine re-resolves its routes).
+        self._on_kernels_bound: Callable[[], None] | None = None
         if dispatch == "compiled":
             self.handle = self._handle_compiled  # type: ignore[method-assign]
         elif dispatch == "codegen":
-            from ..spec.codegen import bind_kernels
+            from ..spec.codegen import shared_kernel_cache
 
-            kernels, batch_kernels, module = bind_kernels(self)
-            self._kernels = kernels
-            self._batch_kernels = batch_kernels
-            self._kernel_module = module
-
-            def _codegen_handle(
-                event, values, record=True, pretouched=None, _kernels=kernels
-            ):
-                return _kernels[event](values, record, pretouched)
-
-            self.handle = _codegen_handle  # type: ignore[method-assign]
+            self._kernel_module = shared_kernel_cache.module_for(prop)
+            self.handle = self._handle_codegen  # type: ignore[method-assign]
         else:
             self.handle = self._handle_reference  # type: ignore[method-assign]
         #: The raw (unwrapped) handle: the engine's codegen batch fast path
@@ -681,6 +677,36 @@ class PropertyRuntime:
                     bucket.compact()
 
     # -- event processing (compiled fast path) -----------------------------------
+
+    def _handle_codegen(
+        self,
+        event: str,
+        values: Mapping[str, Any],
+        record: bool = True,
+        pretouched: frozenset[frozenset[str]] | None = None,
+    ) -> None:
+        """The codegen handle before (and under wrappers, after) binding.
+
+        The first event binds every kernel of this runtime, so a runtime
+        that never receives an event (a restored engine that is only
+        inspected, a paused slot) never pays for its closures.  Binding is
+        idempotent and replaces ``handle`` only while it is unwrapped: a
+        telemetry or attribution wrapper keeps calling this method, which
+        then goes straight to the bound kernel.
+        """
+        kernels = self._kernels
+        if not kernels:
+            kernels, self._batch_kernels = self._kernel_module.bind(self)
+            self._kernels = kernels
+
+            def handle(event, values, record=True, pretouched=None, _kernels=kernels):
+                return _kernels[event](values, record, pretouched)
+
+            if self.handle is self._unwrapped_handle:
+                self.handle = self._unwrapped_handle = handle  # type: ignore[method-assign]
+            if self._on_kernels_bound is not None:
+                self._on_kernels_bound()
+        return kernels[event](values, record, pretouched)
 
     def _handle_compiled(
         self,
@@ -1270,12 +1296,14 @@ class MonitoringEngine:
     design), ``eager`` (targeted boundary propagation — the Tracematches
     profile) or ``eager_full`` (the historical full-scan ablation);
     ``system`` is a convenience preset: ``rv`` / ``mop`` / ``tm`` /
-    ``none`` (see :data:`SYSTEMS`).  ``dispatch`` selects the compiled
-    fast path (default), the retained ``"reference"`` interpretation, or
-    ``"codegen"`` — per-(property, event) kernels generated and
-    ``exec``-compiled from the dispatch plan (:mod:`repro.spec.codegen`)
-    plus a grouped batch-stepping path in :meth:`emit_batch` — all three
-    produce bit-identical verdicts and creation counts.
+    ``none`` (see :data:`SYSTEMS`).  ``dispatch`` selects ``"codegen"``
+    (default) — per-(property, event) kernels generated and
+    ``exec``-compiled from the dispatch plan (:mod:`repro.spec.codegen`),
+    bound on each property's first event, plus a grouped batch-stepping
+    path in :meth:`emit_batch` — the ``"compiled"`` interpreter of the
+    same plan, or the retained ``"reference"`` interpretation.  All three
+    produce bit-identical verdicts and creation counts; codegen and
+    compiled also keep every monitor alive exactly as long.
     """
 
     def __init__(
@@ -1286,7 +1314,7 @@ class MonitoringEngine:
         system: str | None = None,
         scan_budget: int = 2,
         on_verdict: VerdictCallback | None = None,
-        dispatch: str = "compiled",
+        dispatch: str = "codegen",
         telemetry: "Telemetry | bool | None" = None,
     ):
         if system is not None:
@@ -1479,7 +1507,7 @@ class MonitoringEngine:
         return recorder
 
     def _build_runtime(self, index: int, prop: CompiledProperty) -> PropertyRuntime:
-        return PropertyRuntime(
+        runtime = PropertyRuntime(
             prop,
             gc=self.gc,
             scan_budget=self.scan_budget,
@@ -1495,6 +1523,8 @@ class MonitoringEngine:
             provenance_get=lambda: self.provenance_source,
             attribution=self.attribution,
         )
+        runtime._on_kernels_bound = self._rebuild_event_index
+        return runtime
 
     def _rebuild_event_index(self) -> None:
         """Recompute the event -> runtimes map over enabled slots.
@@ -1519,7 +1549,9 @@ class MonitoringEngine:
         # Codegen batch routing: per event, (runtime, kernel, batch kernel).
         # Kernels are entered directly only while the runtime's handle is
         # still unwrapped — telemetry/attribution wrappers must see every
-        # call, so wrapped runtimes degrade to ``handle``.
+        # call, so wrapped runtimes degrade to ``handle``.  A runtime whose
+        # kernels are not bound yet also routes through ``handle``: its
+        # first event binds them and re-runs this method.
         routes: dict[str, list[tuple[PropertyRuntime, Any, Any]]] = {}
         singles: dict[str, Any] = {}
         if self.dispatch == "codegen":

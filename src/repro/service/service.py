@@ -342,7 +342,7 @@ class MonitorService:
         gc: str | None = None,
         propagation: str | None = None,
         scan_budget: int = 2,
-        dispatch: str = "compiled",
+        dispatch: str = "codegen",
         mode: str = "thread",
         backend: str | None = None,
         queue_capacity: int = 4096,

@@ -18,7 +18,7 @@ of specializing the whole per-event code path at property-compile time
 * the creation strategy (self sources, fresh creation, validity checks)
   unrolled into nested branches with literal extraction indices.
 
-The generated source is compiled once with :func:`exec` and cached in a
+The generated source is compiled once, factory by factory, and cached in a
 process-wide :class:`KernelCache` keyed by the property's registry slot
 :meth:`~repro.spec.compiler.CompiledProperty.fingerprint` (which covers
 spec name, formalism, alphabet, and formalism-level semantics), so hot
@@ -27,7 +27,8 @@ property reuse the compiled code object, while any semantic change —
 a different FSM, a different alphabet — produces a different
 fingerprint and forces regeneration.  Factories close over one
 :class:`~repro.runtime.engine.PropertyRuntime`'s trees and statistics at
-bind time, so one cached module serves any number of runtimes.
+bind time (the runtime's first event), so one cached module serves any
+number of runtimes.
 
 Equivalence contract
 --------------------
@@ -40,8 +41,13 @@ single ``scan_some`` would change flag-discovery timing and, with it,
 observable verdict streams.  Every inlined walk therefore performs
 exactly the operations of ``_TreeBase.lookup_vals`` (scan, probe,
 create) in the same order; the inlining removes call overhead, never
-operations.  ``tests/runtime/test_dispatch_equivalence.py`` holds all
-three dispatch modes to the same oracle.
+operations.  Nor may it lengthen a lifetime: no kernel local outlives
+what the interpreted helper's frame would hold, because CPython frees a
+monitor at its last reference and recycles a dead key's id at once — a
+local still bound to a dead leaf would count its monitors live at the
+next creation.  ``tests/runtime/test_dispatch_equivalence.py`` holds all
+three dispatch modes to the same oracle, and codegen to compiled's
+monitor lifetimes.
 
 Batch stepping
 --------------
@@ -72,7 +78,6 @@ __all__ = [
     "shared_kernel_cache",
     "kernel_module_source",
     "kernel_source_for",
-    "bind_kernels",
 ]
 
 
@@ -151,7 +156,6 @@ class _KernelEmitter:
         if ctx is None:
             n = self.uid()
             ctx = {
-                "nmon": self.bind(f"t{n}_nmon", f"{tree_expr}._notify"),
                 "nsub": self.bind(f"t{n}_nsub", f"{tree_expr}._notify_subtree"),
                 "trx": self.bind(
                     f"t{n}_trx", f"{tree_expr}.tracks_extensions"
@@ -165,21 +169,17 @@ class _KernelEmitter:
     # -- inlined RVMap machinery -------------------------------------------
 
     def emit_scan(
-        self,
-        w: _Writer,
-        d: int,
-        node: str,
-        buckets: str,
-        holds_leaves: bool,
-        ctx: dict[str, str],
+        self, w: _Writer, d: int, node: str, buckets: str, holds_leaves: bool
     ) -> None:
         """Inline ``RVMap.scan_some`` on ``node`` (exact op-for-op copy).
 
         ``holds_leaves`` selects the inlined inspector: the fused
         ``IndexingTree._inspect_leaf`` for leaf-holding maps, the
-        emptiness test of ``_inspect_map`` otherwise.  Dirty buckets are
-        rebuilt by the inlined ``_scan_bucket`` tail (:meth:`emit_rebuild`),
-        which owns the death-notification plumbing.
+        emptiness test of ``_inspect_map`` otherwise.  A dirty bucket is
+        rebuilt out of line by ``node._scan_bucket(key, True)`` — the very
+        call ``scan_some`` makes — after the fast pass drops its references
+        into that bucket, so no local keeps a dead leaf or its monitors
+        alive past the rebuild.
         """
         u = self.uid()
         w.emit(d, f"if {buckets}:")
@@ -200,14 +200,12 @@ class _KernelEmitter:
         w.emit(d + 2, f"_p{u} += 1")
         w.emit(d + 2, f"if _b{u} is None:")
         w.emit(d + 3, "continue")
-        w.emit(d + 2, f"_dt{u} = False")
         w.emit(d + 2, f"for _r{u}, _v{u} in _b{u}:")
         w.emit(d + 3, f"_w{u} = _r{u}._weak")
         w.emit(
             d + 3,
             f"if (_w{u}() if _w{u} is not None else _r{u}._strong) is None:",
         )
-        w.emit(d + 4, f"_dt{u} = True")
         w.emit(d + 4, "break")
         if holds_leaves:
             # Inlined IndexingTree._inspect_leaf (fused clean + emptiness).
@@ -221,100 +219,25 @@ class _KernelEmitter:
             w.emit(d + 5, f"if _m{u}.flagged:")
             w.emit(d + 6, f"_x{u}.compact()")
             w.emit(d + 6, f"_lv{u} = bool(_x{u}._items)")
+            w.emit(d + 6, f"_m{u} = None")
             w.emit(d + 6, "break")
             w.emit(d + 5, f"_lv{u} = True")
             w.emit(
                 d + 3,
                 f"if _v{u}.touched is None and _o{u} is None and not _lv{u}:",
             )
-            w.emit(d + 4, f"_dt{u} = True")
             w.emit(d + 4, "break")
+            held = f"_b{u} = _v{u} = _o{u} = _x{u} = _m{u} = None"
         else:
             w.emit(d + 3, f"if not _v{u}._buckets:")
-            w.emit(d + 4, f"_dt{u} = True")
             w.emit(d + 4, "break")
-        w.emit(d + 2, f"if _dt{u}:")
-        self.emit_rebuild(
-            w, d + 3, buckets, f"_ks{u}[_p{u} - 1]", holds_leaves, ctx
-        )
+            held = f"_b{u} = _v{u} = None"
+        # ``for ... else``: the bucket is clean unless the pass broke out.
+        w.emit(d + 2, "else:")
+        w.emit(d + 3, "continue")
+        w.emit(d + 2, held)
+        w.emit(d + 2, f"{node}._scan_bucket(_ks{u}[_p{u} - 1], True)")
         w.emit(d + 1, f"{node}._scan_pos = _p{u}")
-
-    def emit_rebuild(
-        self,
-        w: _Writer,
-        d: int,
-        buckets: str,
-        key_expr: str,
-        holds_leaves: bool,
-        ctx: dict[str, str],
-    ) -> None:
-        """Inline ``RVMap._scan_bucket(key, known_dirty=True)``.
-
-        Same entry order as the interpreted rebuild: each dead key is
-        notified (Figure 7A) then dropped (7B); each live entry is
-        re-inspected — idempotently, the fast pass may already have
-        cleaned it — and kept or dropped.  For leaf-holding maps the
-        ``_notify_subtree`` leaf case (own + extension snapshot through
-        ``tree._notify``) is inlined too; interior maps recurse through
-        the bound ``_notify_subtree``.
-        """
-        u = self.uid()
-        nmon, nsub = ctx["nmon"], ctx["nsub"]
-        w.emit(d, f"_dk{u} = {key_expr}")
-        w.emit(d, f"_db{u} = {buckets}.get(_dk{u})")
-        w.emit(d, f"if _db{u} is not None:")
-        d += 1
-        w.emit(d, f"_sv{u} = []")
-        w.emit(d, f"_cn{u} = 0")
-        w.emit(d, f"for _dr{u}, _dv{u} in _db{u}:")
-        w.emit(d + 1, f"_dw{u} = _dr{u}._weak")
-        w.emit(
-            d + 1,
-            f"if (_dw{u}() if _dw{u} is not None else _dr{u}._strong) is None:",
-        )
-        if holds_leaves:
-            w.emit(d + 2, f"_do{u} = _dv{u}.own")
-            w.emit(d + 2, f"if _do{u} is not None:")
-            w.emit(d + 3, f"{nmon}(_do{u})")
-            w.emit(d + 2, f"_dx{u} = _dv{u}.extensions")
-            w.emit(d + 2, f"if _dx{u} is not None:")
-            w.emit(d + 3, f"for _dm{u} in tuple(_dx{u}._items):")
-            w.emit(d + 4, f"{nmon}(_dm{u})")
-        else:
-            w.emit(d + 2, f"{nsub}(_dv{u})")
-        w.emit(d + 2, f"_cn{u} += 1")
-        if holds_leaves:
-            w.emit(d + 1, "else:")
-            w.emit(d + 2, f"_do{u} = _dv{u}.own")
-            w.emit(d + 2, f"if _do{u} is not None and _do{u}.flagged:")
-            w.emit(d + 3, f"_dv{u}.own = _do{u} = None")
-            w.emit(d + 2, f"_dx{u} = _dv{u}.extensions")
-            w.emit(d + 2, f"_dl{u} = False")
-            w.emit(d + 2, f"if _dx{u} is not None:")
-            w.emit(d + 3, f"for _dm{u} in _dx{u}._items:")
-            w.emit(d + 4, f"if _dm{u}.flagged:")
-            w.emit(d + 5, f"_dx{u}.compact()")
-            w.emit(d + 5, f"_dl{u} = bool(_dx{u}._items)")
-            w.emit(d + 5, "break")
-            w.emit(d + 4, f"_dl{u} = True")
-            w.emit(
-                d + 2,
-                f"if _dv{u}.touched is not None or _do{u} is not None"
-                f" or _dl{u}:",
-            )
-            w.emit(d + 3, f"_sv{u}.append((_dr{u}, _dv{u}))")
-            w.emit(d + 2, "else:")
-            w.emit(d + 3, f"_cn{u} += 1")
-        else:
-            w.emit(d + 1, f"elif _dv{u}._buckets:")
-            w.emit(d + 2, f"_sv{u}.append((_dr{u}, _dv{u}))")
-            w.emit(d + 1, "else:")
-            w.emit(d + 2, f"_cn{u} += 1")
-        w.emit(d, f"if _cn{u}:")
-        w.emit(d + 1, f"if _sv{u}:")
-        w.emit(d + 2, f"{buckets}[_dk{u}] = _sv{u}")
-        w.emit(d + 1, "else:")
-        w.emit(d + 2, f"del {buckets}[_dk{u}]")
 
     def id_expr(self, val: str) -> str:
         """``id(val)``, through the hoisted per-parameter variable if any."""
@@ -408,6 +331,9 @@ class _KernelEmitter:
         )
         w.emit(d + 3, f"{child} = _c{u}")
         w.emit(d + 3, "break")
+        # A candidate under a recycled id may be a dead key's leaf: hold
+        # neither it nor its bucket past the probe (``RVMap.get`` returns).
+        w.emit(d + 1, f"_bb{u} = _c{u} = None")
 
     def emit_main_walk(self, w: _Writer, d: int) -> None:
         """The event-domain walk of ``lookup_vals(vals, create=True)``."""
@@ -417,7 +343,7 @@ class _KernelEmitter:
         for level in range(depth):
             leaf_level = level + 1 == depth
             child = "leaf" if leaf_level else f"node{level + 1}"
-            self.emit_scan(w, d, node, buckets, leaf_level, ctx)
+            self.emit_scan(w, d, node, buckets, leaf_level)
             self.emit_probe(w, d, buckets, f"v{level}", child)
             w.emit(d, f"if {child} is None:")
             if leaf_level:
@@ -457,7 +383,7 @@ class _KernelEmitter:
         for i in range(depth):
             leaf_level = i + 1 == depth
             child = out if leaf_level else f"_n{n}_{i + 1}"
-            self.emit_scan(w, d, node, buckets, leaf_level, ctx)
+            self.emit_scan(w, d, node, buckets, leaf_level)
             self.emit_probe(w, d, buckets, f"v{extract[i]}", child)
             w.emit(d, f"if {child} is None:")
             if leaf_level:
@@ -493,7 +419,7 @@ class _KernelEmitter:
         def level(d: int, node: str, buckets: str, i: int) -> None:
             leaf_level = i + 1 == depth
             child = out if leaf_level else f"_n{n}_{i + 1}"
-            self.emit_scan(w, d, node, buckets, leaf_level, ctx)
+            self.emit_scan(w, d, node, buckets, leaf_level)
             self.emit_probe(w, d, buckets, f"v{extract[i]}", child)
             if not leaf_level:
                 w.emit(d, f"if {child} is not None:")
@@ -555,6 +481,8 @@ class _KernelEmitter:
         w.emit(d, "for _m in extensions._items:")
         w.emit(d + 1, "if _m.flagged:")
         w.emit(d + 2, "extensions.compact()")
+        # The flagged monitor just compacted away is garbage now.
+        w.emit(d + 2, "_m = None")
         w.emit(d + 2, "break")
         w.emit(d, "active = extensions._active")
         w.emit(d, "if active is None:")
@@ -855,15 +783,14 @@ class _KernelEmitter:
         return lines
 
 
-def kernel_module_source(
-    plan: DispatchPlan, *, has_fsm: bool, spec_name: str, fingerprint: str = ""
-) -> str:
-    """Render the full generated-kernel module for one property.
+def _module_parts(
+    plan: DispatchPlan, *, has_fsm: bool, spec_name: str, fingerprint: str
+) -> tuple[str, list[tuple[bool, str, str, str]]]:
+    """The generated module as ``(header, factories)``.
 
-    A pure function of ``(plan, has_fsm, spec_name)`` — both of which the
-    property fingerprint covers — so equal fingerprints always yield
-    byte-identical source (the cache-correctness invariant the
-    invalidation tests pin down).
+    ``factories`` lists ``(is_batch, event, factory name, source)`` in
+    module order; each source is one top-level ``def _make_*`` that needs
+    only the header's names, so the cache can compile them one at a time.
     """
     w = _Writer()
     w.emit(0, f'"""Generated dispatch kernels for {spec_name}')
@@ -888,30 +815,48 @@ def kernel_module_source(
     w.emit(0, "_PR_new = _ParamRef.__new__")
     w.emit(0, "_RM_new = _RVMap.__new__")
     w.emit(0, "_RS_new = _RVSet.__new__")
-    factories: dict[str, str] = {}
-    batch_factories: dict[str, str] = {}
+    factories: list[tuple[bool, str, str, str]] = []
     for index, event in enumerate(plan.events):
         ep = plan.event_plans[event]
+        fw = _Writer()
         name = f"_make_{index}_{_sanitize(event)}"
-        emitter = _KernelEmitter(plan, ep, has_fsm)
-        emitter.emit_factory(w, name, spec_name)
-        factories[event] = name
+        _KernelEmitter(plan, ep, has_fsm).emit_factory(fw, name, spec_name)
+        factories.append((False, event, name, fw.source()))
         if has_fsm and not ep.has_creation:
+            bw = _Writer()
             bname = f"_make_batch_{index}_{_sanitize(event)}"
-            batch_emitter = _KernelEmitter(plan, ep, has_fsm)
-            batch_emitter.emit_batch_factory(w, bname, spec_name)
-            batch_factories[event] = bname
-    w.blank()
-    w.blank()
-    w.emit(0, "FACTORIES = {")
-    for event, name in factories.items():
-        w.emit(1, f"{event!r}: {name},")
-    w.emit(0, "}")
-    w.emit(0, "BATCH_FACTORIES = {")
-    for event, name in batch_factories.items():
-        w.emit(1, f"{event!r}: {name},")
-    w.emit(0, "}")
-    return w.source()
+            _KernelEmitter(plan, ep, has_fsm).emit_batch_factory(bw, bname, spec_name)
+            factories.append((True, event, bname, bw.source()))
+    return w.source(), factories
+
+
+def kernel_module_source(
+    plan: DispatchPlan, *, has_fsm: bool, spec_name: str, fingerprint: str = ""
+) -> str:
+    """Render the full generated-kernel module for one property.
+
+    A pure function of ``(plan, has_fsm, spec_name)`` — both of which the
+    property fingerprint covers — so equal fingerprints always yield
+    byte-identical source (the cache-correctness invariant the
+    invalidation tests pin down).
+    """
+    return _assemble(
+        *_module_parts(
+            plan, has_fsm=has_fsm, spec_name=spec_name, fingerprint=fingerprint
+        )
+    )
+
+
+def _assemble(header: str, factories: list[tuple[bool, str, str, str]]) -> str:
+    """Join :func:`_module_parts` into one module with its factory tables."""
+    w = _Writer()
+    for batch in (False, True):
+        w.emit(0, "BATCH_FACTORIES = {" if batch else "FACTORIES = {")
+        for is_batch, event, name, _source in factories:
+            if is_batch is batch:
+                w.emit(1, f"{event!r}: {name},")
+        w.emit(0, "}")
+    return header + "".join(part[3] for part in factories) + "\n\n" + w.source()
 
 
 def kernel_source_for(prop: "CompiledProperty") -> str:
@@ -937,6 +882,25 @@ class KernelModule:
     #: event -> ``factory(rt, ed) -> batch_kernel(group, record)``
     batch_factories: dict[str, Callable[..., Any]] = field(repr=False)
 
+    def bind(self, runtime: Any) -> tuple[dict[str, Any], dict[str, Any]]:
+        """Bind one runtime's kernels: ``(kernels, batch_kernels)``.
+
+        Calls every factory with the runtime's resolved ``_EventDispatch``
+        records, producing per-event closures over *its* trees and
+        statistics.  Distinct runtimes of one property share code objects
+        but never state.
+        """
+        dispatch = runtime._dispatch
+        kernels = {
+            event: make(runtime, dispatch[event])
+            for event, make in self.factories.items()
+        }
+        batch_kernels = {
+            event: make(runtime, dispatch[event])
+            for event, make in self.batch_factories.items()
+        }
+        return kernels, batch_kernels
+
 
 class KernelCache:
     """Process-wide cache of compiled kernel modules, keyed by fingerprint.
@@ -961,7 +925,13 @@ class KernelCache:
         return fingerprint in self._modules
 
     def module_for(self, prop: "CompiledProperty") -> KernelModule:
-        """The compiled kernel module for ``prop`` (generate on miss)."""
+        """The compiled kernel module for ``prop`` (generate on miss).
+
+        The header is compiled once, then each factory separately into the
+        same namespace: compiling the whole module in one call would hold
+        its complete syntax tree, several times the size of any one
+        factory's, at the peak.
+        """
         fingerprint = prop.fingerprint()
         with self._lock:
             module = self._modules.get(fingerprint)
@@ -969,25 +939,27 @@ class KernelCache:
                 self.hits += 1
                 return module
             self.misses += 1
-        source = kernel_module_source(
+        header, parts = _module_parts(
             prop.dispatch_plan(),
             has_fsm=prop.fsm_dispatch() is not None,
             spec_name=prop.spec_name,
             fingerprint=fingerprint,
         )
+        filename = f"<repro-kernels:{prop.spec_name}:{fingerprint[:12]}>"
         namespace: dict[str, Any] = {}
-        code = compile(
-            source,
-            f"<repro-kernels:{prop.spec_name}:{fingerprint[:12]}>",
-            "exec",
-        )
-        exec(code, namespace)  # noqa: S102 - the source is generated above
+        factories: dict[str, Callable[..., Any]] = {}
+        batch_factories: dict[str, Callable[..., Any]] = {}
+        # The sources are generated above, never taken from input.
+        exec(compile(header, filename, "exec"), namespace)  # noqa: S102
+        for is_batch, event, name, source in parts:
+            exec(compile(source, filename, "exec"), namespace)  # noqa: S102
+            (batch_factories if is_batch else factories)[event] = namespace[name]
         module = KernelModule(
             fingerprint=fingerprint,
             spec_name=prop.spec_name,
-            source=source,
-            factories=namespace["FACTORIES"],
-            batch_factories=namespace["BATCH_FACTORIES"],
+            source=_assemble(header, parts),
+            factories=factories,
+            batch_factories=batch_factories,
         )
         with self._lock:
             # Two threads may have raced the generation; first one wins so
@@ -1008,27 +980,3 @@ class KernelCache:
 
 #: The process-wide cache every runtime binds kernels from by default.
 shared_kernel_cache = KernelCache()
-
-
-def bind_kernels(
-    runtime: Any, cache: KernelCache | None = None
-) -> tuple[dict[str, Any], dict[str, Any], KernelModule]:
-    """Bind one runtime's kernels: ``(kernels, batch_kernels, module)``.
-
-    Fetches (or generates) the property's kernel module from ``cache``
-    and calls every factory with this runtime's resolved
-    ``_EventDispatch`` records, producing per-event closures over *its*
-    trees and statistics.  Distinct runtimes of the same property share
-    code objects but never state.
-    """
-    cache = shared_kernel_cache if cache is None else cache
-    module = cache.module_for(runtime.prop)
-    kernels = {
-        event: factory(runtime, runtime._dispatch[event])
-        for event, factory in module.factories.items()
-    }
-    batch_kernels = {
-        event: factory(runtime, runtime._dispatch[event])
-        for event, factory in module.batch_factories.items()
-    }
-    return kernels, batch_kernels, module

@@ -85,6 +85,7 @@ class CompiledProperty:
         self._monitor_domains: frozenset[frozenset[str]] | None = None
         self._dispatch_plan = None
         self._fsm_dispatch: "tuple | None | bool" = False
+        self._fingerprint: str | None = None
 
     # -- static shape queries ------------------------------------------------
 
@@ -165,8 +166,11 @@ class CompiledProperty:
         Covers the event definition, the goal, and the formalism-level
         semantics (FSM transition table / CFG grammar); raw templates are
         covered by their alphabet and categories only — their transition
-        *functions* are code, which a fingerprint cannot witness.
+        *functions* are code, which a fingerprint cannot witness.  Computed
+        once per instance: everything it covers is fixed at construction.
         """
+        if self._fingerprint is not None:
+            return self._fingerprint
         definition = self.definition
         descriptor = {
             "spec": self.spec_name,
@@ -180,7 +184,8 @@ class CompiledProperty:
             "template": self._template_descriptor(),
         }
         payload = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+        self._fingerprint = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+        return self._fingerprint
 
     def _template_descriptor(self) -> dict:
         from ..formalism.cfg import CFGTemplate

@@ -17,18 +17,27 @@ pins down:
   against the *current* runtime's trees — a detached slot's kernels never
   see another incarnation's state;
 * process-backend workers recompile kernels in their own interpreter and
-  still produce the inline verdict multiset.
+  still produce the inline verdict multiset;
+* construction stays cheap: each property is fingerprinted once, kernels
+  are bound on a runtime's first event, and a first build of the
+  evaluated properties compiles factory by factory under a memory cap.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 from repro.properties import ALL_PROPERTIES
 from repro.runtime.engine import MonitoringEngine
 from repro.runtime.tracelog import replay_entries
 from repro.service import MonitorService, ingest_symbolic
 from repro.spec.codegen import kernel_source_for, shared_kernel_cache
+from repro.spec.compiler import CompiledProperty
 
 from ..conftest import Obj
 from ..persist.conftest import (
@@ -56,6 +65,12 @@ def _prop(engine: MonitoringEngine):
     return next(p for p in engine.properties if p is not None)
 
 
+def _bind_by_first_event(engine: MonitoringEngine) -> None:
+    """Emit one event so every runtime binds its kernels (first-event
+    binding), keeping the per-closure checks below from being vacuous."""
+    engine.emit("create", c=Obj("c"), i=Obj("i"))
+
+
 def test_same_fingerprint_reuses_cached_module():
     """A second engine hosting the same property is a pure cache hit:
     shared code objects, private kernel closures."""
@@ -68,8 +83,10 @@ def test_same_fingerprint_reuses_cached_module():
     assert len(shared_kernel_cache) == size
     rt_first, rt_second = _runtime(first), _runtime(second)
     assert rt_first._kernel_module is rt_second._kernel_module
+    _bind_by_first_event(first)
+    _bind_by_first_event(second)
     # Same code, never shared state: each runtime's closures are its own.
-    assert rt_first._kernels is not rt_second._kernels
+    assert rt_first._kernels and rt_first._kernels is not rt_second._kernels
     for event, kernel in rt_first._kernels.items():
         assert kernel is not rt_second._kernels[event]
 
@@ -88,6 +105,7 @@ def test_distinct_fingerprints_get_distinct_modules():
 
 def test_invalidation_regenerates_byte_identical_module():
     engine = _codegen_engine("unsafeiter")
+    _bind_by_first_event(engine)
     fingerprint = _prop(engine).fingerprint()
     module = _runtime(engine)._kernel_module
     assert shared_kernel_cache.invalidate(fingerprint)
@@ -96,10 +114,101 @@ def test_invalidation_regenerates_byte_identical_module():
     misses = shared_kernel_cache.misses
     rebuilt_engine = _codegen_engine("unsafeiter")
     assert shared_kernel_cache.misses == misses + 1
+    _bind_by_first_event(rebuilt_engine)
     rebuilt = _runtime(rebuilt_engine)._kernel_module
     assert rebuilt is not module
     assert rebuilt.source == module.source
     assert fingerprint in shared_kernel_cache
+    # The first engine keeps the kernels it bound from the dropped module.
+    assert _runtime(engine)._kernels["create"].__code__ is not (
+        _runtime(rebuilt_engine)._kernels["create"].__code__
+    )
+
+
+def test_building_an_engine_fingerprints_each_property_once(monkeypatch):
+    """The fingerprint (json + sha256 over the whole template) is memoized
+    on the property, with the value snapshots and WALs already store."""
+    calls: Counter = Counter()
+    descriptor = CompiledProperty._template_descriptor
+
+    def counting(prop):
+        calls[prop.formalism] += 1
+        return descriptor(prop)
+
+    monkeypatch.setattr(CompiledProperty, "_template_descriptor", counting)
+    engine = MonitoringEngine(
+        ALL_PROPERTIES["hasnext"].make().silence(), dispatch="codegen"
+    )
+    it = Obj("i")
+    engine.emit("hasnexttrue", i=it)
+    engine.emit("next", i=it)
+    assert calls == Counter({"fsm": 1, "ltl": 1})
+    # Byte-identical to the unmemoized value (pinned: snapshots store it).
+    fresh = ALL_PROPERTIES["unsafeiter"].make().properties[0]
+    assert fresh.fingerprint() == "5c8aef4150d1a4a93bfc251c019dff7a"
+    assert fresh.fingerprint() is fresh.fingerprint()
+
+
+def test_kernels_bind_on_first_event_and_never_replace_a_wrapper():
+    engine = _codegen_engine("unsafeiter", telemetry=True)
+    runtime = _runtime(engine)
+    wrapper = runtime.handle
+    assert not runtime._kernels and not engine._codegen_single
+    c, i = Obj("c"), Obj("i")
+    engine.emit("create", c=c, i=i)
+    assert runtime._kernels and runtime.handle is wrapper
+    bound = dict(runtime._kernels)
+    engine.emit("next", i=i)
+    assert runtime._kernels == bound  # idempotent: bound once
+    # Unwrapped, the first event swaps in the direct handle and the engine
+    # re-resolves its routes to call the kernels straight from emit.
+    plain = _codegen_engine("unsafeiter")
+    assert not plain._codegen_single
+    plain.emit("create", c=c, i=i)
+    assert plain._codegen_single["next"] is _runtime(plain)._kernels["next"]
+
+
+FIRST_BUILD = textwrap.dedent(
+    """
+    import tracemalloc
+    from repro.properties import EVALUATED_PROPERTIES
+    from repro.runtime.engine import MonitoringEngine
+    from repro.spec.codegen import shared_kernel_cache
+
+    class Obj:
+        pass
+
+    specs = [prop.make().silence() for prop in EVALUATED_PROPERTIES]
+    shared_kernel_cache.clear()
+    tracemalloc.start()
+    engine = MonitoringEngine(specs, dispatch="codegen")
+    keep = []
+    for runtime in engine.runtimes:
+        event = sorted(runtime.prop.definition.alphabet)[0]
+        values = {p: Obj() for p in runtime.prop.definition.params_of(event)}
+        keep.append(values)
+        runtime.handle(event, values)
+        assert runtime._kernels, runtime.prop
+    print(tracemalloc.get_traced_memory()[1])
+    """
+)
+
+
+def test_first_build_of_the_evaluated_properties_stays_under_memory_cap():
+    """Generating and compiling every kernel of the five evaluated
+    properties, then binding them, peaks under 4.5 MB of traced memory
+    (compiling each module in one call peaked at 6.3-6.7 MB)."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_BUILD],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak = int(proc.stdout.strip().splitlines()[-1])
+    assert peak < 4.5e6, f"first-build tracemalloc peak {peak / 1e6:.2f} MB"
 
 
 def test_hot_reattach_hits_cache_and_matches_upfront_engine():

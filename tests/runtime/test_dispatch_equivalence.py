@@ -11,10 +11,14 @@ seed corpus — and asserts the robust observables are identical:
 * E (events) and M (monitors created),
 * handler fires (== goal verdicts, robust to GC timing).
 
-FM/CM are deliberately excluded: they measure *when* lazy scans discover
-deaths, which legitimately depends on the number of map operations each
-path performs (the compiled path fuses lookups); soundness of flagging is
-covered by tests/runtime/test_gc_soundness.py.
+Against reference, FM/CM are deliberately excluded: they measure *when*
+lazy scans discover deaths, which legitimately depends on the number of
+map operations each path performs (the compiled path fuses lookups);
+soundness of flagging is covered by tests/runtime/test_gc_soundness.py.
+Codegen, though, performs the compiled path's map operations one for one
+and holds no object longer than the compiled path's frames do, so the
+two must also agree on monitor *lifetimes*: FM, CM and the live-monitor
+peak (:data:`LIFETIME_FIELDS`).
 
 The lockstep construction shares one set of parameter objects between the
 two engines, so deaths (CPython refcount drops) hit both at the same
@@ -77,6 +81,8 @@ def synth_ops(definition, seed: int):
 #: Every dispatch implementation the lockstep oracle covers; ``reference``
 #: is the semantic anchor the other two must match exactly.
 DISPATCHES = ("reference", "compiled", "codegen")
+#: Lifetime observables codegen must share with compiled (not reference).
+LIFETIME_FIELDS = ("monitors_flagged", "monitors_collected", "peak_live_monitors")
 
 
 def run_lockstep(spec_factory, ops, gc_kind: str, dispatches=DISPATCHES):
@@ -173,6 +179,33 @@ def test_dispatches_equal_reference(key, gc_kind):
                     key, gc_kind, seed, dispatch,
                 )
                 assert stats.verdicts == other.verdicts, (key, gc_kind, seed, dispatch)
+        for (name, formalism), stats in engines["codegen"].stats().items():
+            other = engines["compiled"].stats_for(name, formalism)
+            for field in LIFETIME_FIELDS:
+                assert getattr(stats, field) == getattr(other, field), (
+                    key, gc_kind, seed, field,
+                )
+
+
+def test_recycled_id_does_not_extend_a_dead_monitors_life():
+    """HasNext, one iterator at a time: ``hasnexttrue`` then ``next`` on a
+    fresh object that is dropped right after.  CPython hands the next
+    iterator the dead one's id, so the probe meets the dead key's leaf in
+    the same bucket; the kernel must not keep that leaf (and its monitor)
+    alive past the probe, or the next creation counts two live monitors."""
+    from repro.properties import HASNEXT
+
+    peaks = {}
+    for dispatch in ("compiled", "codegen"):
+        engine = MonitoringEngine(HASNEXT.make().silence(), dispatch=dispatch)
+        for _ in range(20):
+            it = Obj("i")
+            engine.emit("hasnexttrue", i=it)
+            engine.emit("next", i=it)
+            del it
+        for (_name, formalism), stats in engine.stats().items():
+            peaks[dispatch, formalism] = stats.peak_live_monitors
+    assert peaks and set(peaks.values()) == {1}, peaks
 
 
 def test_all_properties_together_compiled_vs_reference():

@@ -112,9 +112,10 @@ class TestStackedObservers:
     def test_codegen_engine_with_a_flight_recorder_keeps_its_kernel_routes(self):
         engine = MonitoringEngine(UNSAFEITER.make().silence(), dispatch="codegen")
         recorder = engine.enable_flight_recorder()
-        assert engine._codegen_single
         c, i = Obj("c"), Obj("i")
+        # Kernels bind on the first event; the routes exist from then on.
         engine.emit("create", c=c, i=i)
+        assert engine._codegen_single
         engine.emit_batch([("update", {"c": c}), ("next", {"i": i})])
         # The grouped batch path runs the after hooks once the batch is
         # through, so the batch's verdict precedes its two events.

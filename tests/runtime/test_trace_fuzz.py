@@ -6,7 +6,10 @@ event/death interleavings are synthesized from the property's own
 alphabet and driven through the reference, compiled and codegen engines
 in lockstep over shared parameter objects.  Any divergence in the robust
 observables (verdict multisets with binding identities, E, M, handler
-fires) is a bug in one of the dispatch tiers.
+fires) is a bug in one of the dispatch tiers, and so is any difference
+between codegen and compiled in monitor lifetimes (FM, CM, live peak):
+the generated kernels perform the compiled path's map operations one for
+one and hold nothing longer than its frames do.
 
 On failure the offending op list is **greedily minimized** (ddmin-style
 chunk removal while the divergence persists) and dumped as NDJSON —
@@ -162,6 +165,14 @@ def discrepancy(spec_factory, ops: list[dict], gc_kind: str) -> "str | None":
                 if getattr(stats, field) != getattr(other, field):
                     return (f"{dispatch}: {name}/{formalism} {field} "
                             f"{getattr(stats, field)} != {getattr(other, field)}")
+    for (name, formalism), stats in engines["codegen"].stats().items():
+        other = engines["compiled"].stats_for(name, formalism)
+        for field in ("monitors_flagged", "monitors_collected",
+                      "peak_live_monitors"):
+            if getattr(stats, field) != getattr(other, field):
+                return (f"codegen: {name}/{formalism} {field} "
+                        f"{getattr(stats, field)} != compiled "
+                        f"{getattr(other, field)}")
     return None
 
 
