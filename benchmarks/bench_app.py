@@ -4,7 +4,7 @@ The repo's DaCapo analog: the reference asyncio server
 (:mod:`repro.app.server`) under the seeded load driver, measured at
 rising connection counts — first **unmonitored**, then **monitored** (the
 full app property set woven through ``LiveSession``/``TraceWeaver``,
-single compiled engine).  Each scale reports req/s and p50/p99 latency
+single engine).  Each scale reports req/s and p50/p99 latency
 for both runs plus the overhead ratio; the resulting curve is the
 standing macro benchmark every future perf PR must not regress.
 

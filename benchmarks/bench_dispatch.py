@@ -1,36 +1,32 @@
-"""Compiled-dispatch throughput: fast path vs reference, lazy and eager.
+"""Dispatch throughput: generated kernels vs reference, lazy and eager.
 
 Measures single-engine ingestion throughput on the unsafe-iterator workload
 (UNSAFEITER over the ``bloat`` DaCapo analog — the paper's pathological
-leak case) across the dispatch matrix introduced by the compiled fast
-path:
+leak case) across the dispatch matrix:
 
 * ``reference lazy``      — the retained dict-based interpretation;
-* ``compiled lazy``       — the DispatchPlan/slot-tuple/FSM-table path
-  (the **headline**: must beat the recorded seed baseline, target >= 3x);
-* ``compiled lazy batch`` — same, ingested through ``emit_batch``
-  (deaths still land at per-event boundaries, see
-  ``repro.runtime.tracelog.replay_entries``);
 * ``codegen lazy``        — exec-specialized per-(property, event) kernels
   (``repro.spec.codegen``): straight-line generated source, no plan
-  interpretation (the **headline of the codegen optimization**);
+  interpretation (the **headline**: must beat the recorded seed baseline
+  and 1.8x the recorded pre-codegen number);
 * ``codegen lazy batch``  — same, ingested through ``emit_batch`` so runs
-  of the same event id hit the vectorized FSM batch kernels;
+  of the same event id hit the vectorized FSM batch kernels (deaths still
+  land at per-event boundaries, see
+  ``repro.runtime.tracelog.replay_entries``);
 * ``reference eager_full``— the historical full-scan-per-boundary eager
   regime (the ablation the paper warns about);
-* ``compiled eager``      — the targeted eager propagation (purge only the
+* ``codegen eager``       — the targeted eager propagation (purge only the
   trees whose domain holds a dead parameter's position, evict flagged
-  monitors directly);
-* ``codegen eager``       — generated kernels under targeted eager;
-* ``compiled eager x4``   — a 4-shard inline ``MonitorService`` on the
+  monitors directly) on generated kernels;
+* ``codegen eager x4``    — a 4-shard inline ``MonitorService`` on the
   targeted eager regime (the README table's sharded row).
 
 Every configuration ingests the *same* recorded symbolic trace with
 ``retire_after_last_use=True``, so parameter deaths — the GC driver —
 happen during ingestion exactly as in live traffic; the benchmark asserts
 the full per-category verdict multiset and created-monitor count are
-identical across all configurations (reference, compiled AND codegen) and
-records that as ``verdicts_identical_across_configs``.  Each row also
+identical across all configurations (reference AND codegen) and records
+that as ``verdicts_identical_across_configs``.  Each row also
 carries the best-of-N repeat spread (min/max/stdev seconds) so a reader
 can tell a real delta from host jitter.
 
@@ -40,11 +36,11 @@ Run directly (writes ``BENCH_dispatch.json`` for the perf trajectory)::
     REPRO_BENCH_SCALE=0.2 PYTHONPATH=src python benchmarks/bench_dispatch.py \
         --out BENCH_dispatch.json --check-baseline
 
-``--check-baseline`` exits non-zero when (a) the compiled lazy
-single-engine throughput falls below the lazy 1-shard number recorded in
-``BENCH_service.json`` (the seed baseline), or (b) the codegen lazy
-throughput falls below ``1.8 x`` the recorded pre-codegen compiled-lazy
-number (:data:`RECORDED_COMPILED_LAZY_EVENTS_PER_SECOND`) — both scaled by
+``--check-baseline`` exits non-zero when the codegen lazy single-engine
+throughput falls below (a) the lazy 1-shard number recorded in
+``BENCH_service.json`` (the seed baseline), or (b) ``1.8 x`` the recorded
+pre-codegen interpreted-plan number
+(:data:`RECORDED_COMPILED_LAZY_EVENTS_PER_SECOND`) — both scaled by
 ``REPRO_BENCH_GATE_FACTOR`` to absorb shared-runner slowness.  When the
 codegen gate fails, the generated kernel module source is dumped to
 ``codegen_kernels_dump.py`` next to ``--out`` so CI can upload it as an
@@ -68,14 +64,14 @@ from repro.service import MonitorService, ingest_symbolic
 
 BATCH_SIZE = 256
 
-#: The compiled-lazy throughput recorded in ``BENCH_dispatch.json`` at scale
-#: 0.5 *before* the codegen layer landed — the fixed yardstick the codegen
-#: perf gate measures against (the ratio on the recording host; CI scales it
+#: The lazy throughput of the interpreted plan tier (since deleted) recorded
+#: in ``BENCH_dispatch.json`` at scale 0.5 *before* the codegen layer
+#: landed — the fixed yardstick the codegen perf gate measures against (the ratio on the recording host; CI scales it
 #: by ``REPRO_BENCH_GATE_FACTOR`` because absolute ev/s do not transfer
 #: across hosts).
 RECORDED_COMPILED_LAZY_EVENTS_PER_SECOND = 77546.4
 
-#: The codegen gate's required multiple of the recorded compiled-lazy
+#: The codegen gate's required multiple of the recorded pre-codegen
 #: number (before the gate factor).
 CODEGEN_GATE_MULTIPLE = 1.8
 
@@ -210,20 +206,14 @@ def run_matrix(scale: float, seed: "int | None" = None) -> dict:
     print(f"trace: {len(entries)} events (scale {scale})")
     configs = [
         ("reference lazy", lambda: run_engine(entries, "reference", "lazy")),
-        ("compiled lazy", lambda: run_engine(entries, "compiled", "lazy")),
-        (
-            "compiled lazy batch",
-            lambda: run_engine(entries, "compiled", "lazy", batch_size=BATCH_SIZE),
-        ),
         ("codegen lazy", lambda: run_engine(entries, "codegen", "lazy")),
         (
             "codegen lazy batch",
             lambda: run_engine(entries, "codegen", "lazy", batch_size=BATCH_SIZE),
         ),
         ("reference eager_full", lambda: run_engine(entries, "reference", "eager_full")),
-        ("compiled eager", lambda: run_engine(entries, "compiled", "eager")),
         ("codegen eager", lambda: run_engine(entries, "codegen", "eager")),
-        ("compiled eager x4", lambda: run_service(entries, "eager", shards=4)),
+        ("codegen eager x4", lambda: run_service(entries, "eager", shards=4)),
     ]
     results = []
     for label, runner in configs:
@@ -264,18 +254,14 @@ def run_matrix(scale: float, seed: "int | None" = None) -> dict:
         "results": results,
         "monitors_created": results[0]["monitors_created"],
         "verdicts_identical_across_configs": True,
-        "speedup_compiled_vs_reference_lazy": rate("compiled lazy")
-        / rate("reference lazy"),
-        "speedup_eager_targeted_vs_full": rate("compiled eager")
+        "speedup_eager_targeted_vs_full": rate("codegen eager")
         / rate("reference eager_full"),
         "headline_speedup_vs_recorded_lazy_baseline": (
-            rate("compiled lazy") / recorded_lazy if recorded_lazy else None
+            rate("codegen lazy") / recorded_lazy if recorded_lazy else None
         ),
         # Two views of the codegen win: the same-run ratio (both sides
         # measured on this host this run — host-speed independent) and the
         # ratio against the fixed recorded pre-codegen number.
-        "speedup_codegen_vs_compiled_lazy_same_run": rate("codegen lazy")
-        / rate("compiled lazy"),
         "speedup_codegen_vs_reference_lazy_same_run": rate("codegen lazy")
         / rate("reference lazy"),
         "codegen_speedup_vs_recorded_compiled_lazy": rate("codegen lazy")
@@ -296,8 +282,9 @@ def main() -> None:
     parser.add_argument(
         "--check-baseline",
         action="store_true",
-        help="fail when compiled lazy throughput drops below the recorded "
-        "seed baseline (BENCH_service.json, lazy 1-shard)",
+        help="fail when codegen lazy throughput drops below the recorded "
+        "seed baseline (BENCH_service.json, lazy 1-shard) or 1.8x the "
+        "recorded pre-codegen number",
     )
     parser.add_argument(
         "--baseline-factor",
@@ -305,7 +292,7 @@ def main() -> None:
         default=float(os.environ.get("REPRO_BENCH_GATE_FACTOR", "1.0")),
         help="fraction of the recorded baseline the gate requires "
         "(default: REPRO_BENCH_GATE_FACTOR or 1.0; CI uses < 1.0 to "
-        "absorb shared-runner slowness — the compiled path's >3x headroom "
+        "absorb shared-runner slowness — the codegen path's >5x headroom "
         "over the baseline is what actually catches regressions)",
     )
     parser.add_argument("--seed", type=int, default=None,
@@ -316,13 +303,13 @@ def main() -> None:
         json.dump(report, handle, indent=2)
     headline = report["headline_speedup_vs_recorded_lazy_baseline"]
     if headline is not None:
-        print(f"\nheadline: compiled lazy {headline:.2f}x the recorded seed baseline")
+        print(f"\nheadline: codegen lazy {headline:.2f}x the recorded seed baseline")
     print(
         "codegen: "
-        f"{report['speedup_codegen_vs_compiled_lazy_same_run']:.2f}x compiled "
+        f"{report['speedup_codegen_vs_reference_lazy_same_run']:.2f}x reference "
         "lazy (same run), "
         f"{report['codegen_speedup_vs_recorded_compiled_lazy']:.2f}x the "
-        "recorded compiled-lazy number"
+        "recorded pre-codegen number"
     )
     print(f"report -> {args.out}")
     if args.check_baseline:
@@ -331,7 +318,7 @@ def main() -> None:
         measured = next(
             r["events_per_second"]
             for r in report["results"]
-            if r["config"] == "compiled lazy"
+            if r["config"] == "codegen lazy"
         )
         if recorded is None:
             print("no recorded baseline found; skipping the regression gate")
@@ -339,7 +326,7 @@ def main() -> None:
             gate = recorded * args.baseline_factor
             if measured < gate:
                 print(
-                    f"PERF REGRESSION: compiled lazy {measured:,.0f} ev/s is "
+                    f"PERF REGRESSION: codegen lazy {measured:,.0f} ev/s is "
                     f"below the gate {gate:,.0f} ev/s "
                     f"({args.baseline_factor:.2f}x the recorded seed baseline "
                     f"{recorded:,.0f} ev/s)",
@@ -352,22 +339,17 @@ def main() -> None:
                     f"({args.baseline_factor:.2f}x recorded baseline "
                     f"{recorded:,.0f} ev/s)"
                 )
-        codegen_measured = next(
-            r["events_per_second"]
-            for r in report["results"]
-            if r["config"] == "codegen lazy"
-        )
         codegen_gate = (
             RECORDED_COMPILED_LAZY_EVENTS_PER_SECOND
             * CODEGEN_GATE_MULTIPLE
             * args.baseline_factor
         )
-        if codegen_measured < codegen_gate:
+        if measured < codegen_gate:
             dump = dump_kernel_source(args.out)
             print(
-                f"CODEGEN PERF REGRESSION: codegen lazy {codegen_measured:,.0f} "
+                f"CODEGEN PERF REGRESSION: codegen lazy {measured:,.0f} "
                 f"ev/s is below the gate {codegen_gate:,.0f} ev/s "
-                f"({CODEGEN_GATE_MULTIPLE}x the recorded compiled-lazy "
+                f"({CODEGEN_GATE_MULTIPLE}x the recorded pre-codegen lazy "
                 f"{RECORDED_COMPILED_LAZY_EVENTS_PER_SECOND:,.0f} ev/s, scaled "
                 f"by the {args.baseline_factor:.2f} gate factor); generated "
                 f"kernel source dumped to {dump}",
@@ -376,9 +358,9 @@ def main() -> None:
             failed = True
         else:
             print(
-                f"codegen gate OK: {codegen_measured:,.0f} ev/s >= gate "
+                f"codegen gate OK: {measured:,.0f} ev/s >= gate "
                 f"{codegen_gate:,.0f} ev/s ({CODEGEN_GATE_MULTIPLE}x recorded "
-                f"compiled lazy, {args.baseline_factor:.2f} gate factor)"
+                f"pre-codegen lazy, {args.baseline_factor:.2f} gate factor)"
             )
         if failed:
             raise SystemExit(1)

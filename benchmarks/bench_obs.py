@@ -7,13 +7,14 @@ not installed when ``telemetry=None``, and latency timers fire only 1-in-N
 prices that contract on the paper's pathological workload (UNSAFEITER
 over the ``bloat`` analog — the same trace ``bench_dispatch.py`` uses):
 
-* **off** — compiled-lazy engine, ``telemetry=None`` (the bench_dispatch
-  configuration, i.e. the recorded-baseline code path);
+* **off** — codegen-lazy engine, ``telemetry=None`` (the bench_dispatch
+  ``codegen lazy`` configuration, the default dispatch tier);
 * **on**  — the same engine with a live :class:`~repro.obs.telemetry.Telemetry`
   at the default sampling interval;
 * **attr** — telemetry plus sampled per-property stage attribution
-  (``Telemetry(attribution=True)``): the decomposed timed dispatch runs
-  on sampled calls, so this prices the tracing plane's deepest hook.
+  (``Telemetry(attribution=True)``): the timed variant of each generated
+  kernel runs on sampled calls, so this prices the tracing plane's
+  deepest hook.
 
 Repeats of the three configurations are *interleaved* (off/on/attr alternating,
 best-of-N per column via the shared ``timed_call`` helper) so machine
@@ -57,7 +58,7 @@ def build_trace(scale: float, seed: "int | None" = None) -> list[tuple[str, dict
 
 
 def run_once(entries, label: str) -> tuple[float, tuple, dict]:
-    """One compiled-lazy replay; ``(seconds, identity, telemetry snapshot)``.
+    """One codegen-lazy replay; ``(seconds, identity, telemetry snapshot)``.
 
     ``label`` picks the configuration: ``"off"`` (no telemetry), ``"on"``
     (default telemetry), ``"attr"`` (telemetry + stage attribution).
@@ -73,7 +74,6 @@ def run_once(entries, label: str) -> tuple[float, tuple, dict]:
         UNSAFEITER.make().silence(),
         gc="coenable",
         propagation="lazy",
-        dispatch="compiled",
         telemetry=telemetry,
         on_verdict=lambda prop, category, monitor: verdicts.update([category]),
     )

@@ -62,11 +62,6 @@ def main(argv: list[str] | None = None) -> int:
                         "'evaluated' (resolved via repro.properties."
                         "property_registry)")
     parser.add_argument("--systems", default="tm,mop,rv")
-    parser.add_argument("--dispatch", default="codegen",
-                        choices=("reference", "compiled", "codegen"),
-                        help="engine dispatch implementation; all three are "
-                        "verdict-equivalent, so this only moves the overhead "
-                        "numbers (codegen = exec-specialized kernels)")
     parser.add_argument("--all-column", action="store_true",
                         help="add the simultaneous-monitoring ALL column (RV)")
     args = parser.parse_args(argv)
@@ -82,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
         scale=args.scale,
         repeats=args.repeats,
         include_all_column=args.all_column,
-        dispatch=args.dispatch,
     )
     if args.figure in ("fig9a", "all"):
         print("\n== Figure 9(A): percent runtime overhead ==")

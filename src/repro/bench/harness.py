@@ -210,15 +210,8 @@ def run_cell(
     repeats: int = 1,
     measure_tracemalloc: bool = False,
     original_seconds: float | None = None,
-    dispatch: str = "codegen",
 ) -> CellResult:
-    """Measure one cell; ``properties`` may be one key or several ("ALL").
-
-    ``dispatch`` selects the engine's event-dispatch implementation
-    (``reference``, ``compiled`` or ``codegen``) — all three are
-    verdict-equivalent (tests/runtime/test_dispatch_equivalence.py), so
-    the flag only moves the overhead numbers.
-    """
+    """Measure one cell; ``properties`` may be one key or several ("ALL")."""
     if isinstance(properties, (str, PaperProperty)):
         properties = [properties]
     props: list[PaperProperty] = [
@@ -244,9 +237,7 @@ def run_cell(
     gc_kind, propagation = SYSTEMS[system]
     specs = [prop.make().silence() for prop in props]
     try:
-        engine = MonitoringEngine(
-            specs, gc=gc_kind, propagation=propagation, dispatch=dispatch
-        )
+        engine = MonitoringEngine(specs, gc=gc_kind, propagation=propagation)
     except UnsupportedFormalismError:
         # The Tracematches analog cannot host CFG properties (Section 3).
         result.unsupported = True
@@ -311,7 +302,6 @@ def run_grid(
     scale: float = 1.0,
     repeats: int = 1,
     include_all_column: bool = False,
-    dispatch: str = "codegen",
 ) -> GridResult:
     """Run the full Figure 9/10 grid.
 
@@ -337,7 +327,6 @@ def run_grid(
                         scale=scale,
                         repeats=repeats,
                         original_seconds=baseline,
-                        dispatch=dispatch,
                     )
                 )
         if include_all_column:
@@ -349,7 +338,6 @@ def run_grid(
                     scale=scale,
                     repeats=repeats,
                     original_seconds=baseline,
-                    dispatch=dispatch,
                 )
             )
     return grid

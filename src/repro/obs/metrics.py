@@ -11,7 +11,7 @@ and fixed-bucket histograms grouped into labelled families inside a
 2. **Cheap when hot.**  Call sites cache the *child* metric (not the
    family), so the hot path is one lock acquire plus one add.  Latency
    timers are additionally gated by a deterministic 1-in-N
-   :class:`Sampler` so the compiled dispatch path stays within the CI
+   :class:`Sampler` so the generated dispatch path stays within the CI
    perf gate.
 3. **Boundary-safe.**  :meth:`MetricsRegistry.snapshot` emits plain
    JSON-safe dicts; :func:`merge_snapshots` folds snapshots from other

@@ -6,20 +6,20 @@ This is the production counterpart of the abstract Algorithm MONITOR
 * **Indexing trees** (Figure 6): per event-parameter-subset trees locate, in
   a couple of weak-map lookups, every monitor instance more informative
   than the event's binding.
-* **Compiled dispatch**: every ``(property, event)`` pair is
+* **Generated dispatch**: every ``(property, event)`` pair is
   specialized at property-compile time into a
   :class:`~repro.spec.dispatch.DispatchPlan` — interned event ids, slot
   indices so hot-path bindings are plain value tuples in tree order, the
   complete creation/join strategy, and validity checks as static
   ``(tree, extraction)`` lists.  Finite-state formalisms step through flat
-  :class:`~repro.formalism.fsm.FSMTable` rows — two array reads per monitor
-  per event.  Rich :class:`~repro.core.params.Binding` objects appear only
-  at creation and verdict boundaries.  The default ``dispatch="codegen"``
-  runs each plan entry as generated straight-line code
-  (:mod:`repro.spec.codegen`), ``"compiled"`` interprets the plan, and
+  :class:`~repro.formalism.fsm.FSMTable` rows.  Rich
+  :class:`~repro.core.params.Binding` objects appear only at creation and
+  verdict boundaries.  The default ``dispatch="codegen"`` runs each plan
+  entry as generated straight-line code (:mod:`repro.spec.codegen`);
   ``"reference"`` selects the retained dict-based interpretation of the
-  same semantics; the dispatch-equivalence suite asserts all three
-  produce identical verdicts.
+  same semantics.  The dispatch-equivalence suite asserts both produce
+  identical verdicts, and pins codegen's monitor lifetimes to a recorded
+  table.
 * **Enable-set creation pruning** (Chen et al., ASE'09; the companion of
   coenable sets): a monitor for a new parameter instance is created only if
   the *knowledge* it would start from — the maximal defined sub-instance,
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -107,8 +108,8 @@ class _CreationPlan:
     incomparable with ``D(e)``: instances of domain ``K`` compatible with
     the event join into instances of domain ``K ∪ D(e)``.
 
-    The compiled path precomputes the same strategy (plus slot extractions)
-    in :mod:`repro.spec.dispatch`.
+    The generated kernels bake in the same strategy (plus slot
+    extractions), precomputed in :mod:`repro.spec.dispatch`.
     """
 
     __slots__ = ("self_domains", "allows_fresh", "joins")
@@ -268,7 +269,7 @@ class PropertyRuntime:
                 notify=self._notify_monitor,
                 scan_budget=scan_budget,
             )
-        # Join indices are statically known (the compiled plan lists them);
+        # Join indices are statically known (the dispatch plan lists them);
         # both dispatch paths share the same structures.
         self._join_indices: dict[tuple[frozenset[str], frozenset[str]], JoinIndex] = {
             (join_domain, key_domain): JoinIndex(
@@ -297,44 +298,47 @@ class PropertyRuntime:
         #: until the first event binds them, see :meth:`_handle_codegen`).
         self._kernels: dict[str, Any] = {}
         self._batch_kernels: dict[str, Any] = {}
+        #: Timed kernel variants, bound on the first attributed sample.
+        self._timed_kernels: dict[str, Any] = {}
         self._kernel_module = None
         #: Called once kernels are bound (the engine re-resolves its routes).
         self._on_kernels_bound: Callable[[], None] | None = None
-        if dispatch == "compiled":
-            self.handle = self._handle_compiled  # type: ignore[method-assign]
-        elif dispatch == "codegen":
+        if dispatch == "codegen":
             from ..spec.codegen import shared_kernel_cache
 
             self._kernel_module = shared_kernel_cache.module_for(prop)
             self.handle = self._handle_codegen  # type: ignore[method-assign]
         else:
             self.handle = self._handle_reference  # type: ignore[method-assign]
-        #: The raw (unwrapped) handle: the engine's codegen batch fast path
-        #: may only call kernels directly while ``handle`` is still this
-        #: object — telemetry/attribution wrappers must not be bypassed.
+        #: The raw (unwrapped) handle: the engine's codegen routes call
+        #: kernels directly only while ``handle`` is still this object —
+        #: the instrument wrapper must not be bypassed.
         self._unwrapped_handle = self.handle
         # Telemetry interposes on the per-instance entry points only when
         # enabled: with telemetry=None (the default) every hot path above
-        # is byte-identical to the un-instrumented build.  Attribution
-        # wraps first (closest to the raw handle) so the sampled latency
-        # timer above it still brackets the whole call.
-        if attribution is not None:
-            self._wire_attribution(attribution, dispatch in ("compiled", "codegen"))
+        # is byte-identical to the un-instrumented build.
         if telemetry is not None:
-            self._wire_telemetry(telemetry)
+            self._wire_instruments(telemetry, attribution)
 
-    def _wire_telemetry(self, telemetry: "Telemetry") -> None:
-        """Wrap the hot entry points with exact counters and sampled timers.
+    def _wire_instruments(self, telemetry: "Telemetry", plane: Any = None) -> None:
+        """Wrap the hot entry points with telemetry and, given ``plane``,
+        per-stage attribution (see docs/observability.md).
 
-        ``handle`` gains an exact per-property handled counter plus a
+        ``handle`` gains an exact per-property handled counter (riding the
+        sampler tick through :meth:`Counter.add_pull`, no lock) and a
         1-in-N sampled latency histogram labelled (property, event);
         ``collect_deaths`` gains a sampled purge timer (death boundaries
         can be per-event under retire-on-last-use, so it is gated like a
         hot path) and ``scan_all`` an unsampled one (budgeted sweeps are
-        rare; sampling them would record nothing).  The handled count
-        rides the sampler tick through :meth:`Counter.add_pull` — the
-        steady-state per-event cost is one wrapper call and one sampler
-        tick, no lock.
+        rare; sampling them would record nothing).
+
+        Inside an attributed event (``plane.active``, set by the plane's
+        boundary observer hooks) a codegen ``handle`` runs the timed
+        variant of the generated kernel, which returns the seconds of its
+        tree walk and its stepping loop; the rest of the call is charged
+        to ``dispatch``.  The GC entry points charge ``gc``.  Every
+        attributed slice is added to ``plane.charged`` so the boundary can
+        attribute the remainder of the event to ``emit-batch``.
         """
         registry = telemetry.registry
         # Label with spec/formalism, matching the stats bridge: two
@@ -346,137 +350,87 @@ class PropertyRuntime:
         offset = self.slot if self.slot >= 0 else 0
         sampler = telemetry.sampler(offset)
         handled.add_pull(lambda: sampler.ticks)
-        inner_handle = self.handle
+        raw = self.handle
         children: dict[str, Any] = {}
-
-        def handle(event, values, record=True, pretouched=None):
-            if not sampler.sample():
-                return inner_handle(event, values, record, pretouched)
-            start = perf_counter()
-            try:
-                return inner_handle(event, values, record, pretouched)
-            finally:
-                child = children.get(event)
-                if child is None:
-                    child = children[event] = latency.labels(spec, event)
-                child.observe(perf_counter() - start)
-
-        self.handle = handle  # type: ignore[method-assign]
-
         purge_pause = pause.labels(spec, "purge")
         scan_pause = pause.labels(spec, "scan")
         purge_sampler = telemetry.sampler(offset + 1)
         inner_collect = self.collect_deaths
         inner_scan = self.scan_all
+        attributed = plane is not None
+        timed = self._timed_kernels
+        codegen = self._kernel_module is not None
+        if attributed:
+            from ..obs.attribution import prop_label
 
-        def collect_deaths(dead):
-            if not purge_sampler.sample():
-                return inner_collect(dead)
+            label = prop_label(self.slot, self.prop.spec_name, self.prop.formalism)
+            tree_cell = plane.cell(label, "tree-walk")
+            fsm_cell = plane.cell(label, "fsm-step")
+            dispatch_cell = plane.cell(label, "dispatch")
+            gc_cell = plane.cell(label, "gc")
+
+        def handle(event, values, record=True, pretouched=None):
+            sampled = sampler.sample()
+            active = attributed and plane.active
+            if not (sampled or active):
+                return raw(event, values, record, pretouched)
+            walk = step = 0.0
             start = perf_counter()
             try:
-                inner_collect(dead)
+                if active and codegen:
+                    if not timed:
+                        from ..spec.codegen import shared_kernel_cache
+
+                        module = shared_kernel_cache.module_for(self.prop, timed=True)
+                        timed.update(module.bind(self)[0])
+                    walk, step = timed[event](values, record, pretouched)
+                else:
+                    raw(event, values, record, pretouched)
             finally:
-                purge_pause.observe(perf_counter() - start)
-
-        def scan_all():
-            start = perf_counter()
-            try:
-                inner_scan()
-            finally:
-                scan_pause.observe(perf_counter() - start)
-
-        self.collect_deaths = collect_deaths  # type: ignore[method-assign]
-        self.scan_all = scan_all  # type: ignore[method-assign]
-
-    def _wire_attribution(self, plane: Any, compiled: bool) -> None:
-        """Wrap the entry points with per-stage attribution (see obs docs).
-
-        Outside a sampled event (``plane.active`` false — the plane's
-        boundary observer hooks own that flag) every call falls straight
-        through to the raw path; inside one, the compiled handle runs
-        the timed decomposed clone and GC entry points charge the ``gc``
-        stage.  Each wrapper also adds its elapsed time to
-        ``plane.charged`` so the boundary can attribute the remainder of
-        the event to the engine-level ``emit-batch`` stage.
-
-        ``compiled`` is true for both the ``"compiled"`` and
-        ``"codegen"`` dispatch modes: the generated kernels are
-        semantically identical to :meth:`_handle_compiled`, so a sampled
-        emit runs the decomposed compiled clone and keeps the
-        ``dispatch`` / ``tree-walk`` / ``fsm-step`` stage labels exact
-        (see docs/dispatch-kernels.md for the one caveat: attributed
-        samples measure the interpreted plan, not the generated code).
-        """
-        from ..obs.attribution import prop_label
-
-        label = prop_label(self.slot, self.prop.spec_name, self.prop.formalism)
-        tree_cell = plane.cell(label, "tree-walk")
-        fsm_cell = plane.cell(label, "fsm-step")
-        dispatch_cell = plane.cell(label, "dispatch")
-        gc_cell = plane.cell(label, "gc")
-        inner_handle = self.handle
-
-        if compiled:
-            attributed = self._handle_compiled_attributed
-
-            def handle(event, values, record=True, pretouched=None):
-                if not plane.active:
-                    return inner_handle(event, values, record, pretouched)
-                start = perf_counter()
-                try:
-                    return attributed(
-                        event, values, record, pretouched,
-                        tree_cell, fsm_cell, dispatch_cell,
-                    )
-                finally:
-                    plane.charged += perf_counter() - start
-        else:
-
-            def handle(event, values, record=True, pretouched=None):
-                if not plane.active:
-                    return inner_handle(event, values, record, pretouched)
-                start = perf_counter()
-                try:
-                    return inner_handle(event, values, record, pretouched)
-                finally:
-                    elapsed = perf_counter() - start
-                    dispatch_cell.add(elapsed)
+                elapsed = perf_counter() - start
+                if sampled:
+                    child = children.get(event)
+                    if child is None:
+                        child = children[event] = latency.labels(spec, event)
+                    child.observe(elapsed)
+                if active:
+                    if codegen:
+                        tree_cell.add(walk)
+                        fsm_cell.add(step)
+                    dispatch_cell.add(max(0.0, elapsed - walk - step))
                     plane.charged += elapsed
 
-        self.handle = handle  # type: ignore[method-assign]
-
-        inner_collect = self.collect_deaths
-        inner_scan = self.scan_all
+        def timed_gc(inner, args, timer):
+            active = attributed and plane.active
+            start = perf_counter()
+            try:
+                inner(*args)
+            finally:
+                elapsed = perf_counter() - start
+                if timer is not None:
+                    timer.observe(elapsed)
+                if active:
+                    gc_cell.add(elapsed)
+                    plane.charged += elapsed
 
         def collect_deaths(dead):
-            if not plane.active:
-                return inner_collect(dead)
-            start = perf_counter()
-            try:
-                inner_collect(dead)
-            finally:
-                elapsed = perf_counter() - start
-                gc_cell.add(elapsed)
-                plane.charged += elapsed
+            if purge_sampler.sample():
+                return timed_gc(inner_collect, (dead,), purge_pause)
+            if attributed and plane.active:
+                return timed_gc(inner_collect, (dead,), None)
+            return inner_collect(dead)
 
         def scan_all():
-            if not plane.active:
-                return inner_scan()
-            start = perf_counter()
-            try:
-                inner_scan()
-            finally:
-                elapsed = perf_counter() - start
-                gc_cell.add(elapsed)
-                plane.charged += elapsed
+            timed_gc(inner_scan, (), scan_pause)
 
+        self.handle = handle  # type: ignore[method-assign]
         self.collect_deaths = collect_deaths  # type: ignore[method-assign]
         self.scan_all = scan_all  # type: ignore[method-assign]
 
     # -- static precomputation ---------------------------------------------
 
     def _build_plan(self, event: str) -> _CreationPlan:
-        """Reference-path creation plan (mirrored by the compiled plan)."""
+        """Reference-path creation plan (mirrored by the dispatch plan)."""
         plan = _CreationPlan()
         event_domain = self.event_domains[event]
         seen_self: set[frozenset[str]] = set()
@@ -485,7 +439,7 @@ class PropertyRuntime:
                 plan.allows_fresh = True
             elif enable_domain < event_domain:
                 # A sub-domain source can only hold instances if it is a
-                # monitor or event domain (has a tree); the compiled path
+                # monitor or event domain (has a tree); the dispatch plan
                 # applies the same filter, keeping both paths equivalent
                 # even for plans with unrealizable enable domains.
                 if enable_domain in self.trees:
@@ -604,6 +558,7 @@ class PropertyRuntime:
         # these dicts) — clear them for the same refcount-only guarantee.
         self._kernels.clear()
         self._batch_kernels.clear()
+        self._timed_kernels.clear()
 
     def collect_deaths(self, dead: Mapping[str, set[int]]) -> None:
         """Targeted eager propagation of coalesced parameter deaths.
@@ -676,7 +631,7 @@ class PropertyRuntime:
                 if bucket is not None:
                     bucket.compact()
 
-    # -- event processing (compiled fast path) -----------------------------------
+    # -- event processing (generated kernels) -----------------------------------
 
     def _handle_codegen(
         self,
@@ -690,9 +645,9 @@ class PropertyRuntime:
         The first event binds every kernel of this runtime, so a runtime
         that never receives an event (a restored engine that is only
         inspected, a paused slot) never pays for its closures.  Binding is
-        idempotent and replaces ``handle`` only while it is unwrapped: a
-        telemetry or attribution wrapper keeps calling this method, which
-        then goes straight to the bound kernel.
+        idempotent and replaces ``handle`` only while it is unwrapped: the
+        instrument wrapper keeps calling this method, which then goes
+        straight to the bound kernel.
         """
         kernels = self._kernels
         if not kernels:
@@ -708,119 +663,17 @@ class PropertyRuntime:
                 self._on_kernels_bound()
         return kernels[event](values, record, pretouched)
 
-    def _handle_compiled(
-        self,
-        event: str,
-        values: Mapping[str, Any],
-        record: bool = True,
-        pretouched: frozenset[frozenset[str]] | None = None,
-    ) -> None:
-        """Process one parametric event through the compiled dispatch plan.
-
-        See :meth:`_handle_reference` for the semantics (they are
-        identical); this path works on slot tuples and flat FSM tables.
-        """
-        if record:
-            self.stats.events += 1
-        self._event_serial += 1
-        ed = self._dispatch[event]
-        try:
-            vals = tuple([values[param] for param in ed.params])
-        except KeyError as exc:
-            raise InconsistentEventError(
-                f"event {event!r} of {self.prop.spec_name} requires parameter "
-                f"{exc.args[0]!r}"
-            ) from None
-        leaf = ed.tree.lookup_vals(vals, True)
-        if leaf.touched is None:
-            leaf.touched = self._event_serial
-        extensions = leaf.extensions
-        if extensions is not None and extensions._items:
-            rows = self._fsm_rows
-            if rows is not None:
-                event_id = ed.event_id
-                goal = self._fsm_goal
-                for monitor in extensions.iter_active():
-                    base = monitor.base
-                    state_id = rows[base._state_id][event_id]
-                    base._state_id = state_id
-                    monitor.last_event = event
-                    if goal[state_id]:
-                        self._fire_goal(monitor, self._fsm_verdicts[state_id])
-            else:
-                for monitor in extensions.iter_active():
-                    self._step(monitor, event)
-        if ed.has_creation:
-            self._create_compiled(ed, vals, leaf, pretouched)
-
-    def _handle_compiled_attributed(
-        self,
-        event: str,
-        values: Mapping[str, Any],
-        record: bool,
-        pretouched: frozenset[frozenset[str]] | None,
-        tree_cell: Any,
-        fsm_cell: Any,
-        dispatch_cell: Any,
-    ) -> None:
-        """Timed clone of :meth:`_handle_compiled`, identical semantics.
-
-        Runs only inside a sampled emit call: the indexing-tree lookup is
-        charged to ``tree-walk``, the monitor-stepping loop (including
-        any verdicts it fires) to ``fsm-step``, and the remainder of the
-        call (binding extraction, creation, bookkeeping) to ``dispatch``.
-        """
-        start = perf_counter()
-        if record:
-            self.stats.events += 1
-        self._event_serial += 1
-        ed = self._dispatch[event]
-        try:
-            vals = tuple([values[param] for param in ed.params])
-        except KeyError as exc:
-            raise InconsistentEventError(
-                f"event {event!r} of {self.prop.spec_name} requires parameter "
-                f"{exc.args[0]!r}"
-            ) from None
-        t0 = perf_counter()
-        leaf = ed.tree.lookup_vals(vals, True)
-        tree_seconds = perf_counter() - t0
-        if leaf.touched is None:
-            leaf.touched = self._event_serial
-        fsm_seconds = 0.0
-        extensions = leaf.extensions
-        if extensions is not None and extensions._items:
-            t0 = perf_counter()
-            rows = self._fsm_rows
-            if rows is not None:
-                event_id = ed.event_id
-                goal = self._fsm_goal
-                for monitor in extensions.iter_active():
-                    base = monitor.base
-                    state_id = rows[base._state_id][event_id]
-                    base._state_id = state_id
-                    monitor.last_event = event
-                    if goal[state_id]:
-                        self._fire_goal(monitor, self._fsm_verdicts[state_id])
-            else:
-                for monitor in extensions.iter_active():
-                    self._step(monitor, event)
-            fsm_seconds = perf_counter() - t0
-        if ed.has_creation:
-            self._create_compiled(ed, vals, leaf, pretouched)
-        tree_cell.add(tree_seconds)
-        fsm_cell.add(fsm_seconds)
-        dispatch_cell.add(
-            max(0.0, perf_counter() - start - tree_seconds - fsm_seconds)
-        )
-
-    def _create_compiled(
+    def _create_tail(
         self,
         ed: _EventDispatch,
         vals: tuple,
         leaf: Leaf,
         pretouched: frozenset[frozenset[str]] | None,
     ) -> None:
+        """Interpreted creation for one event: the tail the generated
+        kernels of join-bearing events call after stepping (see
+        :mod:`repro.spec.codegen`); :meth:`_create_instances` is the
+        reference path's counterpart."""
         # Target = the event binding itself (defineTo from a sub-instance or
         # from scratch).  The target's own touch stamp gates every
         # self-creation identically (D(e) ⊄ K for K ⊊ D(e)), so it is
@@ -851,7 +704,7 @@ class PropertyRuntime:
                 ):
                     source, checks, found = sub_leaf.own, src.checks, True
                     break
-            if (found or ed.allows_fresh) and self._valid_compiled(
+            if (found or ed.allows_fresh) and self._tail_is_valid(
                 checks, vals, pretouched
             ):
                 self._materialize(ed, ed.insert, vals, source, leaf)
@@ -888,17 +741,18 @@ class PropertyRuntime:
                         and target_leaf.touched < self._event_serial
                     ):
                         continue
-                if self._valid_compiled(jp.checks, target_vals, None):
+                if self._tail_is_valid(jp.checks, target_vals, None):
                     self._materialize(ed, jp.insert, target_vals, candidate, None)
 
-    def _valid_compiled(
+    def _tail_is_valid(
         self,
         checks: tuple[_ResolvedCheck, ...],
         target_vals: tuple,
         pretouched: frozenset[frozenset[str]] | None,
     ) -> bool:
-        """Compiled :meth:`_creation_is_valid`: the relevant event domains
-        and their extraction indices were computed at property-compile time."""
+        """:meth:`_creation_is_valid` over the plan's checks: the relevant
+        event domains and their extraction indices were computed at
+        property-compile time."""
         serial = self._event_serial
         for check in checks:
             if pretouched is not None and check.domain in pretouched:
@@ -1005,10 +859,6 @@ class PropertyRuntime:
                 self._step(monitor, event)
         # 2. Create newly-relevant instances (enable-pruned defineTo / joins).
         self._create_instances(event, event_domain, jvalues, leaf, pretouched)
-
-    #: The default entry point; ``__init__`` rebinds it per instance to the
-    #: selected dispatch implementation.
-    handle = _handle_compiled
 
     def _step(self, monitor: MonitorInstance, event: str) -> None:
         verdict = monitor.base.step(event)
@@ -1300,10 +1150,9 @@ class MonitoringEngine:
     (default) — per-(property, event) kernels generated and
     ``exec``-compiled from the dispatch plan (:mod:`repro.spec.codegen`),
     bound on each property's first event, plus a grouped batch-stepping
-    path in :meth:`emit_batch` — the ``"compiled"`` interpreter of the
-    same plan, or the retained ``"reference"`` interpretation.  All three
-    produce bit-identical verdicts and creation counts; codegen and
-    compiled also keep every monitor alive exactly as long.
+    path in :meth:`emit_batch` — or the retained ``"reference"``
+    interpretation, the oracle the equivalence suites hold codegen to.
+    Both produce bit-identical verdicts and creation counts.
     """
 
     def __init__(
@@ -1325,7 +1174,7 @@ class MonitoringEngine:
         propagation = propagation if propagation is not None else "lazy"
         if propagation not in PROPAGATIONS:
             raise ValueError(f"unknown propagation {propagation!r}")
-        if dispatch not in ("compiled", "reference", "codegen"):
+        if dispatch not in ("reference", "codegen"):
             raise ValueError(f"unknown dispatch {dispatch!r}")
         self.gc = gc
         self.propagation = propagation
@@ -1425,12 +1274,7 @@ class MonitoringEngine:
             self.attribution = AttributionPlane(resolved)
         for runtime in self.runtimes:
             if runtime is not None:
-                if self.attribution is not None:
-                    runtime._wire_attribution(
-                        self.attribution,
-                        self.dispatch in ("compiled", "codegen"),
-                    )
-                runtime._wire_telemetry(resolved)
+                runtime._wire_instruments(resolved, self.attribution)
         if self.attribution is not None:
             self.add_observer(self.attribution)
         # Wrapped handles invalidate the codegen direct-kernel routes.
@@ -1546,29 +1390,27 @@ class MonitoringEngine:
                     by_event.setdefault(event, []).append(runtime)
         self._by_event = by_event
         self._paused_events = declared - set(by_event)
-        # Codegen batch routing: per event, (runtime, kernel, batch kernel).
-        # Kernels are entered directly only while the runtime's handle is
-        # still unwrapped — telemetry/attribution wrappers must see every
-        # call, so wrapped runtimes degrade to ``handle``.  A runtime whose
-        # kernels are not bound yet also routes through ``handle``: its
-        # first event binds them and re-runs this method.
-        routes: dict[str, list[tuple[PropertyRuntime, Any, Any]]] = {}
+        # Codegen routing: per event, one (kernel, batch kernel) pair per
+        # receiving runtime.  Bound, unwrapped runtimes are entered at
+        # their kernels; a wrapped runtime at its instrument wrapper, which
+        # must see every call; a runtime whose kernels are not bound yet at
+        # its handle, whose first event binds them and re-runs this method.
+        routes: dict[str, list[tuple[Any, Any]]] = {}
         singles: dict[str, Any] = {}
         if self.dispatch == "codegen":
             for event, runtimes in by_event.items():
                 entries = []
                 for runtime in runtimes:
-                    direct = runtime.handle is runtime._unwrapped_handle
-                    entries.append((
-                        runtime,
-                        runtime._kernels.get(event) if direct else None,
-                        runtime._batch_kernels.get(event) if direct else None,
-                    ))
+                    kernel = runtime._kernels.get(event)
+                    if kernel is not None and runtime.handle is runtime._unwrapped_handle:
+                        entries.append((kernel, runtime._batch_kernels.get(event)))
+                    else:
+                        entries.append((partial(runtime.handle, event), None))
                 routes[event] = entries
                 # Single-receiver events skip even the route loop: the
                 # emit surface calls the kernel through one dict lookup.
-                if len(entries) == 1 and entries[0][1] is not None:
-                    singles[event] = entries[0][1]
+                if len(runtimes) == 1 and runtimes[0]._kernels:
+                    singles[event] = entries[0][0]
         self._codegen_routes = routes
         self._codegen_single = singles
 
@@ -1710,11 +1552,8 @@ class MonitoringEngine:
                 return
             targets = routes.get(event)
             if targets is not None:
-                for runtime, kernel, _batch in targets:
-                    if kernel is not None:
-                        kernel(params)
-                    else:
-                        runtime.handle(event, params)
+                for kernel, _batch in targets:
+                    kernel(params)
                 return
         if self._eager and self._pending_dead:
             self._propagate_deaths()
@@ -1748,11 +1587,8 @@ class MonitoringEngine:
                 return
             targets = routes.get(event)
             if targets is not None:
-                for runtime, kernel, _batch in targets:
-                    if kernel is not None:
-                        kernel(values)
-                    else:
-                        runtime.handle(event, values)
+                for kernel, _batch in targets:
+                    kernel(values)
                 return
         if self._eager and self._pending_dead:
             self._propagate_deaths()
@@ -1903,63 +1739,25 @@ class MonitoringEngine:
             accepted += run
             if run == 1:
                 params = events[i][1]
-                for runtime, kernel, _batch in targets:
-                    if kernel is not None:
-                        kernel(params)
-                    else:
-                        runtime.handle(event, params)
+                for kernel, _batch in targets:
+                    kernel(params)
             else:
-                for runtime, kernel, batch in targets:
+                for kernel, batch in targets:
                     # The vectorized kernel pays a per-call prelude (FSM
                     # column binds, group list build); below ~8 events the
                     # scalar kernel loop wins.  Either path is legal — the
                     # batch kernel is verdict-identical to the scalar loop.
                     if batch is not None and run >= 8:
                         batch([entry[1] for entry in events[i:j]])
-                    elif kernel is not None:
-                        for k in range(i, j):
-                            kernel(events[k][1])
                     else:
                         for k in range(i, j):
-                            runtime.handle(event, events[k][1])
+                            kernel(events[k][1])
             i = j
         return accepted
 
     def emit_binding(self, event: str, binding: Binding) -> None:
         """Emit with an explicit :class:`Binding` (test/bench convenience)."""
         self.emit(event, **dict(binding.items()))
-
-    def emit_selected(
-        self,
-        event: str,
-        params: Mapping[str, Any],
-        prop_indexes: Iterable[int],
-        record_indexes: "frozenset[int] | set[int] | None" = None,
-        pretouched: "Mapping[int, frozenset[frozenset[str]]] | None" = None,
-        count_only: Iterable[int] = (),
-    ) -> None:
-        """External-dispatch hook: deliver ``event`` to a subset of properties.
-
-        The sharded service routes one emitted event to different shards per
-        property (each property has its own anchor parameter), so a shard
-        engine must be able to dispatch to exactly the properties the router
-        selected — never to every property declaring the event, which would
-        double-process slices owned by other shards.
-
-        ``prop_indexes`` index into :attr:`properties`; ``record_indexes``
-        (default: all of them) name the subset for which this engine is the
-        designated event-accountant (see ``PropertyRuntime.handle``).
-        ``pretouched`` maps property indexes to the event domains the
-        router's sticky state flags as touched elsewhere; ``count_only``
-        properties record the event without processing it (the router
-        proved the event can do nothing on any shard).
-        """
-        selection = (prop_indexes, record_indexes, pretouched, count_only)
-        deliveries = [(event, params, selection)]
-        if self._tapped:
-            self._selected_tapped(deliveries)
-        else:
-            self._selected_batch_plain(deliveries)
 
     def emit_selected_batch(
         self,
@@ -1969,9 +1767,21 @@ class MonitoringEngine:
 
         Each delivery is ``(event, params, (prop_indexes, record_indexes,
         pretouched, count_only))`` — the shape the service router emits and
-        the shard queues/process pipes carry.  Semantics per delivery are
-        exactly :meth:`emit_selected`; batching amortizes the per-event
-        call and attribute overhead at the queue-drain boundary.
+        the shard queues/process pipes carry.
+
+        The sharded service routes one emitted event to different shards
+        per property (each property has its own anchor parameter), so a
+        shard engine must dispatch to exactly the properties the router
+        selected, never to every property declaring the event.
+        ``prop_indexes`` index into :attr:`properties`; ``record_indexes``
+        (``None``: all of them) name the subset for which this engine is
+        the designated event-accountant (see ``PropertyRuntime.handle``);
+        ``pretouched`` maps property indexes to the event domains the
+        router's sticky state flags as touched elsewhere; ``count_only``
+        properties record the event without processing it (the router
+        proved the event can do nothing on any shard).  Batching
+        amortizes the per-event call and attribute overhead at the
+        queue-drain boundary.
         """
         if self._batch_selected is not None:
             self._batch_selected.observe(len(deliveries))

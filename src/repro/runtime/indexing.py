@@ -15,8 +15,8 @@ carry:
   keep skipped-creation semantics sound — see
   :meth:`repro.runtime.engine.PropertyRuntime._creation_is_valid`).
 
-The compiled dispatch layer walks trees with *value tuples* in the tree's
-parameter order (:meth:`_TreeBase.lookup_vals`) — no per-event dict
+The generated dispatch kernels walk trees with *value tuples* in the tree's
+parameter order (:meth:`_TreeBase.lookup_vals`, inlined) — no per-event dict
 construction; the mapping-keyed :meth:`_TreeBase.lookup` remains for the
 reference path, restores and tests.  Each level's incremental scan uses an
 ``inspect_value`` callback specialized at construction to the kind of value
@@ -139,7 +139,7 @@ class _TreeBase:
     def lookup_vals(self, values: Sequence[Any], create: bool) -> Any | None:
         """Walk the levels with parameter objects in tree-parameter order.
 
-        The compiled hot path: ``values`` is a tuple aligned with
+        The dispatch hot path: ``values`` is a tuple aligned with
         ``self.params``.  Returns the leaf (creating the spine if
         ``create``), or ``None``.  Every step performs the RVMap's
         incremental dead-key scan — this is what makes collection *lazy*:

@@ -309,11 +309,10 @@ class MonitorService:
     ``specs`` accepts specification source text, compiled specs/properties,
     or property providers with a ``make()`` method (the library's
     ``PaperProperty`` objects), singly or as a sequence.  ``system`` /
-    ``gc`` / ``propagation`` / ``scan_budget`` / ``dispatch`` configure
-    every shard engine exactly as they configure
-    :class:`MonitoringEngine` — ``dispatch="codegen"`` runs each shard on
-    generated kernels (process-mode workers regenerate them in their own
-    interpreter; see ``docs/dispatch-kernels.md``).
+    ``gc`` / ``propagation`` / ``scan_budget`` configure every shard
+    engine exactly as they configure :class:`MonitoringEngine`; each shard
+    runs on generated kernels (process-mode workers regenerate them in
+    their own interpreter; see ``docs/dispatch-kernels.md``).
 
     ``mode`` is ``"thread"`` (queues + workers + backpressure) or
     ``"inline"`` (synchronous dispatch, deterministic).  ``on_verdict``
@@ -342,7 +341,6 @@ class MonitorService:
         gc: str | None = None,
         propagation: str | None = None,
         scan_budget: int = 2,
-        dispatch: str = "codegen",
         mode: str = "thread",
         backend: str | None = None,
         queue_capacity: int = 4096,
@@ -384,7 +382,6 @@ class MonitorService:
         self._engine_kwargs = {
             "system": system, "gc": gc,
             "propagation": propagation, "scan_budget": scan_budget,
-            "dispatch": dispatch,
         }
         self._queue_capacity = queue_capacity
 
@@ -517,7 +514,6 @@ class MonitorService:
                     "gc": gc,
                     "propagation": propagation,
                     "scan_budget": scan_budget,
-                    "dispatch": dispatch,
                 },
                 snapshots=engine_snapshots,
                 queue_capacity=queue_capacity,
@@ -547,7 +543,6 @@ class MonitorService:
                 gc=gc,
                 propagation=propagation,
                 scan_budget=scan_budget,
-                dispatch=dispatch,
                 on_verdict=self._verdict_callback(shard),
                 telemetry=self.telemetry,
             )

@@ -1,13 +1,13 @@
 """Generated per-(property, event) dispatch kernels.
 
 :mod:`repro.spec.dispatch` lowers a compiled property to a static
-:class:`~repro.spec.dispatch.DispatchPlan`; the runtime's compiled path
-then *interprets* that plan — every event walks ``_EventDispatch``
-attributes, loops over check tuples, and calls through the shared
-``RVMap`` helpers.  This module goes one step further, the JavaMOP move
-of specializing the whole per-event code path at property-compile time
-(JinMGR11 Section 4.1): for each ``(property, event)`` pair it generates
-*straight-line Python source* with
+:class:`~repro.spec.dispatch.DispatchPlan`.  Interpreting that plan
+would walk ``_EventDispatch`` attributes, loop over check tuples, and
+call through the shared ``RVMap`` helpers on every event.  This module
+instead makes the JavaMOP move of specializing the whole per-event code
+path at property-compile time (JinMGR11 Section 4.1): for each
+``(property, event)`` pair it generates *straight-line Python source*
+with
 
 * the slot-tuple shape unrolled (``v0 = values["c"]`` …, no list
   comprehension, no loop over ``ed.params``),
@@ -32,12 +32,12 @@ number of runtimes.
 
 Equivalence contract
 --------------------
-The kernels must be *bit-identical in observable behaviour* to
-``PropertyRuntime._handle_compiled``: not just the same verdicts, but the
-same sequence of ``RVMap`` scan operations.  Lazy GC discovers deaths on
-access, so the set of monitors a later event still steps depends on how
-many buckets every earlier operation scanned — reordering or eliding a
-single ``scan_some`` would change flag-discovery timing and, with it,
+The kernels must produce the same verdicts as the reference
+interpretation, and perform exactly the ``RVMap`` scan operations of the
+interpreted helpers they inline.  Lazy GC discovers deaths on access, so
+the set of monitors a later event still steps depends on how many
+buckets every earlier operation scanned — reordering or eliding a single
+``scan_some`` would change flag-discovery timing and, with it,
 observable verdict streams.  Every inlined walk therefore performs
 exactly the operations of ``_TreeBase.lookup_vals`` (scan, probe,
 create) in the same order; the inlining removes call overhead, never
@@ -45,9 +45,18 @@ operations.  Nor may it lengthen a lifetime: no kernel local outlives
 what the interpreted helper's frame would hold, because CPython frees a
 monitor at its last reference and recycles a dead key's id at once — a
 local still bound to a dead leaf would count its monitors live at the
-next creation.  ``tests/runtime/test_dispatch_equivalence.py`` holds all
-three dispatch modes to the same oracle, and codegen to compiled's
-monitor lifetimes.
+next creation.  ``tests/runtime/test_dispatch_equivalence.py`` holds
+codegen to the reference oracle and its monitor lifetimes to a pinned
+table recorded from the interpreted plan.
+
+Timed variant
+-------------
+With ``timed=True`` the scalar kernels gain ``perf_counter`` probes
+around the tree walk and the stepping loop and return their two
+durations; everything else is the plain source, line for line.  The
+runtime's instrument wrapper runs them on attributed samples only
+(cached under ``fingerprint + ":timed"``), so ``repro_prop_stage_*``
+times the code that runs unsampled.
 
 Batch stepping
 --------------
@@ -113,10 +122,15 @@ class _KernelEmitter:
     event's ``v0..vN`` slot variables.
     """
 
-    def __init__(self, plan: DispatchPlan, ep: EventPlan, has_fsm: bool):
+    def __init__(
+        self, plan: DispatchPlan, ep: EventPlan, has_fsm: bool, timed: bool = False
+    ):
         self.plan = plan
         self.ep = ep
         self.has_fsm = has_fsm
+        #: Emit the timed variant: ``perf_counter`` probes around the tree
+        #: walk and the stepping loop, returned as ``(_tw, _tf)``.
+        self.timed = timed
         self.depth = len(ep.params)
         self.prelude: list[str] = []
         self._uid = 0
@@ -466,9 +480,15 @@ class _KernelEmitter:
                 for i in range(self.depth):
                     w.emit(d, f"_pr{i} = None")
                     self._pr_cache[f"v{i}"] = f"_pr{i}"
+            if self.timed:
+                w.emit(d, "_t0 = _pc()")
             self.emit_main_walk(w, d)
+            if self.timed:
+                w.emit(d, "_tw = _pc() - _t0")
         else:
             w.emit(d, "leaf = root_leaf")
+            if self.timed:
+                w.emit(d, "_tw = 0.0")
         w.emit(d, "if leaf.touched is None:")
         w.emit(d + 1, "leaf.touched = serial")
 
@@ -476,8 +496,12 @@ class _KernelEmitter:
         """Inlined ``RVSet.iter_active`` + the monitor-stepping loop."""
         ep = self.ep
         w.emit(d, "extensions = leaf.extensions")
+        if self.timed:
+            w.emit(d, "_tf = 0.0")
         w.emit(d, "if extensions is not None and extensions._items:")
         d += 1
+        if self.timed:
+            w.emit(d, "_t1 = _pc()")
         w.emit(d, "for _m in extensions._items:")
         w.emit(d + 1, "if _m.flagged:")
         w.emit(d + 2, "extensions.compact()")
@@ -499,6 +523,8 @@ class _KernelEmitter:
         else:
             w.emit(d, "for monitor in active:")
             w.emit(d + 1, f"step(monitor, {ep.event!r})")
+        if self.timed:
+            w.emit(d, "_tf = _pc() - _t1")
 
     def emit_creation(self, w: _Writer, d: int) -> None:
         ep = self.ep
@@ -507,9 +533,8 @@ class _KernelEmitter:
         )
         if ep.joins:
             # Join-bearing events keep the interpreted creation tail: the
-            # candidate iteration is data-dependent and rare, and sharing
-            # ``_create_compiled`` keeps the two paths trivially aligned.
-            self.bind("create_tail", "rt._create_compiled")
+            # candidate iteration is data-dependent and rare.
+            self.bind("create_tail", "rt._create_tail")
             w.emit(d, f"create_tail(ed, {vals}, leaf, pretouched)")
             return
         self._bind_materialize()
@@ -525,7 +550,7 @@ class _KernelEmitter:
         d += 1
 
         def emit_branch(d: int, checks_path: str, checks, source_expr: str) -> None:
-            # Unrolled ``_valid_compiled`` + the materialize call: the
+            # Unrolled ``_tail_is_valid`` + the materialize call: the
             # single-iteration ``while True`` gives the check chain an
             # early exit without a helper call — any failing probe breaks
             # out before the final materialize line.
@@ -705,6 +730,8 @@ class _KernelEmitter:
         self.emit_step(body, 2)
         if self.ep.has_creation:
             self.emit_creation(body, 2)
+        if self.timed:
+            body.emit(2, "return _tw, _tf")
         body.emit(1, "return kernel")
         self._write_factory(w, name, body)
 
@@ -784,13 +811,20 @@ class _KernelEmitter:
 
 
 def _module_parts(
-    plan: DispatchPlan, *, has_fsm: bool, spec_name: str, fingerprint: str
+    plan: DispatchPlan,
+    *,
+    has_fsm: bool,
+    spec_name: str,
+    fingerprint: str,
+    timed: bool = False,
 ) -> tuple[str, list[tuple[bool, str, str, str]]]:
     """The generated module as ``(header, factories)``.
 
     ``factories`` lists ``(is_batch, event, factory name, source)`` in
     module order; each source is one top-level ``def _make_*`` that needs
     only the header's names, so the cache can compile them one at a time.
+    ``timed`` renders the attribution variant: the scalar kernels with
+    their timing probes and no batch factories.
     """
     w = _Writer()
     w.emit(0, f'"""Generated dispatch kernels for {spec_name}')
@@ -799,6 +833,8 @@ def _module_parts(
     w.emit(0, "Auto-generated by repro.spec.codegen — do not edit; see")
     w.emit(0, 'docs/dispatch-kernels.md for the shape of this code."""')
     w.emit(0, "from array import array as _array")
+    if timed:
+        w.emit(0, "from time import perf_counter as _pc")
     w.emit(0, "from weakref import ref as _wref")
     w.emit(0, "")
     w.emit(0, "from repro.core.errors import InconsistentEventError")
@@ -820,9 +856,9 @@ def _module_parts(
         ep = plan.event_plans[event]
         fw = _Writer()
         name = f"_make_{index}_{_sanitize(event)}"
-        _KernelEmitter(plan, ep, has_fsm).emit_factory(fw, name, spec_name)
+        _KernelEmitter(plan, ep, has_fsm, timed).emit_factory(fw, name, spec_name)
         factories.append((False, event, name, fw.source()))
-        if has_fsm and not ep.has_creation:
+        if has_fsm and not ep.has_creation and not timed:
             bw = _Writer()
             bname = f"_make_batch_{index}_{_sanitize(event)}"
             _KernelEmitter(plan, ep, has_fsm).emit_batch_factory(bw, bname, spec_name)
@@ -831,18 +867,27 @@ def _module_parts(
 
 
 def kernel_module_source(
-    plan: DispatchPlan, *, has_fsm: bool, spec_name: str, fingerprint: str = ""
+    plan: DispatchPlan,
+    *,
+    has_fsm: bool,
+    spec_name: str,
+    fingerprint: str = "",
+    timed: bool = False,
 ) -> str:
     """Render the full generated-kernel module for one property.
 
-    A pure function of ``(plan, has_fsm, spec_name)`` — both of which the
-    property fingerprint covers — so equal fingerprints always yield
-    byte-identical source (the cache-correctness invariant the
-    invalidation tests pin down).
+    A pure function of ``(plan, has_fsm, spec_name, timed)`` — the
+    property fingerprint covers the first three — so equal fingerprints
+    always yield byte-identical source (the cache-correctness invariant
+    the invalidation tests pin down).
     """
     return _assemble(
         *_module_parts(
-            plan, has_fsm=has_fsm, spec_name=spec_name, fingerprint=fingerprint
+            plan,
+            has_fsm=has_fsm,
+            spec_name=spec_name,
+            fingerprint=fingerprint,
+            timed=timed,
         )
     )
 
@@ -859,7 +904,7 @@ def _assemble(header: str, factories: list[tuple[bool, str, str, str]]) -> str:
     return header + "".join(part[3] for part in factories) + "\n\n" + w.source()
 
 
-def kernel_source_for(prop: "CompiledProperty") -> str:
+def kernel_source_for(prop: "CompiledProperty", timed: bool = False) -> str:
     """The generated module source for one compiled property (diagnostics,
     docs, and the CI artifact dumped when the codegen perf gate fails)."""
     return kernel_module_source(
@@ -867,6 +912,7 @@ def kernel_source_for(prop: "CompiledProperty") -> str:
         has_fsm=prop.fsm_dispatch() is not None,
         spec_name=prop.spec_name,
         fingerprint=prop.fingerprint(),
+        timed=timed,
     )
 
 
@@ -924,17 +970,19 @@ class KernelCache:
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self._modules
 
-    def module_for(self, prop: "CompiledProperty") -> KernelModule:
+    def module_for(self, prop: "CompiledProperty", timed: bool = False) -> KernelModule:
         """The compiled kernel module for ``prop`` (generate on miss).
 
-        The header is compiled once, then each factory separately into the
-        same namespace: compiling the whole module in one call would hold
-        its complete syntax tree, several times the size of any one
-        factory's, at the peak.
+        ``timed`` selects the attribution variant, cached under
+        ``fingerprint + ":timed"``.  The header is compiled once, then
+        each factory separately into the same namespace: compiling the
+        whole module in one call would hold its complete syntax tree,
+        several times the size of any one factory's, at the peak.
         """
         fingerprint = prop.fingerprint()
+        key = fingerprint + ":timed" if timed else fingerprint
         with self._lock:
-            module = self._modules.get(fingerprint)
+            module = self._modules.get(key)
             if module is not None:
                 self.hits += 1
                 return module
@@ -944,8 +992,9 @@ class KernelCache:
             has_fsm=prop.fsm_dispatch() is not None,
             spec_name=prop.spec_name,
             fingerprint=fingerprint,
+            timed=timed,
         )
-        filename = f"<repro-kernels:{prop.spec_name}:{fingerprint[:12]}>"
+        filename = f"<repro-kernels:{prop.spec_name}:{fingerprint[:12]}{':timed' * timed}>"
         namespace: dict[str, Any] = {}
         factories: dict[str, Callable[..., Any]] = {}
         batch_factories: dict[str, Callable[..., Any]] = {}
@@ -964,11 +1013,13 @@ class KernelCache:
         with self._lock:
             # Two threads may have raced the generation; first one wins so
             # every runtime binds factories from the same code objects.
-            return self._modules.setdefault(fingerprint, module)
+            return self._modules.setdefault(key, module)
 
     def invalidate(self, fingerprint: str) -> bool:
-        """Drop one cached module; returns whether it was present."""
+        """Drop one property's cached modules, plain and timed; returns
+        whether the plain one was present."""
         with self._lock:
+            self._modules.pop(fingerprint + ":timed", None)
             return self._modules.pop(fingerprint, None) is not None
 
     def clear(self) -> None:

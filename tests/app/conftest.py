@@ -68,7 +68,7 @@ def expected_verdicts(config: DriverConfig = APP_CONFIG) -> Counter:
 
 
 def build_engine(verdicts: Counter, *, gc_kind: str = "statebased",
-                 dispatch: str = "compiled",
+                 dispatch: str = "codegen",
                  propagation: str = "lazy") -> MonitoringEngine:
     """An engine over the app property set, counting verdicts by
     (spec, formalism, category)."""
@@ -94,7 +94,7 @@ def settle(engine: MonitoringEngine) -> dict:
     }
 
 
-def run_app_live(*, gc_kind: str = "statebased", dispatch: str = "compiled",
+def run_app_live(*, gc_kind: str = "statebased", dispatch: str = "codegen",
                  propagation: str = "lazy",
                  config: DriverConfig = APP_CONFIG):
     """One monitored live run, recorded with death markers.

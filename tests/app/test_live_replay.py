@@ -24,9 +24,9 @@ from .conftest import (
     settle,
 )
 
-#: The acceptance matrix: {lazy, eager} propagation × {compiled, codegen}.
+#: The acceptance matrix: {lazy, eager} propagation × {codegen, reference}.
 PROPAGATIONS = ("lazy", "eager")
-DISPATCHES = ("compiled", "codegen")
+DISPATCHES = ("codegen", "reference")
 
 
 def run_replay(trace: str, *, dispatch: str, propagation: str):

@@ -3,8 +3,10 @@
 One canonical recorded app run (session fixture) is replayed into a
 single :class:`MonitoringEngine` and into 2-shard
 :class:`MonitorService` instances in thread and process mode, across the
-dispatch × propagation matrix.  Verdict multisets — keyed by *symbol*, so
-binding identities are comparable across targets — must be identical.
+propagation matrix, with the single engine on either dispatch tier (the
+shards always run generated kernels).  Verdict multisets — keyed by
+*symbol*, so binding identities are comparable across targets — must be
+identical.
 
 Tokens are held alive for the whole replay (no mid-stream retirement):
 queued modes observe deaths at batch granularity, so death-driven GC
@@ -24,7 +26,8 @@ from repro.runtime.tracelog import replay_entries
 from repro.service import MonitorService
 
 PROPAGATIONS = ("lazy", "eager")
-DISPATCHES = ("compiled", "codegen")
+#: The single engine's dispatch tier the service is compared against.
+DISPATCHES = ("codegen", "reference")
 SHARDS = 2
 
 
@@ -53,14 +56,12 @@ def engine_multiset(entries, *, dispatch: str, propagation: str) -> Counter:
     return verdicts
 
 
-def service_multiset(entries, *, mode: str, dispatch: str,
-                     propagation: str) -> Counter:
+def service_multiset(entries, *, mode: str, propagation: str) -> Counter:
     verdicts: Counter = Counter()
     with MonitorService(
         [prop.make().silence() for prop in app_specs()],
         shards=SHARDS,
         mode=mode,
-        dispatch=dispatch,
         propagation=propagation,
         keep_verdict_log=False,
         on_verdict=lambda record: verdicts.update(
@@ -82,14 +83,13 @@ def test_service_equals_single_engine(mode, propagation, dispatch,
     entries, _deaths = recorded_app_entries
     want = engine_multiset(entries, dispatch=dispatch, propagation=propagation)
     assert want, "the canonical app trace must produce verdicts"
-    got = service_multiset(entries, mode=mode, dispatch=dispatch,
-                           propagation=propagation)
+    got = service_multiset(entries, mode=mode, propagation=propagation)
     assert got == want
 
 
 def test_shard_count_is_verdict_neutral(recorded_app_entries):
     entries, _deaths = recorded_app_entries
-    want = engine_multiset(entries, dispatch="compiled", propagation="lazy")
+    want = engine_multiset(entries, dispatch="codegen", propagation="lazy")
     for shards in (1, 3):
         verdicts: Counter = Counter()
         with MonitorService(
@@ -112,6 +112,6 @@ def test_replay_equals_live_categories(recorded_app_run, recorded_app_entries):
     the live run's (spec, formalism, category) multiset."""
     _trace, live_verdicts = recorded_app_run
     entries, _deaths = recorded_app_entries
-    replayed = engine_multiset(entries, dispatch="compiled",
+    replayed = engine_multiset(entries, dispatch="codegen",
                                propagation="lazy")
     assert Counter(key[:3] for key in replayed) == live_verdicts

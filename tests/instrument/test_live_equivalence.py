@@ -35,14 +35,14 @@ from repro.runtime.engine import MonitoringEngine
 from repro.runtime.tracelog import replay
 
 GC_STRATEGIES = ("none", "alldead", "coenable", "statebased")
-DISPATCHES = ("compiled", "reference")
+DISPATCHES = ("codegen", "reference")
 
 #: Extra propagation regimes beyond the default lazy matrix.
 EAGER_CASES = (
-    ("statebased", "compiled", "eager"),
-    ("coenable", "compiled", "eager"),
+    ("statebased", "codegen", "eager"),
+    ("coenable", "codegen", "eager"),
     ("alldead", "reference", "eager"),
-    ("coenable", "compiled", "eager_full"),
+    ("coenable", "codegen", "eager_full"),
 )
 
 SEED = 7
@@ -162,7 +162,7 @@ def test_live_equals_marked_trace_eager(gc_kind: str, dispatch: str, propagation
 def test_trace_is_config_independent():
     """The recorded stream is a workload property, not an engine property."""
     traces = {
-        run_live(gc_kind, "compiled", "lazy")[0]
+        run_live(gc_kind, "codegen", "lazy")[0]
         for gc_kind in ("none", "coenable")
     }
     assert len(traces) == 1
@@ -170,7 +170,7 @@ def test_trace_is_config_independent():
 
 def test_collections_are_death_driven_not_trivial():
     """At the comparison point some monitors are alive: CM < M."""
-    _trace, _verdicts, counters = run_live("coenable", "compiled", "lazy")
+    _trace, _verdicts, counters = run_live("coenable", "codegen", "lazy")
     unsafeiter = counters[("UnsafeIter", "ere")]
     _events, created, collected = unsafeiter
     assert collected > 0

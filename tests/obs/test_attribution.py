@@ -43,7 +43,6 @@ def attributed_engine(interval=1, **kwargs):
         UNSAFEITER.make().silence(),
         gc="coenable",
         propagation="lazy",
-        dispatch="compiled",
         telemetry=telemetry,
         **kwargs,
     )
@@ -129,24 +128,50 @@ class TestStageAccounting:
         assert abs(attributed - wall) / wall <= 0.15, (attributed, wall)
 
     def test_attribution_does_not_change_monitoring_results(self):
+        """On vs off, every observable matches: verdicts, E, M, FM, CM and
+        the live peak.  Interval 3 mixes timed and plain kernels in one
+        run, so the two variants must hand each other identical state."""
         entries = bloat_entries()
 
-        def run(attribution):
+        def run(attribution, interval):
             verdicts = []
-            telemetry = Telemetry(sample_interval=1, attribution=attribution)
+            telemetry = Telemetry(sample_interval=interval, attribution=attribution)
             engine = MonitoringEngine(
                 UNSAFEITER.make().silence(),
                 gc="coenable",
                 propagation="lazy",
-                dispatch="compiled",
                 telemetry=telemetry,
-                on_verdict=lambda prop, cat, mon: verdicts.append(cat),
+                on_verdict=lambda prop, cat, mon: verdicts.append(
+                    (cat, mon.serial)
+                ),
             )
             replay_entries(entries, engine, retire_after_last_use=True)
             stats = engine.stats_for("UnsafeIter")
-            return sorted(verdicts), stats.monitors_created
+            return sorted(verdicts), tuple(
+                getattr(stats, field) for field in (
+                    "events", "monitors_created", "monitors_flagged",
+                    "monitors_collected", "peak_live_monitors",
+                )
+            )
 
-        assert run(False) == run(True)
+        for interval in (1, 3):
+            assert run(False, interval) == run(True, interval), interval
+
+    def test_engines_without_attribution_never_generate_timed_kernels(self):
+        from repro.spec.codegen import shared_kernel_cache
+
+        shared_kernel_cache.clear()
+        for telemetry in (None, Telemetry(sample_interval=1)):
+            engine = MonitoringEngine(UNSAFEITER.make().silence(), telemetry=telemetry)
+            keepalive = emit_triples(engine, 5)
+            fingerprint = engine.properties[0].fingerprint()
+            assert fingerprint in shared_kernel_cache
+            assert fingerprint + ":timed" not in shared_kernel_cache
+            del keepalive
+        engine, _telemetry = attributed_engine(interval=1)
+        keepalive = emit_triples(engine, 1)
+        assert fingerprint + ":timed" in shared_kernel_cache
+        del keepalive
 
 
 class TestSlotStability:

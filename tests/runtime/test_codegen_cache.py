@@ -20,23 +20,31 @@ pins down:
   still produce the inline verdict multiset;
 * construction stays cheap: each property is fingerprinted once, kernels
   are bound on a runtime's first event, and a first build of the
-  evaluated properties compiles factory by factory under a memory cap.
+  evaluated properties compiles factory by factory under a memory cap;
+* the timed variant attribution runs is the plain module's scalar
+  kernels plus timing probes, nothing else.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from collections import Counter
 from pathlib import Path
 
-from repro.properties import ALL_PROPERTIES
+from repro.properties import ALL_PROPERTIES, CATALOGUE
 from repro.runtime.engine import MonitoringEngine
 from repro.runtime.tracelog import replay_entries
 from repro.service import MonitorService, ingest_symbolic
-from repro.spec.codegen import kernel_source_for, shared_kernel_cache
+from repro.spec.codegen import (
+    _assemble,
+    _module_parts,
+    kernel_source_for,
+    shared_kernel_cache,
+)
 from repro.spec.compiler import CompiledProperty
 
 from ..conftest import Obj
@@ -305,7 +313,6 @@ def test_process_backend_recompiles_and_matches_inline():
             ALL_PROPERTIES["unsafeiter"].make().silence(),
             shards=2,
             gc="coenable",
-            dispatch="codegen",
             mode=mode,
         )
         try:
@@ -320,3 +327,34 @@ def test_process_backend_recompiles_and_matches_inline():
     inline = run("inline")
     assert inline  # the trace does produce verdicts
     assert run("process") == inline
+
+
+#: A line of the timed kernel module that exists only for its probes.
+PROBE_LINE = re.compile(r"\b(_pc|_tw|_tf)\b")
+
+
+def test_timed_module_is_the_plain_module_plus_probes():
+    """Removing the probe lines (the ``perf_counter`` import, the
+    ``_t0``/``_tw``/``_t1``/``_tf`` stamps and the ``return _tw, _tf``)
+    from the timed module leaves the plain module's scalar kernels byte
+    for byte, for every catalogue property and formalism."""
+    checked = 0
+    for key in sorted(CATALOGUE):
+        for prop in CATALOGUE[key].make().properties:
+            args = {
+                "has_fsm": prop.fsm_dispatch() is not None,
+                "spec_name": prop.spec_name,
+                "fingerprint": prop.fingerprint(),
+            }
+            header, parts = _module_parts(prop.dispatch_plan(), **args)
+            plain = _assemble(header, [part for part in parts if not part[0]])
+            timed = kernel_source_for(prop, timed=True)
+            assert "return _tw, _tf" in timed and "BATCH_FACTORIES = {\n}" in timed
+            stripped = "".join(
+                line
+                for line in timed.splitlines(keepends=True)
+                if not PROBE_LINE.search(line)
+            )
+            assert stripped == plain, (key, prop.formalism)
+            checked += 1
+    assert checked >= len(CATALOGUE)

@@ -1,11 +1,12 @@
-"""Compiled fast-path dispatch must equal the retained reference path.
+"""Generated dispatch kernels must equal the retained reference path.
 
-The compiled dispatch layer (slot tuples, DispatchPlan creation strategies,
-flat FSM transition tables) re-implements the exact semantics of the
-reference interpretation kept in ``PropertyRuntime._handle_reference``.
-This suite drives *both* engines in lockstep over randomized traces with
-parameter deaths — every property in the library x every GC strategy x a
-seed corpus — and asserts the robust observables are identical:
+The codegen kernels (slot tuples, DispatchPlan creation strategies, flat
+FSM transition tables, all baked into generated source) re-implement the
+exact semantics of the reference interpretation kept in
+``PropertyRuntime._handle_reference``.  This suite drives *both* engines
+in lockstep over randomized traces with parameter deaths — every property
+in the library x every GC strategy x a seed corpus — and asserts the
+robust observables are identical:
 
 * the verdict multiset (category + parameter-object identities),
 * E (events) and M (monitors created),
@@ -13,12 +14,13 @@ seed corpus — and asserts the robust observables are identical:
 
 Against reference, FM/CM are deliberately excluded: they measure *when*
 lazy scans discover deaths, which legitimately depends on the number of
-map operations each path performs (the compiled path fuses lookups);
-soundness of flagging is covered by tests/runtime/test_gc_soundness.py.
-Codegen, though, performs the compiled path's map operations one for one
-and holds no object longer than the compiled path's frames do, so the
-two must also agree on monitor *lifetimes*: FM, CM and the live-monitor
-peak (:data:`LIFETIME_FIELDS`).
+map operations each path performs (the kernels fuse lookups); soundness
+of flagging is covered by tests/runtime/test_gc_soundness.py.  Codegen's
+monitor *lifetimes* — FM, CM and the live-monitor peak
+(:data:`LIFETIME_FIELDS`) — are instead pinned row by row to
+``pinned_lifetimes.json``, recorded from the interpreted plan tier that
+codegen replaced and matched op for op.  A change that moves a scan, or
+holds a monitor one frame longer, shows up there.
 
 The lockstep construction shares one set of parameter objects between the
 two engines, so deaths (CPython refcount drops) hit both at the same
@@ -28,9 +30,11 @@ boundary and binding identities compare directly.
 from __future__ import annotations
 
 import gc
+import json
 import random
 import zlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -79,10 +83,29 @@ def synth_ops(definition, seed: int):
 
 
 #: Every dispatch implementation the lockstep oracle covers; ``reference``
-#: is the semantic anchor the other two must match exactly.
-DISPATCHES = ("reference", "compiled", "codegen")
-#: Lifetime observables codegen must share with compiled (not reference).
+#: is the semantic anchor codegen must match exactly.
+DISPATCHES = ("reference", "codegen")
+#: Lifetime observables pinned per row (not compared against reference).
 LIFETIME_FIELDS = ("monitors_flagged", "monitors_collected", "peak_live_monitors")
+#: Recorded lifetimes per corpus, keyed ``property/gc/seed/spec/formalism``.
+PINNED_LIFETIMES = json.loads(
+    Path(__file__).with_name("pinned_lifetimes.json").read_text()
+)
+assert tuple(PINNED_LIFETIMES["fields"]) == LIFETIME_FIELDS
+
+
+def lifetime_rows(engine, prefix: str) -> dict[str, list[int]]:
+    """``engine``'s lifetime observables, keyed like the pinned table."""
+    return {
+        f"{prefix}/{name}/{formalism}": [getattr(stats, f) for f in LIFETIME_FIELDS]
+        for (name, formalism), stats in engine.stats().items()
+    }
+
+
+def pinned_rows(corpus: str, prefix: str) -> dict[str, list[int]]:
+    """The pinned rows of one corpus case (every spec/formalism under it)."""
+    table = PINNED_LIFETIMES[corpus]
+    return {key: table[key] for key in table if key.startswith(prefix + "/")}
 
 
 def run_lockstep(spec_factory, ops, gc_kind: str, dispatches=DISPATCHES):
@@ -150,7 +173,8 @@ def run_lockstep(spec_factory, ops, gc_kind: str, dispatches=DISPATCHES):
 @pytest.mark.parametrize("gc_kind", GC_STRATEGIES)
 @pytest.mark.parametrize("key", sorted(ALL_PROPERTIES))
 def test_dispatches_equal_reference(key, gc_kind):
-    """The lockstep oracle: compiled AND codegen match reference exactly."""
+    """The lockstep oracle: codegen matches reference exactly, and the
+    pinned table on monitor lifetimes."""
     paper_prop = ALL_PROPERTIES[key]
     spec = paper_prop.make().silence()
     try:
@@ -162,29 +186,26 @@ def test_dispatches_equal_reference(key, gc_kind):
         engines, verdicts = run_lockstep(
             lambda: paper_prop.make().silence(), ops, gc_kind
         )
-        want = verdicts["reference"]
         reference = engines["reference"]
-        for dispatch in ("compiled", "codegen"):
-            assert verdicts[dispatch] == want, (key, gc_kind, seed, dispatch)
-            for (name, formalism), stats in engines[dispatch].stats().items():
-                other = reference.stats_for(name, formalism)
-                assert stats.events == other.events, (key, gc_kind, seed, dispatch)
-                assert stats.monitors_created == other.monitors_created, (
-                    key,
-                    gc_kind,
-                    seed,
-                    dispatch,
-                )
-                assert stats.handler_fires == other.handler_fires, (
-                    key, gc_kind, seed, dispatch,
-                )
-                assert stats.verdicts == other.verdicts, (key, gc_kind, seed, dispatch)
+        assert verdicts["codegen"] == verdicts["reference"], (key, gc_kind, seed)
         for (name, formalism), stats in engines["codegen"].stats().items():
-            other = engines["compiled"].stats_for(name, formalism)
-            for field in LIFETIME_FIELDS:
+            other = reference.stats_for(name, formalism)
+            for field in ("events", "monitors_created", "handler_fires", "verdicts"):
                 assert getattr(stats, field) == getattr(other, field), (
                     key, gc_kind, seed, field,
                 )
+        prefix = f"{key}/{gc_kind}/{seed}"
+        assert lifetime_rows(engines["codegen"], prefix) == pinned_rows(
+            "lockstep", prefix
+        ), (key, gc_kind, seed)
+
+
+def test_only_codegen_and_reference_are_dispatch_tiers():
+    from repro.properties import HASNEXT
+
+    for dispatch in ("compiled", "interpreted", ""):
+        with pytest.raises(ValueError, match="unknown dispatch"):
+            MonitoringEngine(HASNEXT.make().silence(), dispatch=dispatch)
 
 
 def test_recycled_id_does_not_extend_a_dead_monitors_life():
@@ -196,19 +217,18 @@ def test_recycled_id_does_not_extend_a_dead_monitors_life():
     from repro.properties import HASNEXT
 
     peaks = {}
-    for dispatch in ("compiled", "codegen"):
-        engine = MonitoringEngine(HASNEXT.make().silence(), dispatch=dispatch)
-        for _ in range(20):
-            it = Obj("i")
-            engine.emit("hasnexttrue", i=it)
-            engine.emit("next", i=it)
-            del it
-        for (_name, formalism), stats in engine.stats().items():
-            peaks[dispatch, formalism] = stats.peak_live_monitors
+    engine = MonitoringEngine(HASNEXT.make().silence(), dispatch="codegen")
+    for _ in range(20):
+        it = Obj("i")
+        engine.emit("hasnexttrue", i=it)
+        engine.emit("next", i=it)
+        del it
+    for (_name, formalism), stats in engine.stats().items():
+        peaks[formalism] = stats.peak_live_monitors
     assert peaks and set(peaks.values()) == {1}, peaks
 
 
-def test_all_properties_together_compiled_vs_reference():
+def test_all_properties_together_codegen_vs_reference():
     """One engine pair hosting every property at once (cross-spec events)."""
     rng = random.Random(20110604)
     specs = [prop.make().silence() for prop in ALL_PROPERTIES.values()]
@@ -239,11 +259,11 @@ def test_all_properties_together_compiled_vs_reference():
 
     got: Counter = Counter()
     want: Counter = Counter()
-    compiled = MonitoringEngine(
+    codegen = MonitoringEngine(
         [prop.make().silence() for prop in ALL_PROPERTIES.values()],
         gc="coenable",
         on_verdict=collector(got),
-        dispatch="compiled",
+        dispatch="codegen",
     )
     reference = MonitoringEngine(
         [prop.make().silence() for prop in ALL_PROPERTIES.values()],
@@ -260,11 +280,10 @@ def test_all_properties_together_compiled_vs_reference():
             pools[param][rng.randrange(POOL)] = Obj(f"{param}#{serial}")
         event = rng.choice(alphabet)
         values = {param: rng.choice(pools[param]) for param in domains[event]}
-        compiled.emit(event, _strict=False, **values)
+        codegen.emit(event, _strict=False, **values)
         reference.emit(event, _strict=False, **values)
     assert got == want
-    compiled_stats = compiled.stats()
-    for key, stats in compiled_stats.items():
+    for key, stats in codegen.stats().items():
         other = reference.stats_for(*key)
         assert stats.events == other.events, key
         assert stats.monitors_created == other.monitors_created, key

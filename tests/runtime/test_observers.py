@@ -29,7 +29,6 @@ BOUNDARY_METHODS = (
     "emit",
     "emit_values",
     "emit_batch",
-    "emit_selected",
     "emit_selected_batch",
     "note_deaths",
     "attach_property",

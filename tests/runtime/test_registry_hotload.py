@@ -7,7 +7,7 @@ constructed with it upfront and fed only ``k..n``.  Parametrized over the
 four formalisms (FSM and LTL via HASNEXT, ERE via UNSAFEITER, CFG via
 SAFELOCK), all four GC strategies, and both dispatch paths — the
 ``dispatch="reference"`` rows double as the lockstep check that the
-compiled fast path and the reference interpretation agree on hot-loaded
+generated kernels and the reference interpretation agree on hot-loaded
 runtimes too.
 
 Traces are symbolic and replayed with ``retire_after_last_use=True``, so
@@ -67,7 +67,7 @@ def _collect(engine_spec_names):
     return verdicts, on_verdict
 
 
-@pytest.mark.parametrize("dispatch", ("compiled", "reference"))
+@pytest.mark.parametrize("dispatch", ("codegen", "reference"))
 @pytest.mark.parametrize("gc_kind", GC_STRATEGIES)
 @pytest.mark.parametrize("hot_key", HOT_KEYS)
 def test_hotload_equals_suffix_only_engine(hot_key, gc_kind, dispatch):
@@ -121,7 +121,7 @@ def test_hotload_equals_suffix_only_engine(hot_key, gc_kind, dispatch):
 
 
 @pytest.mark.parametrize("gc_kind", GC_STRATEGIES)
-def test_hotload_compiled_equals_reference(gc_kind):
+def test_hotload_codegen_equals_reference(gc_kind):
     """Lockstep across dispatch paths with a mid-trace hot load."""
     hot_paper = ALL_PROPERTIES["hasnext"]
     base_paper = ALL_PROPERTIES["unsafeiter"]
@@ -131,7 +131,7 @@ def test_hotload_compiled_equals_reference(gc_kind):
     )
     k = len(entries) // 2
     results = []
-    for dispatch in ("compiled", "reference"):
+    for dispatch in ("codegen", "reference"):
         verdicts, on_verdict = _collect(
             {prop.spec_name for prop in hot_probe.properties} | {"UnsafeIter"}
         )

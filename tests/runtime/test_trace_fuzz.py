@@ -3,18 +3,20 @@
 Generalizes ``test_dispatch_equivalence``'s fixed traces: for **every**
 CATALOGUE property (paper substrate + live-resource + protocol), random
 event/death interleavings are synthesized from the property's own
-alphabet and driven through the reference, compiled and codegen engines
-in lockstep over shared parameter objects.  Any divergence in the robust
+alphabet and driven through the reference and codegen engines in
+lockstep over shared parameter objects.  Any divergence in the robust
 observables (verdict multisets with binding identities, E, M, handler
 fires) is a bug in one of the dispatch tiers, and so is any difference
-between codegen and compiled in monitor lifetimes (FM, CM, live peak):
-the generated kernels perform the compiled path's map operations one for
-one and hold nothing longer than its frames do.
+between codegen's monitor lifetimes (FM, CM, live peak) and the row
+pinned for the corpus trace in ``pinned_lifetimes.json``.
 
 On failure the offending op list is **greedily minimized** (ddmin-style
 chunk removal while the divergence persists) and dumped as NDJSON —
 ``REPRO_FUZZ_DUMP`` names the directory (default: the system temp dir) —
-so the exact interleaving can be replayed with :func:`load_ops`.
+so the exact interleaving can be replayed with :func:`load_ops`.  A
+pinned row is an oracle for its full trace only, so a lifetime-only
+divergence has nothing to minimize against: it is dumped whole, with the
+pinned and observed rows in the dump's meta line.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from repro.properties import CATALOGUE
 from repro.runtime.engine import MonitoringEngine
 
 from ..conftest import Obj
+from .test_dispatch_equivalence import lifetime_rows, pinned_rows
 
-DISPATCHES = ("reference", "compiled", "codegen")
+DISPATCHES = ("reference", "codegen")
 #: GC strategy rotates per (property, seed) so the corpus covers them all
 #: without multiplying the matrix.
 GC_STRATEGIES = ("statebased", "coenable", "alldead", "none")
@@ -115,12 +118,16 @@ def _collector(bag: Counter):
     return on_verdict
 
 
-def discrepancy(spec_factory, ops: list[dict], gc_kind: str) -> "str | None":
-    """Run all three dispatch tiers over ``ops``; describe any divergence.
+def discrepancy(
+    spec_factory, ops: list[dict], gc_kind: str, lifetimes: "dict | None" = None
+) -> "str | None":
+    """Run both dispatch tiers over ``ops``; describe any divergence.
 
-    Returns ``None`` when reference, compiled and codegen agree on every
-    robust observable, else a human-readable description of the first
-    disagreement (the fuzzer's failure predicate — also the minimizer's).
+    Returns ``None`` when reference and codegen agree on every robust
+    observable and, given ``lifetimes`` (one case's pinned rows, see
+    :func:`pinned_rows`), codegen's lifetimes equal them; else a
+    human-readable description of the first disagreement (the fuzzer's
+    failure predicate — also the minimizer's).
     """
     engines: dict[str, MonitoringEngine] = {}
     verdicts: dict[str, Counter] = {}
@@ -154,25 +161,20 @@ def discrepancy(spec_factory, ops: list[dict], gc_kind: str) -> "str | None":
     gc.collect()
     for engine in engines.values():
         engine.flush_gc()
-    reference = engines["reference"]
-    for dispatch in ("compiled", "codegen"):
-        if verdicts[dispatch] != verdicts["reference"]:
-            return f"{dispatch}: verdict multiset diverges from reference"
-        for (name, formalism), stats in engines[dispatch].stats().items():
-            other = reference.stats_for(name, formalism)
-            for field in ("events", "monitors_created", "handler_fires",
-                          "verdicts"):
-                if getattr(stats, field) != getattr(other, field):
-                    return (f"{dispatch}: {name}/{formalism} {field} "
-                            f"{getattr(stats, field)} != {getattr(other, field)}")
-    for (name, formalism), stats in engines["codegen"].stats().items():
-        other = engines["compiled"].stats_for(name, formalism)
-        for field in ("monitors_flagged", "monitors_collected",
-                      "peak_live_monitors"):
+    reference, codegen = engines["reference"], engines["codegen"]
+    if verdicts["codegen"] != verdicts["reference"]:
+        return "codegen: verdict multiset diverges from reference"
+    for (name, formalism), stats in codegen.stats().items():
+        other = reference.stats_for(name, formalism)
+        for field in ("events", "monitors_created", "handler_fires", "verdicts"):
             if getattr(stats, field) != getattr(other, field):
                 return (f"codegen: {name}/{formalism} {field} "
-                        f"{getattr(stats, field)} != compiled "
-                        f"{getattr(other, field)}")
+                        f"{getattr(stats, field)} != {getattr(other, field)}")
+    if lifetimes is not None:
+        # Pinned keys are ``property/gc/seed/spec/formalism``.
+        observed = lifetime_rows(codegen, next(iter(lifetimes)).rsplit("/", 2)[0])
+        if observed != lifetimes:
+            return f"codegen lifetimes {observed} != pinned {lifetimes}"
     return None
 
 
@@ -232,7 +234,9 @@ def test_fuzz_dispatch_lockstep(key: str):
             gc_kind = "none"  # CFG properties: fall back, keep fuzzing
         spec = factory()
         ops = synth_ops(spec.definition, seed=seed)
-        failure = discrepancy(factory, ops, gc_kind)
+        pinned = pinned_rows("fuzz", f"{key}/{gc_kind}/{seed_base}")
+        assert pinned, (key, gc_kind, seed_base)
+        failure = discrepancy(factory, ops, gc_kind, lifetimes=pinned)
         if failure is not None:
             minimal = minimize(
                 ops, lambda candidate: discrepancy(factory, candidate, gc_kind)
