@@ -54,9 +54,14 @@ def main() -> None:
 
     print("-- streaming two collections' traffic (verdicts appear inline) --")
     with service:
+        # Verdicts reach on_verdict asynchronously, bound to the live
+        # objects; one whose objects already died binds their symbols
+        # (``o1``...) instead.  Keep the demo's objects until the drain.
+        alive = []
         for serial in range(2):
             collection = Token(f"collection{serial}")
             iterators = [Token(f"iterator{serial}.{n}") for n in range(3)]
+            alive.append((collection, iterators))
             for iterator in iterators:
                 service.emit("create", c=collection, i=iterator)
                 service.emit("hasnexttrue", i=iterator)
@@ -66,6 +71,7 @@ def main() -> None:
             service.emit("next", i=iterators[0])
             # next() without hasNext(): HASNEXT (fsm and ltl logics).
             reckless = Token(f"reckless{serial}")
+            alive.append(reckless)
             service.emit("create", c=collection, i=reckless)
             service.emit("next", i=reckless)
         service.drain()

@@ -16,10 +16,10 @@ the single source of injected failure for the fault-tolerance plane
   (resuming from the recovering checkpoint's count) and surfaces due
   faults.  Picklable-free: workers receive plain dict configs, so the
   state crosses the fork boundary untouched.
-* :func:`supervised_dispatch` — the guarded dispatch loop shared by
-  thread-mode shard workers (via the service's dispatch guard hook) and
-  process-mode workers: per-delivery dispatch, injected crash/stall/
-  poison faults, and poison-event quarantine with retry + backoff.
+* :func:`supervised_dispatch` — the guarded dispatch loop of the shard
+  workers (thread and process alike): per-delivery dispatch, injected
+  crash/stall/poison faults, and poison-event quarantine with retry +
+  backoff.
 * WAL corruption helpers (:func:`tear_wal_tail`,
   :func:`corrupt_checkpoint`) for recovery-edge tests and the chaos
   benchmark.
@@ -54,8 +54,8 @@ __all__ = [
 #: Every fault kind a plan may schedule.
 #:
 #: ``crash``     — kill the shard worker just before delivery ``at``
-#:                 (thread: raises :class:`InjectedCrash` out of the
-#:                 dispatch guard; process: the worker ``os._exit``\ s);
+#:                 (:class:`InjectedCrash` ends the worker loop: a thread
+#:                 returns, a process ``os._exit``\ s);
 #: ``stall``     — sleep ``duration`` seconds before delivery ``at``
 #:                 (slow-worker delay; past the supervisor's IPC deadline
 #:                 it reads as a hang and triggers a restart);

@@ -658,7 +658,7 @@ class LiveSession:
         if isinstance(sink, MonitoringEngine):
             return sink.propagation != "lazy"
         engines = getattr(sink, "engines", None)
-        if engines:  # thread/inline service; process mode has none
+        if engines:  # inline service; the queued modes have none
             return any(engine.propagation != "lazy" for engine in engines)
         return False
 

@@ -90,9 +90,9 @@ class AttributionPlane:
 
     One plane per engine (shard engines each build their own, so the
     ``active``/``charged`` scratch is only ever touched by that shard's
-    worker thread).  Cells for the same label across planes pull into
-    the same catalogue counter child, so thread shards sharing one
-    registry aggregate exactly.
+    worker).  Cells for the same label across planes pull into the same
+    catalogue counter child, so inline shards sharing one registry
+    aggregate exactly.
 
     The plane is itself the engine's first boundary observer: its
     ``before_event`` hook ticks the sampler and, on a sampled event, sets

@@ -72,7 +72,7 @@ METRICS: dict[str, MetricSpec] = {
         ),
         _spec(
             "repro_service_queue_depth", "gauge", ("shard",), "service",
-            "Pending deliveries in each _ShardQueue",
+            "Queued for each shard worker after every put (deliveries for threads, messages for processes)",
         ),
         _spec(
             "repro_service_backpressure_wait_seconds", "histogram", ("shard",), "service",
@@ -88,11 +88,11 @@ METRICS: dict[str, MetricSpec] = {
         ),
         _spec(
             "repro_service_roundtrip_seconds", "histogram", ("op",), "service",
-            "Process-backend control round trips (barrier / stats / checkpoint / close)",
+            "Shard-pool control round trips (barrier / stats / checkpoint / close)",
         ),
         _spec(
             "repro_shard_restarts_total", "counter", ("shard", "reason"), "service",
-            "Supervised shard restarts by failure reason (crash / exit / hang / exception)",
+            "Supervised shard restarts by failure reason (crash / exit / hang)",
         ),
         _spec(
             "repro_shard_alive", "gauge", ("shard",), "service",

@@ -9,10 +9,10 @@ written anywhere until a **trigger** fires:
 * ``verdict-burst`` — more than ``burst_count`` verdicts inside
   ``burst_window`` seconds (detected by the recorder itself);
 * ``queue-saturation`` — a bounded shard queue forced the producer to
-  block (wired by ``MonitorService``);
+  block (the shard pool sends the trigger in-band, behind the put);
 * ``worker-exception`` — a shard worker died with an unhandled
-  exception (thread workers dump in the service; process workers dump
-  in the child and ship the payload back in the error message).
+  exception (the worker dumps and ships the payload back in its error
+  message).
 
 A dump is a plain-JSON dict: the trigger reason and context, the ring
 contents, and the deduplicated WAL references of everything in it.

@@ -2,9 +2,9 @@
 
 A :class:`Tracer` is a bounded, thread-safe span buffer that the service
 layer writes batch-scoped spans into: ``service.emit_batch`` on the
-producer side, ``shard.drain`` inside each shard worker (thread workers
-share the parent tracer; process workers record into their own rebuilt
-tracer and ship the buffer back over the existing snapshot channel), and
+producer side, ``shard.drain`` inside each shard worker (queued workers,
+thread or process, record into their own rebuilt tracer and ship the
+buffer back over the existing snapshot channel), and
 ``service.verdict_merge`` where the merged verdict stream is stitched
 together.  Spans from many buffers are folded with :func:`merge_spans`
 — the span analogue of ``merge_snapshots``.

@@ -2,8 +2,9 @@
 
 Scales the single :class:`~repro.runtime.engine.MonitoringEngine` to N
 engine shards behind one ``emit()`` interface, with anchor-parameter
-routing (:mod:`repro.service.router`), bounded queues with backpressure
-(:mod:`repro.service.service`), and merged verdict/statistics views
+routing (:mod:`repro.service.router`), shard workers behind bounded
+queues with backpressure (:mod:`repro.service.process_backend`), and
+merged verdict/statistics views
 (:mod:`repro.service.aggregate`).  Verdict multisets are identical to a
 single-engine run by construction.
 """

@@ -6,21 +6,24 @@ shards behind one ``emit()`` interface:
 * the :class:`~repro.service.router.ShardRouter` sends each event to the
   shard(s) owning the slices it belongs to (anchor-parameter routing;
   anchor-free events broadcast, pinned properties stay whole);
-* **thread mode** (the default) gives each shard a bounded FIFO queue and
-  a dedicated worker thread; ``emit()`` applies backpressure by blocking
-  when a shard's queue is full, and ``emit_batch()`` amortizes routing and
-  queue locking over many events;
-* **inline mode** dispatches synchronously in the caller's thread — fully
-  deterministic, used by the determinism tests and the scaling benchmark
-  (on one core the win of sharding is algorithmic: per-shard state, hence
-  per-shard O(state) GC scans, shrinks by the shard count);
-* **process mode** (``mode="process"`` or ``backend="process"``) runs each
-  shard engine in a forked worker process fed serialized event batches —
-  true multi-core execution for CPU-bound monitoring; see
-  :mod:`repro.service.process_backend`.  Shards are checkpointed and
-  migrated via the :mod:`repro.persist` snapshot codec, and the whole
-  service checkpoints/restores with :meth:`MonitorService.checkpoint` /
-  :meth:`MonitorService.restore` (all modes);
+* **queued modes** — ``"thread"`` (the default) and ``"process"`` — run
+  each shard engine in a worker fed through a bounded FIFO queue by one
+  :class:`~repro.service.process_backend.ShardPool`; the modes differ
+  only in the pool's transport (daemon threads, or forked processes for
+  true multi-core execution).  Deliveries cross as symbols from the
+  service's :class:`~repro.runtime.refs.SymbolRegistry`, parameter deaths
+  follow as in-band retire markers, and verdicts come back through one
+  parent-side drainer.  ``emit()`` blocks while a destination queue is
+  full (backpressure);
+* **inline mode** dispatches synchronously in the caller's thread on
+  engines the service holds directly — fully deterministic and
+  death-exact, the reference the replay-equivalence suites compare
+  against (on one core the win of sharding is algorithmic: per-shard
+  state, hence per-shard O(state) GC scans, shrinks by the shard count);
+* shards are checkpointed and migrated via the :mod:`repro.persist`
+  snapshot codec, and the whole service checkpoints/restores with
+  :meth:`MonitorService.checkpoint` / :meth:`MonitorService.restore` (all
+  modes);
 * verdicts from all shards land in one merged
   :class:`~repro.service.aggregate.VerdictLog`; statistics aggregate
   exactly via :func:`~repro.service.aggregate.merge_stats`.
@@ -29,12 +32,12 @@ Per-slice event order is preserved: one emitter enqueues to each shard in
 emission order, each shard processes its queue FIFO, and the router
 guarantees a slice never spans shards — so verdict *multisets* equal the
 single-engine run even though cross-shard interleaving is scheduling
-dependent (thread mode) or trivially sequential (inline mode).
+dependent (queued modes) or trivially sequential (inline mode).
 
 Shard engines share the caller's compiled properties: compiled artifacts
 (templates, enable/coenable analyses) are immutable at runtime, and each
 engine builds its own indexing trees and statistics.  Handlers attached to
-the compiled properties fire in shard worker threads under thread mode.
+the compiled properties fire in the shard workers under the queued modes.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import threading
 import time
 from collections import Counter
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..core.errors import PersistError, RegistryError, ServiceError, UnknownEventError
 from ..obs.catalogue import declare as _declare_metric
@@ -68,8 +71,9 @@ SERVICE_CHECKPOINT_FORMAT = "repro-service-checkpoint"
 #: Version 2 added the dynamic property registry record.
 SERVICE_CHECKPOINT_VERSION = 2
 
-#: One routed delivery sitting in a shard queue: the event, its binding,
-#: and the router's per-shard :data:`repro.service.router.Delivery` plan.
+#: One routed delivery: the event, its binding (real objects inline,
+#: symbols in the queued modes), and the router's per-shard
+#: :data:`repro.service.router.Delivery` plan.
 _Delivery = tuple[str, Mapping[str, Any], "tuple"]
 
 #: Service-level verdict callback.
@@ -162,147 +166,6 @@ def _checkpoint_symbols(checkpoint: Mapping[str, Any]) -> set[str]:
     return symbols
 
 
-class _ShardQueue:
-    """Bounded FIFO of deliveries with drain accounting and backpressure.
-
-    Optionally instrumented: a depth gauge tracks the queued-delivery
-    level, a wait histogram records producer blocking time while the
-    queue is full, and a lag histogram records how long the queue head
-    sat waiting before a worker took it (the drain-loop lag).  All three
-    are pre-labelled children — the queue never touches a family.
-    """
-
-    __slots__ = (
-        "_items", "_capacity", "_pending", "_closed", "_failed", "_lock",
-        "_changed", "_depth", "_wait", "_lag", "_head_since", "_wait_cell",
-        "_saturation", "delay",
-    )
-
-    def __init__(
-        self,
-        capacity: int,
-        depth_gauge: Any = None,
-        wait_hist: Any = None,
-        lag_hist: Any = None,
-        wait_cell: Any = None,
-        saturation_cb: Any = None,
-    ):
-        self._items: list[_Delivery] = []
-        self._capacity = capacity
-        #: Deliveries enqueued but not yet fully processed by the worker.
-        self._pending = 0
-        self._closed = False
-        self._failed = False
-        self._lock = threading.Lock()
-        self._changed = threading.Condition(self._lock)
-        self._depth = depth_gauge
-        self._wait = wait_hist
-        self._lag = lag_hist
-        #: Attribution cell charged with queue-head wait (``queue-wait``).
-        self._wait_cell = wait_cell
-        #: Flight-recorder hook fired when the producer had to block.
-        self._saturation = saturation_cb
-        #: When the current queue head was enqueued (None while empty).
-        self._head_since: float | None = None
-        #: Fault-injection hook: seconds to stall this put (queue faults).
-        self.delay: "Callable[[], float] | None" = None
-
-    def put_many(self, deliveries: Sequence[_Delivery]) -> None:
-        if self.delay is not None:
-            pause = self.delay()
-            if pause > 0:
-                time.sleep(pause)
-        start = 0
-        while start < len(deliveries):
-            saturated = False
-            with self._changed:
-                waited_from = (
-                    perf_counter()
-                    if self._wait is not None and len(self._items) >= self._capacity
-                    else None
-                )
-                while (
-                    len(self._items) >= self._capacity
-                    and not self._closed
-                    and not self._failed
-                ):
-                    saturated = True
-                    self._changed.wait()
-                if waited_from is not None:
-                    self._wait.observe(perf_counter() - waited_from)
-                if self._closed:
-                    raise ServiceError("emit on a closed MonitorService")
-                if self._failed:
-                    return  # the service surfaces the worker's error
-                room = max(1, self._capacity - len(self._items))
-                chunk = deliveries[start : start + room]
-                if not self._items and (
-                    self._lag is not None or self._wait_cell is not None
-                ):
-                    self._head_since = perf_counter()
-                self._items.extend(chunk)
-                self._pending += len(chunk)
-                start += len(chunk)
-                if self._depth is not None:
-                    self._depth.set(len(self._items))
-                self._changed.notify_all()
-            if saturated and self._saturation is not None:
-                self._saturation()
-
-    def take(self, limit: int) -> list[_Delivery] | None:
-        """Up to ``limit`` deliveries; ``None`` once closed and empty."""
-        with self._changed:
-            while not self._items and not self._closed:
-                self._changed.wait()
-            if not self._items:
-                return None
-            batch = self._items[:limit]
-            del self._items[:limit]
-            if self._head_since is not None:
-                now = perf_counter()
-                if self._lag is not None:
-                    self._lag.observe(now - self._head_since)
-                if self._wait_cell is not None:
-                    self._wait_cell.add(now - self._head_since)
-                self._head_since = now if self._items else None
-            if self._depth is not None:
-                self._depth.set(len(self._items))
-            self._changed.notify_all()
-            return batch
-
-    def mark_done(self, count: int) -> None:
-        with self._changed:
-            self._pending -= count
-            self._changed.notify_all()
-
-    def depth(self) -> int:
-        """Deliveries currently queued (saturation watch; racy by nature)."""
-        with self._lock:
-            return len(self._items)
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def fail(self) -> None:
-        """Worker died: drop queued work, zero accounting, unblock everyone."""
-        with self._changed:
-            self._failed = True
-            self._items.clear()
-            self._pending = 0
-            self._changed.notify_all()
-
-    def close(self) -> None:
-        with self._changed:
-            self._closed = True
-            self._changed.notify_all()
-
-    def wait_idle(self) -> None:
-        with self._changed:
-            while self._pending > 0:
-                self._changed.wait()
-
-
 class MonitorService:
     """A sharded online monitoring service over N engine shards.
 
@@ -314,9 +177,19 @@ class MonitorService:
     runs on generated kernels (process-mode workers regenerate them in
     their own interpreter; see ``docs/dispatch-kernels.md``).
 
-    ``mode`` is ``"thread"`` (queues + workers + backpressure) or
-    ``"inline"`` (synchronous dispatch, deterministic).  ``on_verdict``
-    receives every merged :class:`VerdictRecord` as it happens.
+    ``mode`` is ``"thread"`` (worker threads behind bounded queues),
+    ``"process"`` (forked worker processes behind the same queues and
+    protocol) or ``"inline"`` (synchronous dispatch, deterministic).  In
+    the queued modes :attr:`engines` is empty (the engines live in the
+    workers) and property handlers receive
+    :class:`~repro.runtime.tracelog.ReplayToken` stand-ins for the
+    parameter objects.  ``on_verdict`` receives every merged
+    :class:`VerdictRecord` as it happens, bound to the live objects.
+
+    ``queue_capacity`` bounds each shard queue: in deliveries for a
+    thread worker, in messages of at most ``batch_size`` deliveries for
+    a process worker.  A full queue blocks the emitter (backpressure).
+    ``batch_size`` is also the largest engine batch a worker dispatches.
 
     ``telemetry`` turns on the observability plane (pass ``True`` for
     defaults or a configured :class:`repro.obs.telemetry.Telemetry`):
@@ -378,12 +251,6 @@ class MonitorService:
         #: sticky state and the shard queues must advance in lock step.
         self._emit_lock = threading.Lock()
         self.restored_tokens: dict[str, Any] = {}
-        #: Engine construction kwargs, kept for supervised shard rebuilds.
-        self._engine_kwargs = {
-            "system": system, "gc": gc,
-            "propagation": propagation, "scan_budget": scan_budget,
-        }
-        self._queue_capacity = queue_capacity
 
         # -- supervision hooks (installed by ShardSupervisor) --------------
         #: True once a ShardSupervisor owns this service: single-shard
@@ -394,52 +261,36 @@ class MonitorService:
         #: shard's deliveries are enqueued (the supervisor's journal tap).
         self._delivery_tap: "Callable[[int, list], None] | None" = None
         #: fn(symbols) — called under the emit lock before a retire
-        #: broadcast (process mode's death markers).
+        #: broadcast (the queued modes' death markers).
         self._retire_tap: "Callable[[list], None] | None" = None
-        #: fn(shard, engine, batch) — replaces the thread workers' batch
-        #: dispatch (fault injection + quarantine).
-        self._dispatch_guard: "Callable[[int, MonitoringEngine, list], None] | None" = None
-        #: fn(shard, exc) — a supervised thread worker died; fired from
-        #: the dying worker thread after it failed its own queue.
-        self._on_shard_failure: "Callable[[int, BaseException], None] | None" = None
-        #: fn(record) — a process worker quarantined a delivery.
+        #: fn(record) — a worker quarantined a delivery.
         self._on_worker_quarantine: "Callable[[dict], None] | None" = None
         #: fn(event, params) -> bool — load shedding: True drops the event
         #: (counted by the supervisor, not delivered to any shard).
         self._shed_filter: "Callable[[str, Mapping[str, Any]], bool] | None" = None
-        #: Per-shard failure record for supervised restarts (thread mode).
-        self._shard_failures: "list[BaseException | None]" = [None] * shards
         #: Worker incarnation per shard; verdicts from older epochs are
         #: stale (their replacement replays them) and must not re-admit.
         self._shard_epochs = [0] * shards
         #: Exactly-once verdict admission: the next global verdict ordinal
         #: each shard may admit.  A replayed worker regenerates ordinals
-        #: below this floor; the drain paths skip them.
+        #: below this floor; the drainer skips them.
         self._admitted = [0] * shards
 
         #: The service-level telemetry plane (``True`` means "defaults").
-        #: Thread/inline shard engines share this registry — their locked
-        #: counters merge exactly across worker threads; process-mode
-        #: workers build fresh registries from its config and their
-        #: snapshots merge back at :meth:`metrics_snapshot` time.
+        #: Inline shard engines share this registry; queued workers build
+        #: fresh registries from its config and their snapshots merge back
+        #: at :meth:`metrics_snapshot` time.
         self.telemetry = as_telemetry(telemetry)
         self._exposition = None
         self._m_events = None
         self._m_roundtrip = None
         self._verdict_counters: list[Any] = []
-        #: Span buffer shared with thread/inline shard workers (None when
-        #: the telemetry policy has tracing off); see :meth:`trace_spans`.
+        #: The parent's span buffer (None when the telemetry policy has
+        #: tracing off); see :meth:`trace_spans`.
         self._tracer = self.telemetry.tracer if self.telemetry is not None else None
         self._batch_seq = 0
-        #: Service-side attribution cells (queue-wait); the shard engines
-        #: own the per-property stages.
-        self._attribution = None
-        if self.telemetry is not None and self.telemetry.attribution:
-            from ..obs.attribution import AttributionPlane
-
-            self._attribution = AttributionPlane(self.telemetry)
-        #: Per-shard flight recorders (thread/inline); process workers hold
-        #: their own and ship dumps back over the control channel.
+        #: Per-shard flight recorders (inline); queued workers hold their
+        #: own and ship dumps back over the control channel.
         self.flight_recorders: list[Any] = []
         if flight_recorder is True:
             self._recorder_capacity: "int | None" = 0  # 0 → recorder default
@@ -448,7 +299,7 @@ class MonitorService:
         else:
             self._recorder_capacity = None
         self._final_worker_spans: "list[list[dict]] | None" = None
-        #: Dumps shipped back from process workers (crash-time or at close).
+        #: Dumps shipped back from queued workers (at close).
         self._worker_dumps: list[dict] = []
         if self.telemetry is not None:
             obs_registry = self.telemetry.registry
@@ -471,11 +322,9 @@ class MonitorService:
 
         self.engines: list[MonitoringEngine] = []
         self._pool = None
-        self._queues: list[_ShardQueue] = []
-        self._workers: list[threading.Thread] = []
-        if mode == "process":
+        if mode != "inline":
             from ..persist.codec import materialize_tokens, trace_symbol_of
-            from .process_backend import ProcessShardPool
+            from .process_backend import ShardPool
 
             # One symbol space for events, retires, verdicts and checkpoints.
             self._registry = SymbolRegistry(on_death=self._note_death)
@@ -506,7 +355,7 @@ class MonitorService:
                     _restore_from["router"], self.restored_tokens
                 )
                 self._apply_shard_pins(_restore_from)
-            self._pool = ProcessShardPool(
+            self._pool = ShardPool(
                 self.registry,
                 shards,
                 {
@@ -515,17 +364,11 @@ class MonitorService:
                     "propagation": propagation,
                     "scan_budget": scan_budget,
                 },
+                transport=mode,
                 snapshots=engine_snapshots,
                 queue_capacity=queue_capacity,
-                # Per-shard configs: each forked worker rebuilds its own
-                # Telemetry with a shard-offset sampler phase, so sampled
-                # ticks do not phase-align across shards and bias
-                # attribution toward co-routed events.
-                telemetry_configs=(
-                    [self.telemetry.config(shard=s) for s in range(shards)]
-                    if self.telemetry is not None
-                    else None
-                ),
+                batch_size=batch_size,
+                telemetry=self.telemetry,
                 flight_recorder_capacity=self._recorder_capacity,
                 fault_configs=_fault_configs,
                 quarantine_config=_quarantine,
@@ -567,98 +410,6 @@ class MonitorService:
                 )
                 self.flight_recorders.append(engine.enable_flight_recorder(recorder))
 
-        if mode == "thread":
-            self._q_depth = self._q_wait = self._q_lag = None
-            if self.telemetry is not None:
-                obs_registry = self.telemetry.registry
-                self._q_depth = _declare_metric(
-                    obs_registry, "repro_service_queue_depth"
-                )
-                self._q_wait = _declare_metric(
-                    obs_registry, "repro_service_backpressure_wait_seconds"
-                )
-                self._q_lag = _declare_metric(
-                    obs_registry, "repro_service_drain_lag_seconds"
-                )
-            self._queues = [
-                self._make_thread_queue(shard) for shard in range(shards)
-            ]
-            self._workers = [
-                threading.Thread(
-                    target=self._worker_loop,
-                    args=(shard, self._queues[shard], self.engines[shard]),
-                    name=f"repro-shard-{shard}",
-                    daemon=True,
-                )
-                for shard in range(shards)
-            ]
-            for worker in self._workers:
-                worker.start()
-
-    def _make_thread_queue(self, shard: int) -> _ShardQueue:
-        """One shard's bounded queue, with its telemetry children wired.
-
-        Late-binds the flight-recorder saturation hook through
-        ``self.flight_recorders[shard]`` so a queue built for a restarted
-        shard triggers the *replacement* engine's recorder.
-        """
-        saturation = None
-        if self._recorder_capacity is not None:
-
-            def saturation(shard: int = shard) -> None:
-                if self.flight_recorders:
-                    self.flight_recorders[shard].trigger(
-                        "queue-saturation", shard=shard
-                    )
-
-        return _ShardQueue(
-            self._queue_capacity,
-            self._q_depth.labels(str(shard)) if self._q_depth is not None else None,
-            self._q_wait.labels(str(shard)) if self._q_wait is not None else None,
-            self._q_lag.labels(str(shard)) if self._q_lag is not None else None,
-            (
-                self._attribution.cell(f"shard:{shard}", "queue-wait")
-                if self._attribution is not None
-                else None
-            ),
-            saturation,
-        )
-
-    def _replace_thread_shard(self, shard: int, engine: MonitoringEngine) -> None:
-        """Install a replacement engine + queue + worker for one shard.
-
-        The supervised-restart primitive (thread mode): the caller holds
-        the emit lock, has already bumped the shard's epoch, built and
-        replayed the replacement engine, and cleared the failure record.
-        The failed queue's producers were unblocked by its ``fail()``;
-        anything it dropped is in the supervisor's journal.
-        """
-        old_queue = self._queues[shard]
-        old_queue.fail()
-        old_queue.close()
-        self._shard_failures[shard] = None
-        self.engines[shard] = engine
-        if self._recorder_capacity is not None and self.flight_recorders:
-            from ..obs.recorder import FlightRecorder
-
-            recorder = (
-                FlightRecorder()
-                if self._recorder_capacity == 0
-                else FlightRecorder(capacity=self._recorder_capacity)
-            )
-            self.flight_recorders[shard] = engine.enable_flight_recorder(recorder)
-        queue = self._make_thread_queue(shard)
-        queue.delay = old_queue.delay
-        self._queues[shard] = queue
-        worker = threading.Thread(
-            target=self._worker_loop,
-            args=(shard, queue, engine),
-            name=f"repro-shard-{shard}",
-            daemon=True,
-        )
-        self._workers[shard] = worker
-        worker.start()
-
     def _apply_shard_pins(self, checkpoint: Mapping[str, Any]) -> None:
         for symbol, shard in _anchor_pin_assignments(checkpoint, self.router).items():
             token = self.restored_tokens.get(symbol)
@@ -667,70 +418,68 @@ class MonitorService:
 
     # -- verdict plumbing ----------------------------------------------------
 
-    def _verdict_callback(self, shard: int, epoch: int = 0, base: int = 0):
-        """Per-shard engine verdict sink with exactly-once admission.
+    def _merge_verdict(
+        self,
+        shard: int,
+        spec_name: str,
+        formalism: str,
+        category: str,
+        binding: Any,
+        provenance: "dict | None",
+    ) -> None:
+        """Admit one verdict into the merged views (both dispatch paths)."""
+        record = VerdictRecord(
+            shard=shard,
+            spec_name=spec_name,
+            formalism=formalism,
+            category=category,
+            binding=binding,
+            provenance=(
+                {"shard": shard, **provenance} if provenance is not None else None
+            ),
+        )
+        if self._verdict_counters:
+            self._verdict_counters[shard].inc()
+        if self._keep_verdict_log:
+            self.verdict_log.append(record)
+        if self._tracer is not None:
+            self._tracer.record(
+                "service.verdict_merge", "service",
+                start=time.time(), duration=0.0,
+                shard=shard, property=spec_name, category=category,
+            )
+        if self._on_verdict is not None:
+            self._on_verdict(record)
 
-        ``epoch``/``base`` support supervised thread-shard restarts: a
-        replacement engine replaying from a checkpoint regenerates the
-        verdicts the old incarnation already delivered; assigning each
-        verdict the global ordinal ``base + n`` and admitting only ordinals
-        at or above the shard's floor dedups the replay without comparing
-        verdict contents.  Callbacks from a superseded incarnation (its
-        thread may still be unwinding) are dropped by the epoch check.
-        """
-        counter = self._verdict_counters[shard] if self._verdict_counters else None
-        sent = [0]
+    def _verdict_callback(self, shard: int):
+        """Inline shard engine verdict sink."""
 
         def on_verdict(
             prop: CompiledProperty, category: str, monitor: MonitorInstance
         ) -> None:
-            if self._shard_epochs[shard] != epoch:
-                return
-            ordinal = base + sent[0]
-            sent[0] += 1
-            if ordinal < self._admitted[shard]:
-                return
-            self._admitted[shard] = ordinal + 1
-            provenance = monitor.provenance
-            if provenance is not None:
-                provenance = {"shard": shard, **provenance}
-            record = VerdictRecord(
-                shard=shard,
-                spec_name=prop.spec_name,
-                formalism=prop.formalism,
-                category=category,
-                binding=monitor.binding().items(),
-                provenance=provenance,
+            self._merge_verdict(
+                shard, prop.spec_name, prop.formalism, category,
+                monitor.binding().items(), monitor.provenance,
             )
-            if counter is not None:
-                counter.inc()
-            if self._keep_verdict_log:
-                self.verdict_log.append(record)
-            if self._tracer is not None:
-                self._tracer.record(
-                    "service.verdict_merge", "service",
-                    start=time.time(), duration=0.0,
-                    shard=shard, property=prop.spec_name, category=category,
-                )
-            if self._on_verdict is not None:
-                self._on_verdict(record)
 
         return on_verdict
 
-    # -- process-backend plumbing -------------------------------------------
+    # -- queued-mode plumbing ------------------------------------------------
 
     def _note_death(self, symbol: str) -> None:
         """Registry death callback: queue a retire for the next flush.
 
         Runs in whatever thread drops the last reference to a parameter
         object, so it only appends under a dedicated lock — the actual
-        cross-process send happens at the next emit/drain, preserving the
+        send happens at the next emit/drain, preserving the
         events-before-retire order on every shard queue.
         """
         with self._retire_lock:
             self._pending_retires.append(symbol)
 
     def _flush_retires(self) -> None:
+        if not self._pending_retires:
+            return  # a death recorded concurrently rides the next flush
         with self._retire_lock:
             pending, self._pending_retires = self._pending_retires, []
         if pending:
@@ -742,6 +491,11 @@ class MonitorService:
             except ServiceError:
                 if not self._supervised:
                     raise
+
+    def _record_failure(self, exc: BaseException) -> None:
+        with self._failure_lock:
+            if self._failure is None:
+                self._failure = exc
 
     def _verdict_drain_loop(self) -> None:
         """Parent-side consumer of the shared worker verdict queue.
@@ -763,68 +517,44 @@ class MonitorService:
                     if sink is not None:
                         sink(item[1])
                 except BaseException as exc:
-                    with self._failure_lock:
-                        if self._failure is None:
-                            self._failure = exc
+                    self._record_failure(exc)
                 continue
-            (
-                shard, spec_name, formalism, category,
-                symbol_binding, provenance, epoch, idx,
-            ) = item
-            try:
-                # Exactly-once admission across worker restarts: a replayed
-                # worker regenerates verdicts the old incarnation already
-                # delivered; its ordinals fall below the shard's floor.
-                base = self._epoch_bases.get((shard, epoch), 0)
-                ordinal = base + idx
-                admit = ordinal >= self._admitted[shard]
-                if admit:
-                    self._admitted[shard] = ordinal + 1
-                    pairs = []
-                    for name, symbol in symbol_binding:
-                        value = self._registry.resolve(symbol)
-                        if value is None:
-                            # The parent-side object died (or was a symbolic
-                            # stream's immortal literal, whose text *is* the
-                            # value): keep the symbol string — it keys
-                            # identically under symbolic comparison, and a
-                            # GC race between the worker's send and this
-                            # resolve must not change the binding shape.
-                            value = symbol
-                        pairs.append((name, value))
-                    record = VerdictRecord(
-                        shard=shard,
-                        spec_name=spec_name,
-                        formalism=formalism,
-                        category=category,
-                        binding=tuple(pairs),
-                        provenance=(
-                            {"shard": shard, **provenance}
-                            if provenance is not None
-                            else None
-                        ),
-                    )
-                    if self._verdict_counters:
-                        self._verdict_counters[shard].inc()
-                    if self._keep_verdict_log:
-                        self.verdict_log.append(record)
-                    if self._tracer is not None:
-                        self._tracer.record(
-                            "service.verdict_merge", "service",
-                            start=time.time(), duration=0.0,
-                            shard=shard, property=spec_name, category=category,
-                        )
-                    if self._on_verdict is not None:
-                        self._on_verdict(record)
-            except BaseException as exc:
-                with self._failure_lock:
-                    if self._failure is None:
-                        self._failure = exc
-            finally:
-                with self._verdict_cond:
-                    key = (shard, epoch)
-                    self._epoch_received[key] = self._epoch_received.get(key, 0) + 1
-                    self._verdict_cond.notify_all()
+            _kind, shard, epoch, first, verdicts = item
+            for offset, verdict in enumerate(verdicts):
+                try:
+                    self._admit_verdict(shard, epoch, first + offset, verdict)
+                except BaseException as exc:
+                    self._record_failure(exc)
+            with self._verdict_cond:
+                key = (shard, epoch)
+                self._epoch_received[key] = (
+                    self._epoch_received.get(key, 0) + len(verdicts)
+                )
+                self._verdict_cond.notify_all()
+
+    def _admit_verdict(self, shard: int, epoch: int, index: int, verdict: tuple) -> None:
+        """Exactly-once admission across worker restarts: a replayed
+        worker regenerates verdicts the old incarnation already delivered;
+        their ordinals fall below the shard's floor."""
+        ordinal = self._epoch_bases.get((shard, epoch), 0) + index
+        if ordinal < self._admitted[shard]:
+            return
+        self._admitted[shard] = ordinal + 1
+        spec_name, formalism, category, symbol_binding, provenance = verdict
+        pairs = []
+        for name, symbol in symbol_binding:
+            value = self._registry.resolve(symbol)
+            if value is None:
+                # The parent-side object died (or was a symbolic stream's
+                # immortal literal, whose text *is* the value): keep the
+                # symbol string — it keys identically under symbolic
+                # comparison, and a GC race between the worker's send and
+                # this resolve must not change the binding shape.
+                value = symbol
+            pairs.append((name, value))
+        self._merge_verdict(
+            shard, spec_name, formalism, category, tuple(pairs), provenance
+        )
 
     def _await_verdicts(
         self, counts: "list[tuple[int, int]]", workers_exited: bool = False
@@ -862,74 +592,14 @@ class MonitorService:
                     continue
                 if voided():
                     raise ServiceError("a shard worker restarted mid-drain")
-                if not self._pool.alive():
-                    # Supervised or not, this barrier cannot complete: the
-                    # dead worker's backlog needs a respawn + replay first
-                    # (the supervisor catches this and heals the shard).
-                    raise ServiceError("a shard worker died mid-drain")
-
-    # -- worker side ---------------------------------------------------------
-
-    def _worker_loop(self, shard: int, queue: _ShardQueue, engine: MonitoringEngine) -> None:
-        batch_timer = None
-        if self.telemetry is not None:
-            batch_timer = _declare_metric(
-                self.telemetry.registry, "repro_service_drain_batch_seconds"
-            ).labels(str(shard))
-        tracer = self._tracer
-        while True:
-            batch = queue.take(self.batch_size)
-            if batch is None:
-                return
-            try:
-                guard = self._dispatch_guard
-                if guard is not None:
-                    guard(shard, engine, batch)
-                elif batch_timer is None and tracer is None:
-                    engine.emit_selected_batch(batch)
-                else:
-                    wall = time.time()
-                    started = perf_counter()
-                    engine.emit_selected_batch(batch)
-                    elapsed = perf_counter() - started
-                    if batch_timer is not None:
-                        batch_timer.observe(elapsed)
-                    if tracer is not None:
-                        tracer.record(
-                            "shard.drain", "service",
-                            start=wall, duration=elapsed,
-                            shard=shard, events=len(batch),
-                        )
-            except BaseException as exc:  # surface at drain()/close()/emit()
-                if self.flight_recorders:
-                    self.flight_recorders[shard].trigger(
-                        "worker-exception", shard=shard, error=repr(exc)
-                    )
-                if self._supervised:
-                    # Contain the blast radius to this shard: record the
-                    # failure, unblock this queue's producers, and let the
-                    # supervisor rebuild the shard from checkpoint+journal.
-                    self._shard_failures[shard] = exc
-                    queue.fail()
-                    cb = self._on_shard_failure
-                    if cb is not None:
-                        try:
-                            cb(shard, exc)
-                        except BaseException:
-                            pass
-                    return
-                with self._failure_lock:
-                    if self._failure is None:
-                        self._failure = exc
-                for other in self._queues:
-                    other.fail()
-                return
-            finally:
-                queue.mark_done(len(batch))
+                # Supervised or not, a barrier cannot complete past a dead
+                # worker: its backlog needs a respawn + replay first (the
+                # supervisor catches this and heals the shard).
+                self._pool.check_alive()
 
     def _pool_roundtrip(self, op: str, call: Callable[[], Any]) -> Any:
-        """Run one process-backend control round trip, timed when telemetry
-        is on (``repro_service_roundtrip_seconds{op=...}``)."""
+        """Run one shard-pool control round trip, timed when telemetry is
+        on (``repro_service_roundtrip_seconds{op=...}``)."""
         if self._m_roundtrip is None:
             return call()
         started = perf_counter()
@@ -952,8 +622,8 @@ class MonitorService:
         """Route one parametric event to its shard(s).
 
         Mirrors :meth:`MonitoringEngine.emit`: with ``_strict=False`` an
-        event no property declares is dropped silently.  In thread mode the
-        call blocks while every destination shard queue is full
+        event no property declares is dropped silently.  In the queued
+        modes the call blocks while a destination shard queue is full
         (backpressure); processing is asynchronous — use :meth:`drain` for
         a happens-before edge to the verdict log and statistics.
         """
@@ -968,8 +638,8 @@ class MonitorService:
         delivered to at least one shard.
 
         Routing happens up front and deliveries are grouped per shard, so
-        the queue locks are taken once per (shard, batch) rather than once
-        per event.
+        each shard receives one message (or one engine call) per batch
+        rather than one per event.
         """
         if self._closed:
             raise ServiceError("emit on a closed MonitorService")
@@ -977,7 +647,8 @@ class MonitorService:
         per_shard: list[list[_Delivery]] = [[] for _ in range(self.shards)]
         route = self.router.route
         accepted = 0
-        process = self.mode == "process"
+        pool = self._pool
+        symbol_of = self._symbol_of if pool is not None else None
         tracer = self._tracer
         batch_id = None
         if tracer is not None:
@@ -990,7 +661,7 @@ class MonitorService:
             if tracer is not None:
                 self._batch_seq += 1
                 batch_id = self._batch_seq
-            if process:
+            if pool is not None:
                 # Deaths recorded since the last batch precede these events
                 # on every shard queue (their objects died, so no event in
                 # this batch can mention them).
@@ -1008,41 +679,30 @@ class MonitorService:
                     # event reaches no shard and no statistics.
                     continue
                 accepted += 1
-                if process:
-                    symbol_of = self._symbol_of
-                    payload = {
-                        name: symbol_of(value) for name, value in params.items()
-                    }
-                    for shard, delivery in route(event, params):
-                        per_shard[shard].append((event, payload, delivery))
-                    continue
+                # Routing reads the real objects; queues carry symbols.
+                payload = (
+                    params
+                    if symbol_of is None
+                    else {name: symbol_of(value) for name, value in params.items()}
+                )
                 for shard, delivery in route(event, params):
-                    per_shard[shard].append((event, params, delivery))
+                    per_shard[shard].append((event, payload, delivery))
             tap = self._delivery_tap
-            if self.mode == "inline":
-                for shard, deliveries in enumerate(per_shard):
-                    if deliveries:
-                        if tap is not None:
-                            tap(shard, deliveries)
-                        self.engines[shard].emit_selected_batch(deliveries)
-            elif process:
-                for shard, deliveries in enumerate(per_shard):
-                    if deliveries:
-                        if tap is not None:
-                            tap(shard, deliveries)
-                        try:
-                            self._pool.send_events(shard, deliveries, batch_id)
-                        except ServiceError:
-                            # Supervised: the journal holds these deliveries;
-                            # the respawned worker replays them.
-                            if not self._supervised:
-                                raise
-            else:
-                for shard, deliveries in enumerate(per_shard):
-                    if deliveries:
-                        if tap is not None:
-                            tap(shard, deliveries)
-                        self._queues[shard].put_many(deliveries)
+            for shard, deliveries in enumerate(per_shard):
+                if not deliveries:
+                    continue
+                if pool is None:
+                    self.engines[shard].emit_selected_batch(deliveries)
+                    continue
+                if tap is not None:
+                    tap(shard, deliveries)
+                try:
+                    pool.send_events(shard, deliveries, batch_id)
+                except ServiceError:
+                    # Supervised: the journal holds these deliveries; the
+                    # respawned worker replays them.
+                    if not self._supervised:
+                        raise
         if tracer is not None and accepted:
             tracer.record(
                 "service.emit_batch", "service",
@@ -1051,10 +711,8 @@ class MonitorService:
             )
         if self._m_events is not None and accepted:
             self._m_events.inc(accepted)
-        if self.mode == "thread":
-            self._check_failure()
-        elif process and not self._supervised and not self._pool.alive():
-            raise ServiceError("a shard worker process died")
+        if pool is not None and not self._supervised:
+            pool.check_alive()
         return accepted
 
     def note_deaths(self, dead: Mapping[str, Iterable[int]]) -> None:
@@ -1063,16 +721,14 @@ class MonitorService:
         The live instrumentation layer (:mod:`repro.instrument.live`)
         drains its ``weakref``-callback ledger at each event boundary and
         hands the coalesced ``{param name: dead ids}`` map here; each
-        thread/inline shard engine queues it exactly like its own eager
+        inline shard engine queues it exactly like its own eager
         watcher's observations (see
         :meth:`~repro.runtime.engine.MonitoringEngine.note_deaths` — a
         no-op under lazy propagation, where dead keys are discovered on
-        access).  In process mode this is a no-op: worker GC is driven by
-        the symbol registry's death-retire flow, which already watches
-        every routed parameter object.
+        access).  In the queued modes this is a no-op (:attr:`engines` is
+        empty): worker GC is driven by the symbol registry's retire
+        markers, which already cover every routed parameter object.
         """
-        if self.mode == "process":
-            return
         for engine in self.engines:
             engine.note_deaths(dead)
 
@@ -1092,11 +748,7 @@ class MonitorService:
         same two events, keeping the determinism suite's verdict-multiset
         equality valid across hot load/unload.
         """
-        if self.mode == "thread":
-            for queue in self._queues:
-                queue.wait_idle()
-            self._check_failure()
-        elif self.mode == "process":
+        if self._pool is not None:
             self._flush_retires()
             with self._control_lock:
                 counts = self._pool_roundtrip("barrier", self._pool.barrier)
@@ -1107,9 +759,10 @@ class MonitorService:
 
         ``item`` is anything the constructor accepts.  The service drains
         in-flight events behind a barrier, attaches the new properties to
-        every shard engine (process-mode workers re-compile them from
-        source text or a paper-property key and their fingerprints are
-        verified against the parent's), extends the routing table, and
+        every shard engine (thread workers share the compiled property;
+        process workers re-compile it from source text or a paper-property
+        key), verifies every worker's fingerprint against the parent's,
+        extends the routing table, and
         bumps the registry epoch — all between two event sequence numbers.
         """
         if self._closed:
@@ -1121,7 +774,7 @@ class MonitorService:
                 f"cannot register {len(normalized)} properties under one "
                 f"name {name!r}"
             )
-        if self.mode == "process":
+        if self._pool is not None and not self._pool.transport.shares_objects:
             for _prop, origin in normalized:
                 if origin.get("kind") not in PORTABLE_ORIGIN_KINDS:
                     raise ServiceError(
@@ -1147,10 +800,10 @@ class MonitorService:
                     )
                 )
                 want_fingerprint = prop.fingerprint()
-                if self.mode == "process":
+                if self._pool is not None:
                     with self._control_lock:
                         fingerprints = self._pool.register_property(
-                            {"name": entry_name, "origin": dict(origin)}
+                            {"name": entry_name, "origin": dict(origin)}, prop
                         )
                     for shard, fingerprint in enumerate(fingerprints):
                         if fingerprint != want_fingerprint:
@@ -1161,9 +814,7 @@ class MonitorService:
                                 f"fingerprint {fingerprint}, parent has "
                                 f"{want_fingerprint}"
                             )
-                            with self._failure_lock:
-                                if self._failure is None:
-                                    self._failure = failure
+                            self._record_failure(failure)
                             raise failure
                 else:
                     for engine in self.engines:
@@ -1196,7 +847,7 @@ class MonitorService:
                     f"property {entry.name!r} is already removed"
                 )
             self._quiesce_locked()
-            if self.mode == "process":
+            if self._pool is not None:
                 with self._control_lock:
                     self._pool.unregister_property(entry.index)
             else:
@@ -1221,7 +872,7 @@ class MonitorService:
             if entry.removed:
                 raise RegistryError(f"property {entry.name!r} has been removed")
             self._quiesce_locked()
-            if self.mode == "process":
+            if self._pool is not None:
                 with self._control_lock:
                     self._pool.set_property_enabled(entry.index, enabled)
             else:
@@ -1237,14 +888,11 @@ class MonitorService:
     def drain(self) -> None:
         """Block until every enqueued event has been fully processed.
 
-        In process mode this also waits for every verdict those events
-        produced to land in the merged log (the cross-process analog of
-        thread mode's happens-before edge).
+        In the queued modes this is a barrier round trip through every
+        shard queue, and it also waits for every verdict those events
+        produced to land in the merged log.
         """
-        if self.mode == "thread":
-            for queue in self._queues:
-                queue.wait_idle()
-        elif self.mode == "process" and not self._closed:
+        if self._pool is not None and not self._closed:
             with self._emit_lock:
                 self._flush_retires()
             with self._control_lock:
@@ -1257,7 +905,7 @@ class MonitorService:
 
         Idempotent.  After closing, :meth:`emit` raises
         :class:`~repro.core.errors.ServiceError`; statistics and the
-        verdict log remain readable (process mode caches the workers'
+        verdict log remain readable (the queued modes cache the workers'
         final statistics before they exit).
         """
         if self._closed:
@@ -1294,14 +942,10 @@ class MonitorService:
                     self._worker_dumps.extend(worker_dumps)
                     self._await_verdicts(counts, workers_exited=True)
                 else:
-                    self._pool.terminate()
+                    self._pool.abort()
             finally:
                 self._pool.verdict_q.put(None)  # stop the drainer thread
                 self._drainer.join(timeout=10.0)
-        for queue in self._queues:
-            queue.close()
-        for worker in self._workers:
-            worker.join(timeout=10.0)
         for engine in self.engines:
             engine.flush_gc()
         if failure_seen is not None:
@@ -1328,7 +972,7 @@ class MonitorService:
         if self._closed:
             raise ServiceError("checkpoint on a closed MonitorService")
         self.drain()
-        if self.mode == "process":
+        if self._pool is not None:
             with self._emit_lock:
                 with self._control_lock:
                     engines = self._pool_roundtrip(
@@ -1339,14 +983,9 @@ class MonitorService:
             from ..persist.codec import snapshot_engine, trace_symbol_of
             from ..runtime.tracelog import ReplayToken
 
-            # Hold the emit lock across idle-wait + snapshot: with several
-            # emitter threads, an emit slipping in between a bare drain()
-            # and the snapshot would let shard workers mutate engines
-            # mid-serialization.
+            # Hold the emit lock across the snapshot: an emitter thread
+            # dispatching inline would mutate engines mid-serialization.
             with self._emit_lock:
-                for queue in self._queues:
-                    queue.wait_idle()
-                self._check_failure()
                 # Seed the snapshot namespace with every replay token the
                 # engines hold (including restore()-produced ones) before
                 # any fresh `oN` minting — adoption-after-minting could
@@ -1416,12 +1055,12 @@ class MonitorService:
         )
 
     def restart_shard(self, shard: int) -> None:
-        """Migrate one process-mode shard: checkpoint it, stop the worker,
-        start a replacement from the snapshot.  The replacement carries
-        the full monitor state and statistics; event flow resumes
-        seamlessly (the service drains first)."""
-        if self.mode != "process":
-            raise ServiceError("restart_shard requires mode='process'")
+        """Migrate one queued shard: checkpoint it, stop the worker, start
+        a replacement from the snapshot.  The replacement carries the full
+        monitor state and statistics; event flow resumes seamlessly (the
+        service drains first)."""
+        if self._pool is None:
+            raise ServiceError("restart_shard requires a queued mode (thread or process)")
         if not 0 <= shard < self.shards:
             raise ServiceError(f"no shard {shard}")
         self.drain()
@@ -1448,9 +1087,9 @@ class MonitorService:
     def metrics_snapshot(self) -> dict[str, Any]:
         """The whole service's metrics as one merged registry snapshot.
 
-        Folds the parent registry (service + thread/inline engine
-        metrics), every process-mode worker's registry (fetched live, or
-        the finals cached at close), and the ``repro_monitor_*`` series
+        Folds the parent registry (service + inline engine metrics),
+        every queued worker's registry (fetched live, or the finals cached
+        at close), and the ``repro_monitor_*`` series
         derived from the merged per-property statistics — the paper's
         Figure 10 counters.  Works with telemetry off too (statistics
         only).  JSON-safe; render with
@@ -1462,7 +1101,7 @@ class MonitorService:
         snapshots: list[dict[str, Any]] = []
         if self.telemetry is not None:
             snapshots.append(self.telemetry.snapshot())
-            if self.mode == "process":
+            if self._pool is not None:
                 snapshots.extend(snap for snap in self._worker_telemetry() if snap)
         stats_view = {
             f"{name}/{formalism}": stats.snapshot()
@@ -1480,11 +1119,11 @@ class MonitorService:
     def trace_spans(self) -> list[dict[str, Any]]:
         """Every structured span the service has recorded, merged in time.
 
-        Thread/inline shards record into the parent tracer directly;
-        process workers keep per-worker buffers that ship back over the
-        snapshot channel (live polls while running, the final buffers at
-        close) and are stitched into one stream here — the cross-process
-        analog of ``merge_snapshots`` for spans.  Export with
+        Inline shards record into the parent tracer directly; queued
+        workers keep per-worker buffers that ship back over the snapshot
+        channel (live polls while running, the final buffers at close) and
+        are stitched into one stream here — the span analog of
+        ``merge_snapshots``.  Export with
         :func:`repro.obs.trace.spans_to_chrome` or
         :func:`repro.obs.trace.write_spans_ndjson`.
         """
@@ -1493,7 +1132,7 @@ class MonitorService:
         if self._tracer is None:
             return []
         buffers = [self._tracer.snapshot()]
-        if self.mode == "process":
+        if self._pool is not None:
             if self._final_worker_spans is not None:
                 buffers.extend(self._final_worker_spans)
             else:
@@ -1506,9 +1145,9 @@ class MonitorService:
     def flight_recorder_dumps(self) -> list[dict[str, Any]]:
         """Every flight-recorder dump taken so far, across all shards.
 
-        Thread/inline mode reads the per-shard recorders directly;
-        process mode returns the dumps workers shipped back (on a worker
-        crash, and the remainder when the pool closes).
+        Inline mode reads the per-shard recorders directly; the queued
+        modes return the dumps workers shipped back (on a worker crash,
+        and the remainder when the pool closes).
         """
         dumps = [
             dump for recorder in self.flight_recorders for dump in recorder.dumps
@@ -1545,7 +1184,7 @@ class MonitorService:
 
     def per_shard_stats(self) -> list[dict[StatsKey, MonitorStats]]:
         """Each shard engine's statistics, indexed by shard number."""
-        if self.mode == "process":
+        if self._pool is not None:
             if self._final_shard_stats is not None:
                 return [dict(shard_stats) for shard_stats in self._final_shard_stats]
             with self._control_lock:
@@ -1574,7 +1213,7 @@ class MonitorService:
 
     def total_live_monitors(self) -> int:
         """Created-minus-collected, summed over shards and properties."""
-        if self.mode == "process":
+        if self._pool is not None:
             return sum(
                 stats.live_monitors
                 for shard_stats in self.per_shard_stats()

@@ -4,21 +4,20 @@ A :class:`~repro.service.service.MonitorService` survives a shard failure
 only if something outside the failed worker can rebuild its state and
 re-feed the events it lost.  The supervisor is that something:
 
-* **journal** — every routed delivery (and, in process mode, every retire
-  broadcast) is appended to a per-shard write-ahead journal *before* it is
+* **journal** — every routed (symbolized) delivery and every retire
+  broadcast is appended to a per-shard write-ahead journal *before* it is
   handed to the shard, under the service's emit lock; the journal's
   delivery plans are recorded verbatim so recovery replays them without
   consulting the router (whose sticky state has moved on);
 * **checkpoints** — every ``checkpoint_interval`` deliveries a shard's
-  engine is snapshotted (process mode: over the worker control channel,
-  FIFO behind the event stream; thread mode: behind the queue's idle
-  barrier) together with its journal position and verdict-admission
-  floor;
-* **supervision loop** — a health thread watches worker liveness
-  (process exit codes, thread worker failure records) and progress
-  (heartbeats FIFO behind the event queue, queue-depth movement); a dead
-  or hung shard is restarted from its last checkpoint plus the journal
-  suffix, with capped exponential backoff and a restart budget.  Verdict
+  engine is snapshotted over the worker control channel, FIFO behind the
+  event stream, together with its journal position and
+  verdict-admission floor;
+* **supervision loop** — a health thread watches worker liveness (exit
+  codes) and progress (heartbeats FIFO behind the event queue,
+  queue-depth movement); a dead shard (or a hung process) is restarted
+  from its last checkpoint plus the journal suffix, with capped
+  exponential backoff and a restart budget.  Verdict
   **epochs** keep admission exactly-once across restarts: a replayed
   worker regenerates verdicts the old incarnation already delivered, and
   the per-shard ordinal floor drops them — the merged verdict multiset
@@ -32,6 +31,11 @@ re-feed the events it lost.  The supervisor is that something:
   sheddable properties declare (disabling those properties), then
   deterministic 1-in-N sampling; every drop is counted exactly
   (``repro_events_shed_total``).
+
+Both queued modes run their shards in the same
+:class:`~repro.service.process_backend.ShardPool` worker loop, so the
+supervisor has one code path for them; only the pool's transport differs
+(a hung process is killed and restarted, a hung thread is reported).
 
 Deterministic fault injection (:class:`~repro.faults.FaultPlan`) threads
 through the same seams the real failures use, so every recovery path here
@@ -47,21 +51,11 @@ import time
 from typing import Any, Callable, Mapping, Sequence
 
 from ..core.errors import PersistError, ServiceError, SupervisionError, WalWriteError
-from ..faults import (
-    FaultPlan,
-    InjectedCrash,
-    InjectedFault,
-    QuarantinePolicy,
-    WorkerFaultState,
-    supervised_dispatch,
-)
+from ..faults import FaultPlan, QuarantinePolicy
 from ..obs.catalogue import declare as _declare_metric
-from ..persist.codec import restore_into, snapshot_engine, trace_symbol_of
 from ..persist.recovery import write_checkpoint_file
 from ..persist.wal import WalWriter, iter_wal_records
-from ..runtime.engine import MonitoringEngine
-from ..runtime.refs import SymbolRegistry
-from ..runtime.tracelog import ReplayToken
+from .process_backend import CRASH_EXIT_CODE
 from .service import MonitorService
 
 __all__ = ["ShardSupervisor", "supervise"]
@@ -112,23 +106,6 @@ def _decode_plan(encoded: Sequence) -> tuple:
     )
 
 
-def _snapshot_symbols(snapshot: Mapping[str, Any]) -> set[str]:
-    """Every live symbol one engine snapshot mentions."""
-    symbols: set[str] = set()
-    for runtime in snapshot["runtimes"]:
-        if runtime is None:
-            continue
-        for record in runtime["touched"]:
-            symbols.update(record["params"].values())
-        for monitor in runtime["monitors"]:
-            symbols.update(
-                symbol
-                for symbol in monitor["params"].values()
-                if not symbol.startswith("!dead:")
-            )
-    return symbols
-
-
 class _ShardState:
     """The supervisor's per-shard book: journal, checkpoint, failures."""
 
@@ -152,7 +129,9 @@ class _ShardState:
         self.last_progress = time.monotonic()
         self.last_queue_depth = 0
         self.journal_error: "str | None" = None
-        #: Thread-mode hang flag (detect/report only: threads can't be killed).
+        #: The worker stopped draining for ``ipc_deadline``: a thread is
+        #: reported until its queue moves again, a process is killed and
+        #: restarted (the flag then names the restart's reason).
         self.hung = False
 
 
@@ -166,8 +145,8 @@ class ShardSupervisor:
     runs in the caller's thread — there is nothing to supervise).  The
     supervisor installs itself into the service's supervision hooks at
     construction; build both together with :func:`supervise` when using a
-    :class:`~repro.faults.FaultPlan` (process workers need their fault
-    configs at fork time).
+    :class:`~repro.faults.FaultPlan` or a quarantine policy (workers
+    receive their fault configs when they start).
 
     ``directory`` holds the per-shard journals (``shard-N/journal/``),
     checkpoint files (``shard-N/checkpoint-*.ckpt``) and the quarantine
@@ -194,7 +173,7 @@ class ShardSupervisor:
         fsync_interval: int = 64,
         start: bool = True,
     ):
-        if service.mode not in ("thread", "process"):
+        if service._pool is None:
             raise SupervisionError(
                 f"cannot supervise a mode={service.mode!r} service: inline "
                 "dispatch runs in the caller's thread"
@@ -229,11 +208,6 @@ class ShardSupervisor:
         self._restart_durations: list[float] = []
         self._closed = False
         self._stop = threading.Event()
-        #: Thread-mode symbol namespace: journals, checkpoints, and replay
-        #: all resolve parameter objects through it.  (Process mode reuses
-        #: the service's own registry — deliveries arrive pre-symbolized.)
-        self._registry = SymbolRegistry()
-        self._symbol_of = trace_symbol_of(self._registry)
 
         self._shards: list[_ShardState] = []
         for shard in range(service.shards):
@@ -249,20 +223,9 @@ class ShardSupervisor:
             )
             self._shards.append(_ShardState(journal, journal_dir))
 
-        #: Thread-mode per-shard fault runtimes (shared between the live
-        #: dispatch guard and recovery replay, so delivery ordinals stay
-        #: absolute across restarts).
-        self._thread_states: "list[WorkerFaultState | None]" = [
-            None for _ in range(service.shards)
-        ]
-        if service.mode == "thread" and plan is not None:
+        if plan is not None:
             for shard in range(service.shards):
-                config = plan.worker_config(shard)
-                if config is not None:
-                    self._thread_states[shard] = WorkerFaultState(config)
-                delay = plan.queue_delay_hook(shard)
-                if delay is not None:
-                    service._queues[shard].delay = delay
+                service._pool.queue_delays[shard] = plan.queue_delay_hook(shard)
 
         # -- load shedding state -------------------------------------------
         self.shed_level = SHED_NONE
@@ -294,11 +257,7 @@ class ShardSupervisor:
         service._supervised = True
         service._delivery_tap = self._tap_delivery
         service._on_worker_quarantine = self._sink_quarantine
-        if service.mode == "process":
-            service._retire_tap = self._tap_retires
-        else:
-            service._dispatch_guard = self._thread_guard
-            service._on_shard_failure = lambda shard, exc: None  # health loop scans
+        service._retire_tap = self._tap_retires
 
         self._health_thread: "threading.Thread | None" = None
         if start:
@@ -388,13 +347,7 @@ class ShardSupervisor:
                 # A dead worker can't checkpoint; recovery replays more
                 # journal instead.  The next healthy delivery retries.
                 pass
-        process = self.service.mode == "process"
-        for event, params, plan in deliveries:
-            symbols = (
-                params
-                if process
-                else {name: self._symbol_of(value) for name, value in params.items()}
-            )
+        for event, symbols, plan in deliveries:
             try:
                 state.journal.append_delivery(event, symbols, _encode_plan(plan))
             except WalWriteError:
@@ -470,27 +423,18 @@ class ShardSupervisor:
         """Snapshot one shard consistently with its journal position.
 
         Caller holds the emit lock, so the journal cannot advance while
-        the position is read.  Process mode needs no drain: the "ck"
-        message is FIFO behind every previously sent event batch, so the
-        returned snapshot covers exactly the deliveries journaled so far.
-        Thread mode waits for the shard queue to go idle instead.
+        the position is read.  No drain is needed: the "ck" message is
+        FIFO behind every previously sent event batch, so the returned
+        snapshot covers exactly the deliveries journaled so far.
         """
         service = self.service
         state = self._shards[shard]
         state.journal.sync()
         journal_seq = state.journal.seq
-        if service.mode == "process":
-            with service._control_lock:
-                snapshot, sent = service._pool.checkpoint_shard_counted(shard)
-            epoch = service._shard_epochs[shard]
-            admitted = service._epoch_bases.get((shard, epoch), 0) + sent
-        else:
-            service._queues[shard].wait_idle()
-            if service._shard_failures[shard] is not None:
-                raise ServiceError(f"shard {shard} is down")
-            epoch = service._shard_epochs[shard]
-            admitted = service._admitted[shard]
-            snapshot = snapshot_engine(service.engines[shard], self._symbol_of)
+        with service._control_lock:
+            snapshot, sent = service._pool.checkpoint_shard_counted(shard)
+        epoch = service._shard_epochs[shard]
+        admitted = service._epoch_bases.get((shard, epoch), 0) + sent
         payload = {
             "kind": "shard-supervisor",
             "shard": shard,
@@ -522,32 +466,6 @@ class ShardSupervisor:
         if self._m_quarantine_depth is not None:
             self._m_quarantine_depth.set(self._quarantine_depth)
 
-    def _quarantine_thread_item(
-        self, shard: int, item: tuple, failure: BaseException, attempts: int,
-        position: "int | None",
-    ) -> None:
-        event, params, _plan = item
-        record = {
-            "shard": shard,
-            "event": event,
-            "params": {
-                name: self._symbol_of(value) for name, value in params.items()
-            },
-            "error": repr(failure),
-            "attempts": attempts,
-            "position": position,
-        }
-        if self.service.flight_recorders:
-            try:
-                dump = self.service.flight_recorders[shard].trigger(
-                    "poison-event", shard=shard, event=event, error=record["error"]
-                )
-                if dump is not None:
-                    record["dump"] = dump
-            except BaseException:  # pragma: no cover - best effort
-                pass
-        self._sink_quarantine(record)
-
     def quarantined(self) -> list[dict]:
         """Every dead-letter record written so far, oldest first."""
         try:
@@ -556,32 +474,10 @@ class ShardSupervisor:
         except FileNotFoundError:
             return []
 
-    # -- thread-mode dispatch guard ------------------------------------------
-
-    def _thread_guard(
-        self, shard: int, engine: MonitoringEngine, batch: "list[tuple]"
-    ) -> None:
-        state = self._thread_states[shard]
-        supervised_dispatch(
-            engine,
-            batch,
-            state=state,
-            quarantine=self.quarantine_policy,
-            on_quarantine=lambda item, failure, attempts: (
-                self._quarantine_thread_item(
-                    shard, item, failure, attempts,
-                    (state.count + 1) if state is not None else None,
-                )
-            ),
-        )
-
     # -- health / supervision loop -------------------------------------------
 
     def _shard_alive(self, shard: int) -> bool:
-        service = self.service
-        if service.mode == "process":
-            return service._pool.shard_alive(shard)
-        return service._shard_failures[shard] is None
+        return self.service._pool.shard_alive(shard)
 
     def _all_alive(self) -> bool:
         return all(
@@ -600,46 +496,40 @@ class ShardSupervisor:
                 continue
 
     def _watch_progress(self) -> None:
-        """Hang detection: a live worker must either drain its queue or
-        answer a heartbeat within ``ipc_deadline``."""
+        """Hang detection: a live worker must drain its queue within
+        ``ipc_deadline``.  One that can be killed gets a last chance, a
+        heartbeat, before it is killed and restarted; one that cannot (a
+        thread) is reported hung until its queue moves again."""
         service = self.service
+        pool = service._pool
         now = time.monotonic()
         for shard in range(service.shards):
             state = self._shards[shard]
             if not self._shard_alive(shard):
                 continue
-            if service.mode == "process":
-                try:
-                    depth = service._pool._in_qs[shard].qsize()
-                except (NotImplementedError, OSError):  # pragma: no cover
-                    depth = 0
-            else:
-                depth = service._queues[shard].depth()
+            depth = pool.queue_depth(shard) or 0
             if depth == 0 or depth < state.last_queue_depth:
                 state.last_progress = now
                 state.hung = False
             state.last_queue_depth = depth
             if now - state.last_progress < self.ipc_deadline:
                 continue
-            if service.mode == "process":
-                if not service._control_lock.acquire(blocking=False):
-                    continue  # a control round trip is in flight: not a hang
-                try:
-                    ok = service._pool.heartbeat(
-                        shard, int(now * 1000), timeout=self.ipc_deadline
-                    )
-                finally:
-                    service._control_lock.release()
-                if ok:
-                    state.last_progress = time.monotonic()
-                else:
-                    # Terminate the hung worker; the next ensure_healthy
-                    # pass restarts it from checkpoint + journal.
-                    state.last_failure = "hang"
-                    service._pool._procs[shard].terminate()
-            else:
-                # Python threads cannot be killed: report, don't restart.
+            if not pool.transport.can_terminate:
                 state.hung = True
+                continue
+            if not service._control_lock.acquire(blocking=False):
+                continue  # a control round trip is in flight: not a hang
+            try:
+                ok = pool.heartbeat(shard, timeout=self.ipc_deadline)
+            finally:
+                service._control_lock.release()
+            if ok:
+                state.last_progress = time.monotonic()
+            else:
+                # Kill the hung worker; the next ensure_healthy pass
+                # restarts it from checkpoint + journal.
+                state.hung = True
+                pool.terminate_shard(shard)
 
     # -- restart --------------------------------------------------------------
 
@@ -655,9 +545,7 @@ class ShardSupervisor:
                 f"({self.restart_budget}); last failure: {reason}"
             )
             self._fatal = fatal
-            with self.service._failure_lock:
-                if self.service._failure is None:
-                    self.service._failure = fatal
+            self.service._record_failure(fatal)
             raise fatal
 
     def _backoff(self, shard: int) -> None:
@@ -674,32 +562,27 @@ class ShardSupervisor:
         started = time.perf_counter()
         if self._m_alive is not None:
             self._m_alive.labels(str(shard)).set(0)
-        if service.mode == "process":
-            exitcode = service._pool.shard_exitcode(shard)
-            from .process_backend import CRASH_EXIT_CODE
-
-            if self._shards[shard].last_failure == "hang":
-                reason = "hang"
-            elif exitcode == CRASH_EXIT_CODE:
-                reason = "crash"
-            else:
-                reason = "exit"
-            if self.plan is not None and reason in ("crash", "hang"):
-                # The worker died without reporting which fault killed it;
-                # faults fire in position order, so the earliest armed one
-                # on this shard is the one that fired.
-                self.plan.disarm_earliest(shard)
-            self._count_restart(shard, reason)
-            self._backoff(shard)
-            self._restart_process_shard(shard)
+        pool = service._pool
+        if pool.shard_exitcode(shard) == CRASH_EXIT_CODE:
+            reason = "crash"
+        elif self._shards[shard].hung and pool.transport.can_terminate:
+            reason = "hang"  # _watch_progress killed it
         else:
-            failure = service._shard_failures[shard]
-            reason = "crash" if isinstance(failure, InjectedCrash) else "exception"
-            if isinstance(failure, InjectedFault) and self.plan is not None:
-                self.plan.disarm(failure.fault_id)
-            self._count_restart(shard, reason)
-            self._backoff(shard)
-            self._restart_thread_shard(shard)
+            reason = "exit"
+        if self.plan is not None and reason in ("crash", "hang"):
+            # The worker died without reporting which fault killed it;
+            # faults fire in position order, so the earliest armed one of
+            # the matching kind on this shard is the one that fired (a
+            # stall the worker outlived stays armed before it).
+            self.plan.disarm_earliest(
+                shard, kinds=("crash",) if reason == "crash" else ("stall",)
+            )
+        self._count_restart(shard, reason)
+        self._backoff(shard)
+        self._respawn(shard)
+        state = self._shards[shard]
+        state.hung = False  # a new worker, its progress watched afresh
+        state.last_progress = time.monotonic()
         if self._m_alive is not None:
             self._m_alive.labels(str(shard)).set(1)
         # Detection-to-healthy latency (includes backoff + replay); the
@@ -722,7 +605,7 @@ class ShardSupervisor:
             if kind in ("delivery", "deaths")
         ]
 
-    def _restart_process_shard(self, shard: int) -> None:
+    def _respawn(self, shard: int) -> None:
         """Respawn a dead worker from checkpoint and replay its journal.
 
         Under the emit lock no emitter can interleave, so the replayed
@@ -767,136 +650,17 @@ class ShardSupervisor:
                 if batch:
                     pool.send_events(shard, batch)
 
-    def _restart_thread_shard(self, shard: int) -> None:
-        """Rebuild a failed thread shard: fresh engine, checkpoint restore,
-        journal replay, then a new queue + worker via the service.
-
-        Replay runs in this thread under the emit lock — the failed
-        worker already exited, so the engine is single-threaded here.
-        Symbols resolving in the supervisor's registry replay as the live
-        parent objects; dead symbols replay as
-        :class:`~repro.runtime.tracelog.ReplayToken` stand-ins dropped
-        right after their last journal occurrence, reproducing the
-        original release-on-take death timing (what the single-engine
-        reference sees under ``retire_after_last_use``).
-        """
-        service = self.service
-        state = self._shards[shard]
-        with service._emit_lock:
-            checkpoint = state.checkpoint
-            new_epoch = service._shard_epochs[shard] + 1
-            base = checkpoint["admitted"] if checkpoint else 0
-            start_count = checkpoint["count"] if checkpoint else 0
-            service._shard_epochs[shard] = new_epoch
-            engine = MonitoringEngine(
-                service.registry,
-                on_verdict=service._verdict_callback(shard, new_epoch, base),
-                telemetry=service.telemetry,
-                **service._engine_kwargs,
-            )
-            tokens: dict[str, Any] = {}
-            if checkpoint is not None:
-                for symbol in _snapshot_symbols(checkpoint["engine"]):
-                    value = self._registry.resolve(symbol)
-                    if value is not None:
-                        tokens[symbol] = value
-                restore_into(engine, checkpoint["engine"], tokens)
-            suffix = [
-                payload
-                for kind, payload in self._journal_suffix(shard)
-                if kind == "delivery"
-            ]
-            # Death timing: a symbol whose parent object is gone replays
-            # as a token dropped right after its last suffix occurrence;
-            # dead checkpoint symbols with no occurrences drop before the
-            # replay starts.
-            last_use: dict[str, int] = {}
-            for position, (_event, symbols, _plan) in enumerate(suffix):
-                for symbol in symbols.values():
-                    last_use[symbol] = position
-            drop_after: dict[int, list[str]] = {}
-            for symbol in set(tokens) | set(last_use):
-                if symbol.startswith("v:"):
-                    continue
-                if self._registry.resolve(symbol) is not None:
-                    continue
-                if symbol in last_use:
-                    drop_after.setdefault(last_use[symbol], []).append(symbol)
-                else:
-                    tokens.pop(symbol, None)
-            fault_state = WorkerFaultState(
-                self.plan.worker_config(shard, start_count=start_count)
-                if self.plan is not None
-                else None
-            )
-            for position, (event, symbols, encoded) in enumerate(suffix):
-                params: dict[str, Any] = {}
-                for name, symbol in symbols.items():
-                    value = tokens.get(symbol)
-                    if value is None:
-                        value = self._registry.resolve(symbol)
-                        if value is None:
-                            value = (
-                                symbol
-                                if symbol.startswith("v:")
-                                else ReplayToken(symbol)
-                            )
-                        tokens[symbol] = value
-                    params[name] = value
-                item = (event, params, _decode_plan(encoded))
-                while True:
-                    try:
-                        supervised_dispatch(
-                            engine,
-                            [item],
-                            state=fault_state,
-                            quarantine=self.quarantine_policy,
-                            on_quarantine=lambda it, failure, attempts: (
-                                self._quarantine_thread_item(
-                                    shard, it, failure, attempts,
-                                    fault_state.count + 1,
-                                )
-                            ),
-                        )
-                        break
-                    except InjectedCrash as crash:
-                        # A second scheduled crash fired mid-replay: the
-                        # worker "dies" again.  Restarting from the same
-                        # checkpoint would deterministically regenerate
-                        # this exact prefix, so disarm and continue — the
-                        # verdict stream is identical either way.
-                        if self.plan is not None:
-                            self.plan.disarm(crash.fault_id)
-                        fault_state.consume({"id": crash.fault_id})
-                        self._count_restart(shard, "crash")
-                for symbol in drop_after.get(position, ()):
-                    tokens.pop(symbol, None)
-            self._thread_states[shard] = (
-                fault_state if fault_state.faults or self.plan else None
-            )
-            service._replace_thread_shard(shard, engine)
-
     # -- load shedding ---------------------------------------------------------
 
     def _saturation(self) -> float:
         """Worst shard queue fill fraction (0.0 when unbounded/empty)."""
-        service = self.service
-        worst = 0.0
-        if service.mode == "process":
-            capacity = service._queue_capacity
-            if capacity < 1:
-                return 0.0
-            for shard in range(service.shards):
-                try:
-                    depth = service._pool._in_qs[shard].qsize()
-                except (NotImplementedError, OSError):  # pragma: no cover
-                    depth = 0
-                worst = max(worst, depth / capacity)
-        else:
-            for queue in service._queues:
-                if queue.capacity > 0:
-                    worst = max(worst, queue.depth() / queue.capacity)
-        return worst
+        pool = self.service._pool
+        if pool.queue_capacity < 1:
+            return 0.0
+        return max(
+            (pool.queue_depth(shard) or 0) / pool.queue_capacity
+            for shard in range(pool.shards)
+        )
 
     def _shed_tick(self) -> None:
         saturation = self._saturation()
@@ -978,15 +742,6 @@ class ShardSupervisor:
         shards = []
         for shard in range(service.shards):
             state = self._shards[shard]
-            if service.mode == "process":
-                try:
-                    depth = service._pool._in_qs[shard].qsize()
-                except (NotImplementedError, OSError):  # pragma: no cover
-                    depth = None
-                capacity = service._queue_capacity
-            else:
-                depth = service._queues[shard].depth()
-                capacity = service._queues[shard].capacity
             shards.append(
                 {
                     "shard": shard,
@@ -1004,8 +759,8 @@ class ShardSupervisor:
                         if state.checkpoint is not None
                         else None
                     ),
-                    "queue_depth": depth,
-                    "queue_capacity": capacity,
+                    "queue_depth": service._pool.queue_depth(shard),
+                    "queue_capacity": service._pool.queue_capacity,
                     "journal_error": state.journal_error,
                 }
             )
@@ -1037,20 +792,19 @@ def supervise(
     """Build a :class:`MonitorService` and its :class:`ShardSupervisor`
     together (``supervisor.service`` holds the service).
 
-    This is the right constructor when using a fault plan in process
-    mode: worker fault configs must cross the fork at service
-    construction, before the supervisor exists.
+    This is the right constructor when using a fault plan or a
+    quarantine policy: worker fault configs and the quarantine policy are
+    handed to the shard workers when they start, at service construction,
+    before the supervisor exists.
     """
     quarantine = quarantine if quarantine is not None else QuarantinePolicy()
-    mode = service_kwargs.get("backend") or service_kwargs.get("mode", "thread")
-    if mode == "process":
-        shards = service_kwargs.get("shards", 4)
-        service_kwargs["_fault_configs"] = (
-            [plan.worker_config(shard) for shard in range(shards)]
-            if plan is not None
-            else None
-        )
-        service_kwargs["_quarantine"] = quarantine.to_config()
+    shards = service_kwargs.get("shards", 4)
+    service_kwargs["_fault_configs"] = (
+        [plan.worker_config(shard) for shard in range(shards)]
+        if plan is not None
+        else None
+    )
+    service_kwargs["_quarantine"] = quarantine.to_config()
     service = MonitorService(specs, **service_kwargs)
     options = dict(supervisor_options or {})
     return ShardSupervisor(

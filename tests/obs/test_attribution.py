@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from time import perf_counter
 
+import pytest
+
 from repro.bench.workloads import WORKLOADS, record_workload_events
 from repro.obs.attribution import ENGINE_LABEL, STAGES, prop_label, stage_table
 from repro.obs.telemetry import SHARD_PHASE_STRIDE, Telemetry
@@ -215,10 +217,11 @@ class TestShardDecorrelation:
 
 
 class TestServiceModes:
-    def test_thread_mode_adds_queue_wait_cells(self):
+    @pytest.mark.parametrize("mode", ("thread", "process"))
+    def test_thread_mode_adds_queue_wait_cells(self, mode):
         telemetry = Telemetry(sample_interval=1, attribution=True)
         service = MonitorService(
-            UNSAFEITER.make().silence(), shards=2, telemetry=telemetry
+            UNSAFEITER.make().silence(), shards=2, mode=mode, telemetry=telemetry
         )
         keepalive = emit_triples(service, 40)
         service.drain()

@@ -208,10 +208,12 @@ class TestDurableReplay:
 
 
 class TestServiceTriggers:
-    def test_queue_saturation_dump_in_thread_mode(self):
+    @pytest.mark.parametrize("mode", ("thread", "process"))
+    def test_queue_saturation_dump_in_thread_mode(self, mode):
         service = MonitorService(
             UNSAFEITER.make().silence(),
             shards=1,
+            mode=mode,
             queue_capacity=1,
             flight_recorder=True,
         )
@@ -223,22 +225,37 @@ class TestServiceTriggers:
         del keepalive
 
     def test_worker_exception_dump_in_thread_mode(self):
-        def explode(record):
-            raise RuntimeError("boom in verdict callback")
+        # A raising property handler runs in the shard worker and kills it.
+        def explode(_spec_name, _category, _binding):
+            raise RuntimeError("boom in property handler")
 
-        service = MonitorService(
-            UNSAFEITER.make().silence(),
-            shards=1,
-            on_verdict=explode,
-            flight_recorder=True,
-        )
-        keepalive = emit_triples(service, 2)
+        spec = UNSAFEITER.make().silence()
+        spec.on("match", explode)
+        service = MonitorService(spec, shards=1, flight_recorder=True)
+        keepalive = []
         with pytest.raises(ServiceError):
+            keepalive += emit_triples(service, 2)
             service.drain()
         dumps = service.flight_recorder_dumps()
         assert any(d["reason"] == "worker-exception" for d in dumps)
         crash = next(d for d in dumps if d["reason"] == "worker-exception")
         assert "boom" in crash["context"]["error"]
+        with pytest.raises(ServiceError):
+            service.close()
+
+        # A raising on_verdict runs in the parent's verdict drainer; it
+        # still surfaces as a ServiceError at drain().
+        def explode_record(record):
+            raise RuntimeError("boom in verdict callback")
+
+        service = MonitorService(
+            UNSAFEITER.make().silence(), shards=1, on_verdict=explode_record
+        )
+        with pytest.raises(ServiceError, match="boom in verdict callback"):
+            keepalive += emit_triples(service, 2)
+            service.drain()
+        with pytest.raises(ServiceError):
+            service.close()
         del keepalive
 
 

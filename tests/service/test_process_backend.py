@@ -121,7 +121,7 @@ def test_workers_are_reaped_on_close():
     service = MonitorService(
         ALL_PROPERTIES["unsafeiter"].make().silence(), shards=3, mode="process"
     )
-    procs = list(service._pool._procs)
+    procs = list(service._pool._workers)
     assert all(p.is_alive() for p in procs)
     service.close()
     assert all(not p.is_alive() for p in procs)
@@ -131,7 +131,7 @@ def test_context_manager_reaps_workers():
     with MonitorService(
         ALL_PROPERTIES["unsafeiter"].make().silence(), shards=2, mode="process"
     ) as service:
-        procs = list(service._pool._procs)
+        procs = list(service._pool._workers)
     assert all(not p.is_alive() for p in procs)
 
 

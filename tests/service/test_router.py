@@ -121,9 +121,13 @@ class TestRouting:
         c1, i = Obj("c1"), Obj("i")
         [(s1, _)] = router.route("create", {"c": c1, "i": i})
         list(router.route("next", {"i": i}))  # delivered to s1 only
-        # Find a collection hashing to a different shard.
+        # Find a collection hashing to a different shard.  Rejected
+        # candidates stay alive: a freed one's address (its id) would be
+        # reused by the next, which would then hash to s1 forever.
+        rejected = []
         c2 = Obj("c2")
         while router.shard_of(c2) == s1:
+            rejected.append(c2)
             c2 = Obj("c2")
         [(s2, (_props, _rec, pretouched, _count))] = router.route(
             "create", {"c": c2, "i": i}

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import io
+import weakref
 from collections import Counter
 
 import pytest
 
 from repro.core.errors import ServiceError, UnknownEventError
+from repro.properties import ALL_PROPERTIES
 from repro.runtime.engine import MonitoringEngine
 from repro.runtime.statistics import MonitorStats
 from repro.runtime.tracelog import TraceRecorder, read_trace
@@ -147,6 +150,24 @@ class TestIngestion:
                 service.emit("next", i=iterator)
             service.drain()
             assert service.stats_for("UnsafeIter").events == 48
+
+
+class TestReferences:
+    @pytest.mark.parametrize("mode", ("inline", "thread", "process"))
+    def test_drained_service_holds_no_parameter_object(self, mode):
+        """After drain() the service keeps no strong reference to a routed
+        parameter object: its death is the signal lazy GC runs on."""
+        with MonitorService(
+            ALL_PROPERTIES["hasnext"].make().silence(), shards=2, mode=mode
+        ) as service:
+            i = Obj("i")
+            service.emit("hasnexttrue", i=i)
+            service.emit("next", i=i)
+            service.drain()
+            ref = weakref.ref(i)
+            del i
+            gc.collect()
+            assert ref() is None
 
 
 class TestAggregation:

@@ -10,6 +10,7 @@ duplicating a verdict, in thread and process mode alike.
 from __future__ import annotations
 
 import random
+import time
 import zlib
 from collections import Counter
 
@@ -180,6 +181,34 @@ def test_poison_event_is_quarantined_with_provenance(tmp_path, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_quarantine_record_carries_the_poison_dump(tmp_path, mode):
+    plan = FaultPlan()
+    plan.add("poison", shard=0, at=10)
+    spec = ALL_PROPERTIES["hasnext"].make().silence()
+    trace, pools = synth_trace(spec.definition, seed=5)
+    sup = supervise(
+        spec,
+        str(tmp_path / "sup"),
+        plan=plan,
+        quarantine=QuarantinePolicy(retries=1, backoff=0.001),
+        shards=1,
+        system="rv",
+        mode=mode,
+        flight_recorder=True,
+    )
+    with sup:
+        sup.service.emit_batch(trace)
+        sup.drain()
+        records = sup.quarantined()
+    assert len(records) == 1
+    dump = records[0]["dump"]
+    assert dump["reason"] == "poison-event"
+    assert dump["context"]["event"] == records[0]["event"]
+    assert "InjectedPoison" in dump["context"]["error"]
+    assert dump["entries"], "the dump holds the shard's recent history"
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_serialize_fault_quarantines_too(tmp_path, mode):
     plan = FaultPlan()
     plan.add("serialize", shard=0, at=5)
@@ -205,8 +234,6 @@ def test_queue_stall_fault_only_delays(tmp_path, mode):
     spec = ALL_PROPERTIES[key].make().silence()
     trace, pools = synth_trace(spec.definition, seed=3)
     want = single_engine_multiset(spec, trace)
-    if mode == "process":
-        pytest.skip("queue faults hook the thread backend's shard queues")
     with run_supervised(key, tmp_path, mode, plan, shards=1) as sup:
         for start in range(0, EVENTS, 50):
             sup.service.emit_batch(trace[start : start + 50])
@@ -214,6 +241,51 @@ def test_queue_stall_fault_only_delays(tmp_path, mode):
         got = sup.service.verdict_multiset()
     assert got == want
     assert not plan.armed(kind="queue")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_stall_past_ipc_deadline_then_checkpoint_and_crash(tmp_path, mode):
+    """A worker stalled past ``ipc_deadline`` with work queued behind it:
+    a process is killed and restarted, a thread is reported hung until it
+    drains again.  Either way a later checkpoint and crash recovery keep
+    the verdicts exact."""
+    key = "hasnext"
+    spec = ALL_PROPERTIES[key].make().silence()
+    trace, pools = synth_trace(spec.definition, seed=17)
+    want = single_engine_multiset(spec, trace)
+    plan = FaultPlan()
+    plan.add("stall", shard=0, at=10, duration=1.0)
+    plan.add("crash", shard=0, at=300)
+    # No checkpoint falls due during the stall: its round trip would
+    # block the emitting thread until the worker drains again.
+    options = {"ipc_deadline": 0.2, "poll_interval": 0.02, "checkpoint_interval": 100}
+    with run_supervised(key, tmp_path, mode, plan, shards=1, options=options) as sup:
+        sup.service.emit_batch(trace[:20])
+        time.sleep(0.1)  # the worker is inside the stall now
+        for start in range(20, 60, 5):
+            sup.service.emit_batch(trace[start : start + 5])
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            shard = sup.health()["shards"][0]
+            if shard["hung" if mode == "thread" else "restarts"]:
+                break
+            time.sleep(0.02)
+        detected = sup.health()["shards"][0]
+        sup.drain()
+        sup.checkpoint_now()
+        for start in range(60, EVENTS, 37):
+            sup.service.emit_batch(trace[start : start + 37])
+        sup.drain()
+        got = sup.service.verdict_multiset()
+        health = sup.health()["shards"][0]
+    assert got == want
+    assert health["last_failure"] == "crash" and not health["hung"]
+    if mode == "thread":
+        assert detected["hung"] and detected["restarts"] == 0
+        assert health["restarts"] == 1
+    else:
+        assert detected["restarts"] == 1 and detected["last_failure"] == "hang"
+        assert health["restarts"] == 2
 
 
 def test_restart_budget_exhaustion_is_fatal(tmp_path):
