@@ -70,7 +70,6 @@ from ..core.params import Binding
 from ..obs.catalogue import declare as _declare_metric
 from ..obs.telemetry import Telemetry, as_telemetry
 from ..spec.compiler import CompiledProperty, CompiledSpec
-from ..spec.dispatch import DispatchPlan
 from ..spec.registry import PropertyRegistry, normalize_properties
 from .gc_strategies import GcStrategy, make_strategy
 from .indexing import IndexingTree, JoinIndex, Leaf
@@ -120,101 +119,6 @@ class _CreationPlan:
         self.joins: list[tuple[frozenset[str], tuple[str, ...], JoinIndex]] = []
 
 
-class _ResolvedCheck:
-    """A creation-validity probe bound to its tree."""
-
-    __slots__ = ("domain", "tree", "extract")
-
-    def __init__(self, domain: frozenset, tree: IndexingTree, extract: tuple[int, ...]):
-        self.domain = domain
-        self.tree = tree
-        self.extract = extract
-
-
-class _ResolvedSource:
-    """A defineTo source domain bound to its tree."""
-
-    __slots__ = ("tree", "extract", "checks")
-
-    def __init__(self, tree, extract, checks):
-        self.tree = tree
-        self.extract = extract
-        self.checks = checks
-
-
-class _ResolvedInsert:
-    """Registration schedule for freshly created monitors of one domain."""
-
-    __slots__ = ("params", "own_tree", "own_is_event_domain", "ext_entries", "join_entries")
-
-    def __init__(self, params, own_tree, own_is_event_domain, ext_entries, join_entries):
-        self.params = params
-        self.own_tree = own_tree
-        self.own_is_event_domain = own_is_event_domain
-        self.ext_entries = ext_entries
-        self.join_entries = join_entries
-
-
-class _ResolvedJoin:
-    """A join plan bound to its index, target tree and insert schedule."""
-
-    __slots__ = (
-        "join_domain",
-        "join_params",
-        "index",
-        "key_extract",
-        "target_tree",
-        "merge",
-        "checks",
-        "check_target",
-        "insert",
-    )
-
-    def __init__(self, join_domain, join_params, index, key_extract, target_tree, merge, checks, check_target, insert):
-        self.join_domain = join_domain
-        self.join_params = join_params
-        self.index = index
-        self.key_extract = key_extract
-        self.target_tree = target_tree
-        self.merge = merge
-        self.checks = checks
-        self.check_target = check_target
-        self.insert = insert
-
-
-class _EventDispatch:
-    """One event's fully resolved fast-path strategy."""
-
-    __slots__ = (
-        "event",
-        "event_id",
-        "domain",
-        "params",
-        "tree",
-        "self_sources",
-        "allows_fresh",
-        "fresh_checks",
-        "joins",
-        "has_creation",
-        "check_event_leaf",
-        "insert",
-    )
-
-    def __init__(self, event, event_id, domain, params, tree):
-        self.event = event
-        self.event_id = event_id
-        self.domain = domain
-        self.params = params
-        self.tree = tree
-        self.self_sources: tuple[_ResolvedSource, ...] = ()
-        self.allows_fresh = False
-        self.fresh_checks: tuple[_ResolvedCheck, ...] = ()
-        self.joins: tuple[_ResolvedJoin, ...] = ()
-        self.has_creation = False
-        self.check_event_leaf = True
-        self.insert: _ResolvedInsert | None = None
-
-
 class PropertyRuntime:
     """Everything the engine maintains for one compiled property."""
 
@@ -249,8 +153,6 @@ class PropertyRuntime:
         self._flag_sink: list[MonitorInstance] | None = None
 
         definition = prop.definition
-        plan: DispatchPlan = prop.dispatch_plan()
-        self.plan = plan
         self.event_domains: dict[str, frozenset[str]] = {
             event: definition.params_of(event) for event in definition.alphabet
         }
@@ -277,7 +179,7 @@ class PropertyRuntime:
                 notify=self._notify_monitor,
                 scan_budget=scan_budget,
             )
-            for join_domain, key_domain in plan.join_index_keys
+            for join_domain, key_domain in prop.dispatch_plan().join_index_keys
         }
         self._plans: dict[str, _CreationPlan] = {
             event: self._build_plan(event) for event in definition.alphabet
@@ -289,7 +191,6 @@ class PropertyRuntime:
             self._fsm_rows, self._fsm_goal, self._fsm_verdicts = fsm
         else:
             self._fsm_rows = self._fsm_goal = self._fsm_verdicts = None
-        self._dispatch = self._resolve_dispatch(plan)
         #: Keeps the generated kernels' collection-watch weak references
         #: alive until their monitors are reclaimed (the codegen stand-in
         #: for ``weakref.finalize``'s global registry).
@@ -458,64 +359,6 @@ class PropertyRuntime:
         plan.joins.sort(key=lambda item: (-len(item[0]), tuple(sorted(item[0]))))
         return plan
 
-    def _resolve_dispatch(self, plan: DispatchPlan) -> dict[str, _EventDispatch]:
-        """Bind the static plan to this runtime's trees and indices."""
-
-        def resolve_checks(checks) -> tuple[_ResolvedCheck, ...]:
-            return tuple(
-                _ResolvedCheck(check.domain, self.trees[check.domain], check.extract)
-                for check in checks
-            )
-
-        inserts: dict[frozenset, _ResolvedInsert] = {}
-        for domain, ip in plan.insert_plans.items():
-            inserts[domain] = _ResolvedInsert(
-                params=ip.params,
-                own_tree=self.trees[domain],
-                own_is_event_domain=ip.own_is_event_domain,
-                ext_entries=tuple(
-                    (self.trees[ext_domain], extract)
-                    for ext_domain, extract in ip.extension_entries
-                ),
-                join_entries=tuple(
-                    (self._join_indices[key], extract)
-                    for key, extract in ip.join_entries
-                ),
-            )
-        resolved: dict[str, _EventDispatch] = {}
-        for event, ep in plan.event_plans.items():
-            ed = _EventDispatch(
-                event, ep.event_id, ep.domain, ep.params, self.trees[ep.domain]
-            )
-            ed.self_sources = tuple(
-                _ResolvedSource(
-                    self.trees[src.domain], src.extract, resolve_checks(src.checks)
-                )
-                for src in ep.self_sources
-                if src.domain in self.trees
-            )
-            ed.allows_fresh = ep.allows_fresh
-            ed.fresh_checks = resolve_checks(ep.fresh_checks)
-            ed.joins = tuple(
-                _ResolvedJoin(
-                    join_domain=jp.join_domain,
-                    join_params=jp.join_params,
-                    index=self._join_indices[(jp.join_domain, frozenset(jp.key_params))],
-                    key_extract=jp.key_extract,
-                    target_tree=self.trees[jp.target_domain],
-                    merge=jp.merge,
-                    checks=resolve_checks(jp.checks),
-                    check_target=jp.check_target,
-                    insert=inserts[jp.target_domain],
-                )
-                for jp in ep.joins
-            )
-            ed.has_creation = ep.has_creation
-            ed.check_event_leaf = ep.check_event_leaf
-            ed.insert = inserts.get(ep.domain)
-            resolved[event] = ed
-        return resolved
-
     # -- GC plumbing -----------------------------------------------------------
 
     def _notify_monitor(self, monitor: MonitorInstance) -> None:
@@ -552,7 +395,6 @@ class PropertyRuntime:
             index.release()
         self.trees.clear()
         self._join_indices.clear()
-        self._dispatch.clear()
         self._plans.clear()
         # Generated kernels close over this runtime (and it over them, via
         # these dicts) — clear them for the same refcount-only guarantee.
@@ -662,156 +504,6 @@ class PropertyRuntime:
             if self._on_kernels_bound is not None:
                 self._on_kernels_bound()
         return kernels[event](values, record, pretouched)
-
-    def _create_tail(
-        self,
-        ed: _EventDispatch,
-        vals: tuple,
-        leaf: Leaf,
-        pretouched: frozenset[frozenset[str]] | None,
-    ) -> None:
-        """Interpreted creation for one event: the tail the generated
-        kernels of join-bearing events call after stepping (see
-        :mod:`repro.spec.codegen`); :meth:`_create_instances` is the
-        reference path's counterpart."""
-        # Target = the event binding itself (defineTo from a sub-instance or
-        # from scratch).  The target's own touch stamp gates every
-        # self-creation identically (D(e) ⊄ K for K ⊊ D(e)), so it is
-        # tested directly on the event leaf before any source probing.
-        sources = ed.self_sources
-        if (
-            (sources or ed.allows_fresh)
-            and (leaf.own is None or leaf.own.flagged)
-            and (
-                not ed.check_event_leaf
-                or (
-                    leaf.touched == self._event_serial
-                    and (pretouched is None or ed.domain not in pretouched)
-                )
-            )
-        ):
-            source: MonitorInstance | None = None
-            checks = ed.fresh_checks
-            found = False
-            for src in sources:
-                sub_leaf = src.tree.lookup_vals(
-                    tuple([vals[i] for i in src.extract]), False
-                )
-                if (
-                    sub_leaf is not None
-                    and sub_leaf.own is not None
-                    and not sub_leaf.own.flagged
-                ):
-                    source, checks, found = sub_leaf.own, src.checks, True
-                    break
-            if (found or ed.allows_fresh) and self._tail_is_valid(
-                checks, vals, pretouched
-            ):
-                self._materialize(ed, ed.insert, vals, source, leaf)
-        # Join targets: compatible instances of incomparable enable domains.
-        for jp in ed.joins:
-            bucket = jp.index.lookup_vals(
-                tuple([vals[i] for i in jp.key_extract]), False
-            )
-            if bucket is None:
-                continue
-            for candidate in bucket.iter_active():
-                if candidate.domain != jp.join_domain:
-                    continue
-                candidate_vals: list | None = []
-                for name in jp.join_params:
-                    value = candidate.params[name].get()
-                    if value is None:
-                        candidate_vals = None
-                        break
-                    candidate_vals.append(value)
-                if candidate_vals is None:
-                    continue
-                target_vals = tuple([
-                    candidate_vals[i] if from_candidate else vals[i]
-                    for from_candidate, i in jp.merge
-                ])
-                target_leaf = jp.target_tree.lookup_vals(target_vals, False)
-                if target_leaf is not None:
-                    if target_leaf.own is not None and not target_leaf.own.flagged:
-                        continue
-                    if (
-                        jp.check_target
-                        and target_leaf.touched is not None
-                        and target_leaf.touched < self._event_serial
-                    ):
-                        continue
-                if self._tail_is_valid(jp.checks, target_vals, None):
-                    self._materialize(ed, jp.insert, target_vals, candidate, None)
-
-    def _tail_is_valid(
-        self,
-        checks: tuple[_ResolvedCheck, ...],
-        target_vals: tuple,
-        pretouched: frozenset[frozenset[str]] | None,
-    ) -> bool:
-        """:meth:`_creation_is_valid` over the plan's checks: the relevant
-        event domains and their extraction indices were computed at
-        property-compile time."""
-        serial = self._event_serial
-        for check in checks:
-            if pretouched is not None and check.domain in pretouched:
-                # The router vouches that this sub-binding received events
-                # on another shard before now (sticky routing's stand-in
-                # for a local touch stamp).
-                return False
-            sub_leaf = check.tree.lookup_vals(
-                tuple([target_vals[i] for i in check.extract]), False
-            )
-            if (
-                sub_leaf is not None
-                and sub_leaf.touched is not None
-                and sub_leaf.touched < serial
-            ):
-                return False
-        return True
-
-    def _materialize(
-        self,
-        ed: _EventDispatch,
-        insert: _ResolvedInsert,
-        vals: tuple,
-        source: MonitorInstance | None,
-        own_leaf: Leaf | None,
-    ) -> None:
-        """Create, register, watch, and step one new monitor instance."""
-        base = source.base.clone() if source is not None else self.prop.template.create()
-        params = {
-            name: ParamRef(value) for name, value in zip(insert.params, vals)
-        }
-        self._serial += 1
-        monitor = MonitorInstance(self.prop, base, params, self._serial)
-        if own_leaf is None:
-            own_leaf = insert.own_tree.lookup_vals(vals, True)
-        own_leaf.own = monitor
-        if insert.own_is_event_domain and own_leaf.extensions is not None:
-            own_leaf.extensions.add(monitor)
-        for tree, extract in insert.ext_entries:
-            sub_leaf = tree.lookup_vals(tuple([vals[i] for i in extract]), True)
-            if sub_leaf.extensions is not None:
-                sub_leaf.extensions.add(monitor)
-        for index, extract in insert.join_entries:
-            index.add_vals(tuple([vals[i] for i in extract]), monitor)
-        self.stats.record_creation()
-        weakref.finalize(monitor, self.stats.record_collection)
-        watch = self._on_param_registered
-        if watch is not None:
-            for name, value in zip(insert.params, vals):
-                watch(name, value)
-        rows = self._fsm_rows
-        if rows is not None:
-            state_id = rows[base._state_id][ed.event_id]
-            base._state_id = state_id
-            monitor.last_event = ed.event
-            if self._fsm_goal[state_id]:
-                self._fire_goal(monitor, self._fsm_verdicts[state_id])
-        else:
-            self._step(monitor, ed.event)
 
     # -- event processing (reference path) ----------------------------------------
 
@@ -1433,8 +1125,8 @@ class MonitoringEngine:
         ``item`` is anything the constructor accepts (source text, compiled
         specs/properties, paper-property providers); each resulting
         property gets a fresh slot, a freshly compiled
-        :class:`~repro.spec.dispatch.DispatchPlan` resolved against new
-        indexing trees, and re-interned event ids.  Returns the new slot
+        :class:`~repro.spec.dispatch.DispatchPlan` with new indexing trees
+        and join indices, and re-interned event ids.  Returns the new slot
         indexes.  ``origin`` overrides the recorded re-materialization
         origin (the service passes its own through so process-mode workers
         and snapshots agree).
@@ -1630,15 +1322,9 @@ class MonitoringEngine:
                     self._emit_tapped(event, params, _strict) for event, params in events
                 )
             # After-only observers (the flight recorder) keep the grouped
-            # codegen path: each event's after hooks run, in order, once
-            # the batch is through.
-            events = events if isinstance(events, list) else list(events)
-            try:
-                return self._emit_batch_codegen(events, _strict)
-            finally:
-                for event, params in events:
-                    for hook in self._after:
-                        hook(event, params)
+            # codegen path: each dispatched event's after hooks run, in
+            # order, once the batch is through.
+            return self._emit_batch_codegen(events, _strict, self._after)
         if self._codegen_routes and not self._eager:
             return self._emit_batch_codegen(events, _strict)
         eager = self._eager
@@ -1691,6 +1377,7 @@ class MonitoringEngine:
         self,
         events: Iterable[tuple[str, Mapping[str, Any]]],
         _strict: bool = True,
+        after: Sequence[Callable[[str, Mapping[str, Any]], None]] = (),
     ) -> int:
         """Grouped codegen batch dispatch (lazy propagation only).
 
@@ -1706,10 +1393,16 @@ class MonitoringEngine:
         Eager propagation never reaches this path (its death boundaries
         interleave with dispatch), nor does an engine with a
         ``before_event`` observer (it must see each event before dispatch).
+
+        ``after`` hooks run for every event once the batch is through; if
+        dispatch raises, only for the events up to and including the one
+        that raised, as :meth:`_emit_tapped` would run them.  Runs then
+        step per event, never through the vectorized kernel, so the event
+        that raised is known.
         """
         events = events if isinstance(events, list) else list(events)
         n = len(events)
-        if n == 1:
+        if n == 1 and not after:
             # Tiny chunks dominate replayed traces (death boundaries flush
             # the pending batch, so the mean chunk tracks object lifetime,
             # not batch_size) — skip the grouping scaffolding entirely.
@@ -1721,38 +1414,48 @@ class MonitoringEngine:
         routes = self._codegen_routes
         paused = self._paused_events
         accepted = 0
-        i = 0
-        while i < n:
-            event = events[i][0]
-            j = i + 1
-            while j < n and events[j][0] == event:
-                j += 1
-            targets = routes.get(event)
-            if not targets:
-                if _strict and event not in paused:
-                    raise UnknownEventError(
-                        f"no monitored specification declares event {event!r}"
-                    )
+        # ``k``: the event being dispatched (the last one, once through).
+        i = k = 0
+        try:
+            while i < n:
+                event = events[i][0]
+                k = i
+                j = i + 1
+                while j < n and events[j][0] == event:
+                    j += 1
+                targets = routes.get(event)
+                if not targets:
+                    if _strict and event not in paused:
+                        raise UnknownEventError(
+                            f"no monitored specification declares event {event!r}"
+                        )
+                    i = j
+                    continue
+                run = j - i
+                accepted += run
+                if run == 1:
+                    params = events[i][1]
+                    for kernel, _batch in targets:
+                        kernel(params)
+                else:
+                    for kernel, batch in targets:
+                        # The vectorized kernel pays a per-call prelude (FSM
+                        # column binds, group list build); below ~8 events
+                        # the scalar kernel loop wins.  Either path is legal
+                        # — the batch kernel is verdict-identical to the
+                        # scalar loop.
+                        if batch is not None and run >= 8 and not after:
+                            batch([entry[1] for entry in events[i:j]])
+                        else:
+                            for k in range(i, j):
+                                kernel(events[k][1])
                 i = j
-                continue
-            run = j - i
-            accepted += run
-            if run == 1:
-                params = events[i][1]
-                for kernel, _batch in targets:
-                    kernel(params)
-            else:
-                for kernel, batch in targets:
-                    # The vectorized kernel pays a per-call prelude (FSM
-                    # column binds, group list build); below ~8 events the
-                    # scalar kernel loop wins.  Either path is legal — the
-                    # batch kernel is verdict-identical to the scalar loop.
-                    if batch is not None and run >= 8:
-                        batch([entry[1] for entry in events[i:j]])
-                    else:
-                        for k in range(i, j):
-                            kernel(events[k][1])
-            i = j
+            k = n - 1
+        finally:
+            if after:
+                for event, params in events[: k + 1]:
+                    for hook in after:
+                        hook(event, params)
         return accepted
 
     def emit_binding(self, event: str, binding: Binding) -> None:

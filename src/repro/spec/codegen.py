@@ -2,21 +2,22 @@
 
 :mod:`repro.spec.dispatch` lowers a compiled property to a static
 :class:`~repro.spec.dispatch.DispatchPlan`.  Interpreting that plan
-would walk ``_EventDispatch`` attributes, loop over check tuples, and
-call through the shared ``RVMap`` helpers on every event.  This module
+would look up trees by domain, loop over check tuples, and call through
+the shared ``RVMap`` helpers on every event.  This module
 instead makes the JavaMOP move of specializing the whole per-event code
 path at property-compile time (JinMGR11 Section 4.1): for each
 ``(property, event)`` pair it generates *straight-line Python source*
 with
 
 * the slot-tuple shape unrolled (``v0 = values["c"]`` …, no list
-  comprehension, no loop over ``ed.params``),
+  comprehension, no loop over the event's parameters),
 * the interned event id folded into a precomputed per-event transition
   *column* (one subscript per monitor step instead of two),
 * the indexing-tree walk — including the ``RVMap`` incremental dead-key
   scan and the leaf inspection it performs — inlined level by level, and
-* the creation strategy (self sources, fresh creation, validity checks)
-  unrolled into nested branches with literal extraction indices.
+* the creation strategy (self sources, fresh creation, joins with
+  compatible instances, validity checks, monitor materialization)
+  unrolled into nested branches over named value variables.
 
 The generated source is compiled once, factory by factory, and cached in a
 process-wide :class:`KernelCache` keyed by the property's registry slot
@@ -25,17 +26,20 @@ spec name, formalism, alphabet, and formalism-level semantics), so hot
 load/unload cycles and process-backend recompiles of the *same*
 property reuse the compiled code object, while any semantic change —
 a different FSM, a different alphabet — produces a different
-fingerprint and forces regeneration.  Factories close over one
-:class:`~repro.runtime.engine.PropertyRuntime`'s trees and statistics at
-bind time (the runtime's first event), so one cached module serves any
-number of runtimes.
+fingerprint and forces regeneration.  Each factory takes one
+:class:`~repro.runtime.engine.PropertyRuntime` and binds its trees and
+join indices by literal domain (``rt.trees[frozenset(('c', 'i'))]``) and
+its statistics at bind time (the runtime's first event), so one cached
+module serves any number of runtimes.
 
 Equivalence contract
 --------------------
 The kernels must produce the same verdicts as the reference
 interpretation, and perform exactly the ``RVMap`` scan operations of the
-interpreted helpers they inline.  Lazy GC discovers deaths on access, so
-the set of monitors a later event still steps depends on how many
+interpreted helpers they inline (``_TreeBase.lookup_vals``,
+``RVMap.scan_some``, ``RVSet.iter_active``).  Lazy GC discovers deaths
+on access, so the set of monitors a later event still steps depends on
+how many
 buckets every earlier operation scanned — reordering or eliding a single
 ``scan_some`` would change flag-discovery timing and, with it,
 observable verdict streams.  Every inlined walk therefore performs
@@ -76,7 +80,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from .dispatch import DispatchPlan, EventPlan
+from .dispatch import DispatchPlan, DomainCheck, EventPlan, InsertPlan, JoinPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .compiler import CompiledProperty
@@ -95,6 +99,17 @@ _INDENT = "    "
 
 def _sanitize(name: str) -> str:
     return re.sub(r"\W", "_", name)
+
+
+def _tuple(items) -> str:
+    """A Python tuple display of ``items`` (source fragments)."""
+    items = list(items)
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _domain(domain: frozenset) -> str:
+    """The source of a literal parameter domain, sorted for stable output."""
+    return f"frozenset({_tuple(repr(param) for param in sorted(domain))})"
 
 
 class _Writer:
@@ -117,9 +132,12 @@ class _KernelEmitter:
     """Emits one event's factory (and optional batch factory).
 
     ``prelude`` lines run once at bind time inside the factory (closure
-    bindings pulled off the runtime and its resolved ``_EventDispatch``);
-    the kernel body references only those locals, literals, and the
-    event's ``v0..vN`` slot variables.
+    bindings pulled off the runtime: trees and join indices by literal
+    domain); the kernel body references only those locals, literals, the
+    event's ``v0..vN`` slot variables and the join loops' candidate values.
+    The walk, check and materialize emitters take value *variable names*
+    in the walked structure's parameter order, so the self-creation and
+    the join share them.
     """
 
     def __init__(
@@ -143,10 +161,15 @@ class _KernelEmitter:
         #: so one ref per parameter per invocation serves every tree entry
         #: and the monitor's own params table.
         self._pr_cache: dict[str, str] = {}
+        #: Bind-time expression -> its variable (see :meth:`bind_once`).
+        self._bound: dict[str, str] = {f"rt.trees[{_domain(ep.domain)}]": "tree"}
+        #: Inline ``RVMap.scan_some`` (off inside join loops, see
+        #: :meth:`emit_join`).
+        self.inline_scans = True
         # Domains that actually have trees at runtime: the runtime builds
-        # one per monitor domain plus one per event domain, and
-        # ``_resolve_dispatch`` filters self-sources by the same predicate
-        # — mirrored here so source indices line up with ``ed``.
+        # one per monitor domain plus one per event domain, and the
+        # reference ``_build_plan`` filters self-sources by the same
+        # predicate.
         self.available = set(plan.monitor_domains) | set(plan.event_domains)
         self.sources = tuple(
             src for src in ep.self_sources if src.domain in self.available
@@ -159,6 +182,25 @@ class _KernelEmitter:
     def bind(self, name: str, expr: str) -> str:
         self.prelude.append(f"{name} = {expr}")
         return name
+
+    def bind_once(self, prefix: str, expr: str) -> str:
+        """Bind ``expr`` at most once per factory; returns its variable."""
+        var = self._bound.get(expr)
+        if var is None:
+            var = self._bound[expr] = self.bind(f"{prefix}{len(self._bound)}", expr)
+        return var
+
+    def domain_var(self, domain: frozenset) -> str:
+        return self.bind_once("_dom", _domain(domain))
+
+    def tree(self, domain: frozenset) -> str:
+        """The runtime's tree of ``domain``, looked up by literal domain."""
+        return self.bind_once("tree", f"rt.trees[{_domain(domain)}]")
+
+    def index(self, join_domain: frozenset, key_domain: frozenset) -> str:
+        """The runtime's join index of ``(join_domain, key_domain)``."""
+        key = f"({_domain(join_domain)}, {_domain(key_domain)})"
+        return self.bind_once("index", f"rt._join_indices[{key}]")
 
     def tree_ctx(self, tree_expr: str) -> dict[str, str]:
         """Bind-time handles on one ``IndexingTree``'s GC plumbing.
@@ -193,8 +235,12 @@ class _KernelEmitter:
         rebuilt out of line by ``node._scan_bucket(key, True)`` — the very
         call ``scan_some`` makes — after the fast pass drops its references
         into that bucket, so no local keeps a dead leaf or its monitors
-        alive past the rebuild.
+        alive past the rebuild.  With ``inline_scans`` off the walk calls
+        ``scan_some`` itself: the same operations, in a tenth of the source.
         """
+        if not self.inline_scans:
+            w.emit(d, f"{node}.scan_some()")
+            return
         u = self.uid()
         w.emit(d, f"if {buckets}:")
         w.emit(d + 1, f"_ks{u} = {node}._scan_keys")
@@ -375,19 +421,19 @@ class _KernelEmitter:
         w: _Writer,
         d: int,
         tree_path: str,
-        extract: tuple[int, ...],
+        vals: tuple[str, ...],
         out: str,
     ) -> None:
-        """A ``lookup_vals(…, create=True)`` over an auxiliary tree.
+        """A ``lookup_vals(vals, create=True)`` over an auxiliary tree.
 
         Used by the inlined materialize to register the new monitor in
-        the extension sets of every strictly-smaller event domain; the
-        walk performs exactly the scan/probe/create sequence of
-        ``_TreeBase.lookup_vals`` on that tree.
+        its own leaf and the extension sets of every strictly-smaller
+        event domain; the walk performs exactly the scan/probe/create
+        sequence of ``_TreeBase.lookup_vals`` on that tree.
         """
         n = self.uid()
         root = self.bind(f"t{n}_root", f"{tree_path}._root")
-        depth = len(extract)
+        depth = len(vals)
         if depth == 0:
             w.emit(d, f"{out} = {root}")
             return
@@ -398,13 +444,13 @@ class _KernelEmitter:
             leaf_level = i + 1 == depth
             child = out if leaf_level else f"_n{n}_{i + 1}"
             self.emit_scan(w, d, node, buckets, leaf_level)
-            self.emit_probe(w, d, buckets, f"v{extract[i]}", child)
+            self.emit_probe(w, d, buckets, vals[i], child)
             w.emit(d, f"if {child} is None:")
             if leaf_level:
                 self.emit_new_leaf(w, d + 1, ctx, child)
             else:
                 self.emit_new_map(w, d + 1, ctx, child, i + 2 == depth)
-            self.emit_put_fresh(w, d + 1, buckets, f"v{extract[i]}", child)
+            self.emit_put_fresh(w, d + 1, buckets, vals[i], child)
             if not leaf_level:
                 node = child
                 buckets = f"_nbk{n}_{i + 1}"
@@ -415,26 +461,24 @@ class _KernelEmitter:
         w: _Writer,
         d: int,
         tree_path: str,
-        extract: tuple[int, ...],
+        vals: tuple[str, ...],
         out: str,
     ) -> None:
-        """A ``lookup_vals(…, create=False)`` over an auxiliary tree.
+        """A ``lookup_vals(vals, create=False)`` over an auxiliary tree.
 
-        ``tree_path`` is the bind-time expression for the tree (e.g.
-        ``ed.self_sources[0].tree``); ``extract`` gives the event-slot
-        positions feeding each level.
+        ``tree_path`` is the bind-time expression for the tree or join
+        index; ``vals`` names the variables feeding each level.
         """
         n = self.uid()
         root = self.bind(f"t{n}_root", f"{tree_path}._root")
-        depth = len(extract)
+        depth = len(vals)
         w.emit(d, f"{out} = None")
-        ctx = self.tree_ctx(tree_path) if depth else None
 
         def level(d: int, node: str, buckets: str, i: int) -> None:
             leaf_level = i + 1 == depth
             child = out if leaf_level else f"_n{n}_{i + 1}"
             self.emit_scan(w, d, node, buckets, leaf_level)
-            self.emit_probe(w, d, buckets, f"v{extract[i]}", child)
+            self.emit_probe(w, d, buckets, vals[i], child)
             if not leaf_level:
                 w.emit(d, f"if {child} is not None:")
                 nb = f"_nb{n}_{i + 1}"
@@ -442,8 +486,7 @@ class _KernelEmitter:
                 level(d + 1, child, nb, i + 1)
 
         if depth == 0:
-            # Zero-parameter aux domains never occur (checks and sources
-            # are nonempty proper sub-domains), but stay defensive.
+            # An empty join key: the index is its root set.
             w.emit(d, f"{out} = {root}")
         else:
             buckets = self.bind(f"t{n}_buckets", f"{root}._buckets")
@@ -527,83 +570,151 @@ class _KernelEmitter:
             w.emit(d, "_tf = _pc() - _t1")
 
     def emit_creation(self, w: _Writer, d: int) -> None:
+        """Monitor creation (Algorithm MONITOR's defineTo and join):
+        the event binding from a live sub-instance or from scratch, then
+        one candidate loop per join plan."""
         ep = self.ep
-        vals = "(" + ", ".join(f"v{i}" for i in range(self.depth)) + (
-            ",)" if self.depth == 1 else ")"
-        )
-        if ep.joins:
-            # Join-bearing events keep the interpreted creation tail: the
-            # candidate iteration is data-dependent and rare.
-            self.bind("create_tail", "rt._create_tail")
-            w.emit(d, f"create_tail(ed, {vals}, leaf, pretouched)")
-            return
         self._bind_materialize()
-        guard = "(_own is None or _own.flagged)"
-        if ep.check_event_leaf:
-            self.bind("_domain", "ed.domain")
-            guard += (
-                " and leaf.touched == serial"
-                " and (pretouched is None or _domain not in pretouched)"
-            )
-        w.emit(d, "_own = leaf.own")
-        w.emit(d, f"if {guard}:")
-        d += 1
+        if self.sources or ep.allows_fresh:
+            # The target's own touch stamp gates every self-creation
+            # identically (D(e) ⊄ K for K ⊊ D(e)), so it is tested on the
+            # event leaf before any source probing.
+            guard = "(leaf.own is None or leaf.own.flagged)"
+            if ep.check_event_leaf:
+                guard += (
+                    " and leaf.touched == serial and (pretouched is None"
+                    f" or {self.domain_var(ep.domain)} not in pretouched)"
+                )
+            w.emit(d, f"if {guard}:")
+            vals = tuple(f"v{i}" for i in range(self.depth))
+            insert = self.plan.insert_plans[ep.domain]
 
-        def emit_branch(d: int, checks_path: str, checks, source_expr: str) -> None:
-            # Unrolled ``_tail_is_valid`` + the materialize call: the
-            # single-iteration ``while True`` gives the check chain an
-            # early exit without a helper call — any failing probe breaks
-            # out before the final materialize line.
-            w.emit(d, "while True:")
-            d += 1
-            for j, check in enumerate(checks):
+            def emit_sources(d: int, i: int) -> None:
+                # Largest first; the first live source seeds the monitor.
+                if i == len(self.sources):
+                    if ep.allows_fresh:
+                        self.emit_branch(
+                            w, d, ep.fresh_checks, vals, True, insert, "None", "leaf"
+                        )
+                    return
+                src = self.sources[i]
                 u = self.uid()
-                dom = self.bind(f"c{u}_dom", f"{checks_path}[{j}].domain")
+                out = f"_sl{u}"
+                src_vals = tuple(vals[k] for k in src.extract)
+                self.emit_aux_walk(w, d, self.tree(src.domain), src_vals, out)
+                w.emit(d, f"_so{u} = {out}.own if {out} is not None else None")
+                w.emit(d, f"if _so{u} is not None and not _so{u}.flagged:")
+                self.emit_branch(
+                    w, d + 1, src.checks, vals, True, insert, f"_so{u}", "leaf"
+                )
+                if i + 1 < len(self.sources) or ep.allows_fresh:
+                    w.emit(d, "else:")
+                    emit_sources(d + 1, i + 1)
+
+            emit_sources(d + 1, 0)
+        for jp in ep.joins:
+            self.emit_join(w, d, jp)
+
+    def emit_branch(
+        self,
+        w: _Writer,
+        d: int,
+        checks: tuple[DomainCheck, ...],
+        vals: tuple[str, ...],
+        pretouched: bool,
+        insert: InsertPlan,
+        source_expr: str,
+        own_leaf: str | None,
+    ) -> None:
+        """The validity-check chain (``_creation_is_valid`` over the plan's
+        checks), then the materialize.  The single-iteration ``while
+        True`` gives the chain an early exit without a helper call: any
+        failing probe breaks out before the materialize.  ``pretouched``
+        says whether the router's pretouched domains invalidate too (self
+        creation only)."""
+        w.emit(d, "while True:")
+        d += 1
+        for check in checks:
+            u = self.uid()
+            if pretouched:
+                dom = self.domain_var(check.domain)
                 w.emit(d, f"if pretouched is not None and {dom} in pretouched:")
                 w.emit(d + 1, "break")
-                out = f"_cl{u}"
-                self.emit_aux_walk(
-                    w, d, f"{checks_path}[{j}].tree", check.extract, out
-                )
-                w.emit(d, f"if {out} is not None:")
-                w.emit(d + 1, f"_ct{u} = {out}.touched")
-                w.emit(d + 1, f"if _ct{u} is not None and _ct{u} < serial:")
-                w.emit(d + 2, "break")
-            self.emit_materialize(w, d, source_expr)
-            w.emit(d, "break")
+            out = f"_cl{u}"
+            sub_vals = tuple(vals[k] for k in check.extract)
+            self.emit_aux_walk(w, d, self.tree(check.domain), sub_vals, out)
+            w.emit(d, f"if {out} is not None:")
+            w.emit(d + 1, f"_ct{u} = {out}.touched")
+            w.emit(d + 1, f"if _ct{u} is not None and _ct{u} < serial:")
+            w.emit(d + 2, "break")
+        self.emit_materialize(w, d, insert, vals, source_expr, own_leaf)
+        w.emit(d, "break")
 
-        def emit_sources(d: int, i: int) -> None:
-            if i == len(self.sources):
-                if ep.allows_fresh:
-                    emit_branch(d, "ed.fresh_checks", ep.fresh_checks, "None")
-                return
-            src = self.sources[i]
-            u = self.uid()
-            out = f"_sl{u}"
-            self.emit_aux_walk(
-                w, d, f"ed.self_sources[{i}].tree", src.extract, out
-            )
-            w.emit(d, f"_so{u} = {out}.own if {out} is not None else None")
-            w.emit(d, f"if _so{u} is not None and not _so{u}.flagged:")
-            emit_branch(
-                d + 1, f"ed.self_sources[{i}].checks", src.checks, f"_so{u}"
-            )
-            if i + 1 < len(self.sources) or ep.allows_fresh:
-                w.emit(d, "else:")
-                emit_sources(d + 1, i + 1)
+    def emit_join(self, w: _Writer, d: int, jp: JoinPlan) -> None:
+        """One join plan: instances of ``jp.join_domain`` compatible with
+        the event, found through their join index, each create the
+        ``jp.target_domain`` instance unless it exists, was touched before
+        now, or fails a validity check.  A candidate with a dead parameter
+        is skipped.
 
-        emit_sources(d, 0)
+        The loop's walks call ``RVMap.scan_some`` rather than inline it:
+        joins are rare, and a three-parameter target's walks hold sixteen
+        scans, which inlined would double the factory's source and the
+        memory peak of compiling it.
+        """
+        self.inline_scans = False
+        u = self.uid()
+        bucket = f"_jb{u}"
+        index = self.index(jp.join_domain, frozenset(jp.key_params))
+        key_vals = tuple(f"v{i}" for i in jp.key_extract)
+        self.emit_aux_walk(w, d, index, key_vals, bucket)
+        w.emit(d, f"if {bucket} is not None:")
+        d += 1
+        # Inlined RVSet.iter_active: compact on the first flagged member,
+        # then iterate the cached snapshot.
+        w.emit(d, f"for _jm{u} in {bucket}._items:")
+        w.emit(d + 1, f"if _jm{u}.flagged:")
+        w.emit(d + 2, f"{bucket}.compact()")
+        w.emit(d + 2, f"_jm{u} = None")
+        w.emit(d + 2, "break")
+        w.emit(d, f"_ja{u} = {bucket}._active")
+        w.emit(d, f"if _ja{u} is None:")
+        w.emit(d + 1, f"_ja{u} = {bucket}._active = tuple({bucket}._items)")
+        w.emit(d, f"for candidate in _ja{u}:")
+        d += 1
+        w.emit(d, f"if candidate.domain != {self.domain_var(jp.join_domain)}:")
+        w.emit(d + 1, "continue")
+        w.emit(d, "_jp = candidate.params")
+        for k, name in enumerate(jp.join_params):
+            w.emit(d, f"_jv{u}_{k} = _jp[{name!r}].get()")
+            w.emit(d, f"if _jv{u}_{k} is None:")
+            w.emit(d + 1, "continue")
+        vals = tuple(
+            f"_jv{u}_{k}" if from_candidate else f"v{k}"
+            for from_candidate, k in jp.merge
+        )
+        target = f"_tl{u}"
+        self.emit_aux_walk(w, d, self.tree(jp.target_domain), vals, target)
+        w.emit(d, f"if {target} is not None:")
+        w.emit(d + 1, f"if {target}.own is not None and not {target}.own.flagged:")
+        w.emit(d + 2, "continue")
+        if jp.check_target:
+            w.emit(d + 1, f"_tt{u} = {target}.touched")
+            w.emit(d + 1, f"if _tt{u} is not None and _tt{u} < serial:")
+            w.emit(d + 2, "continue")
+        insert = self.plan.insert_plans[jp.target_domain]
+        self.emit_branch(w, d, jp.checks, vals, False, insert, "candidate", None)
+        # Let go of the snapshot when the loop ends, as a for loop over
+        # ``iter_active()`` does.
+        w.emit(d - 1, f"_ja{u} = _jm{u} = None")
+        self.inline_scans = True
 
     def _bind_materialize(self) -> None:
-        """Bind-time closures for the inlined ``_materialize`` body."""
+        """Bind-time closures for the inlined materialize body."""
         ep = self.ep
         self.bind("_prop", "rt.prop")
         self.bind("_template_create", "rt.prop.template.create")
         self.bind("_live_refs", "rt._collection_refs")
-        names = ", ".join(repr(p) for p in ep.params)
-        if len(ep.params) == 1:
-            names += ","
-        self.bind("_mdomain", f"frozenset(({names}))")
         # The cheap stand-in for ``weakref.finalize(monitor,
         # stats.record_collection)``: a plain weak reference whose callback
         # fires at the same point in the object's death (both are weakref
@@ -626,17 +737,26 @@ class _KernelEmitter:
             )
             self.bind("_fresh_fire", "fire_col[_fresh_sid]")
 
-    def emit_materialize(self, w: _Writer, d: int, source_expr: str) -> None:
-        """Inline ``PropertyRuntime._materialize`` for ``ed.insert``.
+    def emit_materialize(
+        self,
+        w: _Writer,
+        d: int,
+        ip: InsertPlan,
+        vals: tuple[str, ...],
+        source_expr: str,
+        own_leaf: str | None,
+    ) -> None:
+        """Create, register, watch and step one new monitor of ``ip.domain``
+        over ``vals`` (its parameter values, in ``ip.params`` order).
 
-        Same operation order as the interpreted helper — base state,
-        refs, own-leaf registration, extension registrations (each an
-        inlined create-walk with its scans), join registrations, stats,
-        collection watch, parameter watch, first step — with the insert
-        schedule unrolled from the static :class:`InsertPlan`.
+        The operation order is fixed, and the pinned lifetime table was
+        recorded with it: base state, refs, own-leaf registration
+        (``own_leaf``, or a create-walk of the domain's tree when
+        ``None``), extension registrations (each an inlined create-walk
+        with its scans) in :class:`InsertPlan` order, join registrations,
+        stats, collection watch, parameter watch, first step.
         """
         ep = self.ep
-        ip = self.plan.insert_plans[ep.domain]
         if self.has_fsm:
             # FSMMonitor.clone / FSMTemplate.create are four slot copies
             # off a prototype (fresh monitors all start at the template's
@@ -656,45 +776,44 @@ class _KernelEmitter:
             w.emit(d, f"base = {source_expr}.base.clone()")
         w.emit(d, "rt._serial = _mser = rt._serial + 1")
         # Inlined MonitorInstance.__init__ (slot writes, no dict copy; the
-        # domain frozenset is a per-event constant).
-        refs = []
-        for i, _param in enumerate(ep.params):
-            refs.append(self.emit_paramref(w, d, f"v{i}", f"_mp{i}"))
+        # domain frozenset is a bind-time constant).
+        refs = [
+            self.emit_paramref(w, d, val, f"_mp{i}") for i, val in enumerate(vals)
+        ]
         pairs = ", ".join(
-            f"{param!r}: {ref}" for param, ref in zip(ep.params, refs)
+            f"{param!r}: {ref}" for param, ref in zip(ip.params, refs)
         )
         w.emit(d, "monitor = _MI_new(_MonitorInstance)")
         w.emit(d, "monitor.prop = _prop")
         w.emit(d, "monitor.base = base")
         w.emit(d, f"monitor.params = {{{pairs}}}")
-        w.emit(d, "monitor.domain = _mdomain")
+        w.emit(d, f"monitor.domain = {self.domain_var(ip.domain)}")
         w.emit(d, "monitor.last_event = None")
         w.emit(d, "monitor.flagged = False")
         w.emit(d, "monitor.serial = _mser")
         w.emit(d, "monitor.provenance = None")
-        w.emit(d, "leaf.own = monitor")
+        if own_leaf is None:
+            own_leaf = f"_ol{self.uid()}"
+            self.emit_aux_create_walk(w, d, self.tree(ip.domain), vals, own_leaf)
+        w.emit(d, f"{own_leaf}.own = monitor")
         if ip.own_is_event_domain:
-            w.emit(d, "_lx = leaf.extensions")
+            w.emit(d, f"_lx = {own_leaf}.extensions")
             w.emit(d, "if _lx is not None:")
             w.emit(d + 1, "_lx._items.append(monitor)")
             w.emit(d + 1, "_lx._active = None")
-        for k, (_ext_domain, extract) in enumerate(ip.extension_entries):
+        for ext_domain, extract in ip.extension_entries:
             u = self.uid()
             out = f"_el{u}"
             self.emit_aux_create_walk(
-                w, d, f"ed.insert.ext_entries[{k}][0]", extract, out
+                w, d, self.tree(ext_domain), tuple(vals[i] for i in extract), out
             )
             w.emit(d, f"_ex{u} = {out}.extensions")
             w.emit(d, f"if _ex{u} is not None:")
             w.emit(d + 1, f"_ex{u}._items.append(monitor)")
             w.emit(d + 1, f"_ex{u}._active = None")
-        for k, (_key, extract) in enumerate(ip.join_entries):
-            u = self.uid()
-            idx = self.bind(f"_jix{u}", f"ed.insert.join_entries[{k}][0]")
-            jvals = "(" + ", ".join(f"v{i}" for i in extract) + (
-                ",)" if len(extract) == 1 else ")"
-            )
-            w.emit(d, f"{idx}.add_vals({jvals}, monitor)")
+        for (join_domain, key_domain), extract in ip.join_entries:
+            idx = self.index(join_domain, key_domain)
+            w.emit(d, f"{idx}.add_vals({_tuple(vals[i] for i in extract)}, monitor)")
         # Inlined MonitorStats.record_creation (counter + live peak).
         w.emit(d, "stats.monitors_created = _mc = stats.monitors_created + 1")
         w.emit(d, "_mlive = _mc - stats.monitors_collected")
@@ -703,8 +822,8 @@ class _KernelEmitter:
         w.emit(d, "_live_refs.add(_wref(monitor, _on_collected))")
         w.emit(d, "watch = rt._on_param_registered")
         w.emit(d, "if watch is not None:")
-        for i, param in enumerate(ep.params):
-            w.emit(d + 1, f"watch({param!r}, v{i})")
+        for param, val in zip(ip.params, vals):
+            w.emit(d + 1, f"watch({param!r}, {val})")
         if self.has_fsm:
             if source_expr == "None":
                 w.emit(d, "base._state_id = _fresh_sid")
@@ -772,7 +891,7 @@ class _KernelEmitter:
     def _write_factory(self, w: _Writer, name: str, body: _Writer) -> None:
         w.blank()
         w.blank()
-        w.emit(0, f"def {name}(rt, ed):")
+        w.emit(0, f"def {name}(rt):")
         for line in self._common_prelude():
             w.emit(1, line)
         for line in self.prelude:
@@ -783,7 +902,7 @@ class _KernelEmitter:
     def _common_prelude(self) -> list[str]:
         lines = [
             "stats = rt.stats",
-            "tree = ed.tree",
+            f"tree = rt.trees[{_domain(self.ep.domain)}]",
             "_budget = tree._scan_budget",
             "_brange = range(_budget)",
         ]
@@ -923,27 +1042,22 @@ class KernelModule:
     fingerprint: str
     spec_name: str
     source: str
-    #: event -> ``factory(rt, ed) -> kernel(values, record, pretouched)``
+    #: event -> ``factory(rt) -> kernel(values, record, pretouched)``
     factories: dict[str, Callable[..., Any]] = field(repr=False)
-    #: event -> ``factory(rt, ed) -> batch_kernel(group, record)``
+    #: event -> ``factory(rt) -> batch_kernel(group, record)``
     batch_factories: dict[str, Callable[..., Any]] = field(repr=False)
 
     def bind(self, runtime: Any) -> tuple[dict[str, Any], dict[str, Any]]:
         """Bind one runtime's kernels: ``(kernels, batch_kernels)``.
 
-        Calls every factory with the runtime's resolved ``_EventDispatch``
-        records, producing per-event closures over *its* trees and
+        Calls every factory with the runtime, producing per-event closures
+        over *its* trees, join indices (looked up by literal domain) and
         statistics.  Distinct runtimes of one property share code objects
         but never state.
         """
-        dispatch = runtime._dispatch
-        kernels = {
-            event: make(runtime, dispatch[event])
-            for event, make in self.factories.items()
-        }
+        kernels = {event: make(runtime) for event, make in self.factories.items()}
         batch_kernels = {
-            event: make(runtime, dispatch[event])
-            for event, make in self.batch_factories.items()
+            event: make(runtime) for event, make in self.batch_factories.items()
         }
         return kernels, batch_kernels
 

@@ -11,9 +11,9 @@ bindings), the full creation/join strategy, and the creation-validity
 checks lowered to static ``(domain, extraction-index)`` lists.
 
 Everything here is a pure function of the compiled specification — no
-runtime state.  :class:`~repro.runtime.engine.PropertyRuntime` resolves a
-plan against its own indexing trees once at construction time; after that,
-processing one event is tuple indexing plus weak-map walks, with rich
+runtime state.  :mod:`repro.spec.codegen` renders each plan as generated
+kernels that bind a runtime's indexing trees by literal domain; after
+that, processing one event is local variables plus weak-map walks, with rich
 :class:`~repro.core.params.Binding` objects appearing only at creation and
 verdict boundaries.
 

@@ -1,11 +1,13 @@
 """The generated-source excerpts in docs/dispatch-kernels.md are real.
 
 Every python code fence in the page that shows generated kernel code
-(anything that is not the `import`-ing usage example) must appear
-*verbatim* — byte for byte, indentation included — in the module
-`repro.spec.codegen` actually generates for UNSAFEITER today.  A codegen
-change that reshapes the emitted source must update the documentation in
-the same commit, or this test points at the drifted excerpt.
+(anything that is not the `import`-ing usage example) carries a marker
+line, ``<!-- kernel: <catalogue key> -->``, right before the fence, and
+must appear *verbatim* — byte for byte, indentation included — in the
+module `repro.spec.codegen` actually generates for that property today.
+A codegen change that reshapes the emitted source must update the
+documentation in the same commit, or this test points at the drifted
+excerpt.
 """
 
 from __future__ import annotations
@@ -13,33 +15,27 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from repro.properties import ALL_PROPERTIES
-from repro.runtime.engine import MonitoringEngine
+from repro.properties import CATALOGUE
 from repro.spec.codegen import kernel_source_for
 
 PAGE = Path(__file__).resolve().parents[2] / "docs" / "dispatch-kernels.md"
-FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+FENCE = re.compile(r"(?:<!-- kernel: (\w+) -->\n)?```python\n(.*?)```", re.DOTALL)
 
 
-def generated_source() -> str:
-    engine = MonitoringEngine(
-        ALL_PROPERTIES["unsafeiter"].make().silence(),
-        gc="coenable",
-        dispatch="codegen",
-    )
-    prop = next(p for p in engine.properties if p is not None)
-    return kernel_source_for(prop)
+def generated_source(key: str) -> str:
+    return kernel_source_for(CATALOGUE[key].make().properties[0])
 
 
 def test_documented_excerpts_match_generated_source():
-    blocks = FENCE.findall(PAGE.read_text())
-    assert blocks, "dispatch-kernels.md has no python code fences"
-    excerpts = [block for block in blocks if "import" not in block]
-    assert len(excerpts) >= 4, "expected the four generated-source excerpts"
-    source = generated_source()
-    for excerpt in excerpts:
-        assert excerpt.rstrip("\n") in source, (
-            "doc excerpt drifted from the generated source:\n" + excerpt
+    fences = FENCE.findall(PAGE.read_text())
+    assert fences, "dispatch-kernels.md has no python code fences"
+    excerpts = [(key, block) for key, block in fences if "import" not in block]
+    assert all(key for key, _block in excerpts), "excerpt without a kernel marker"
+    assert len(excerpts) >= 6, "expected the six generated-source excerpts"
+    assert {key for key, _block in excerpts} >= {"unsafeiter", "unsafemapiter"}
+    for key, excerpt in excerpts:
+        assert excerpt.rstrip("\n") in generated_source(key), (
+            f"doc excerpt drifted from the generated source of {key}:\n" + excerpt
         )
 
 

@@ -26,7 +26,7 @@ import pytest
 from repro.bench.workloads import WORKLOADS, record_workload_events
 from repro.obs.attribution import ENGINE_LABEL, STAGES, prop_label, stage_table
 from repro.obs.telemetry import SHARD_PHASE_STRIDE, Telemetry
-from repro.properties import UNSAFEITER
+from repro.properties import UNSAFEITER, UNSAFEMAPITER, UNSAFESYNCMAP
 from repro.runtime.engine import MonitoringEngine
 from repro.runtime.tracelog import replay_entries
 from repro.service import MonitorService
@@ -129,17 +129,34 @@ class TestStageAccounting:
         # accounts for the engine's emit wall time within 15%.
         assert abs(attributed - wall) / wall <= 0.15, (attributed, wall)
 
-    def test_attribution_does_not_change_monitoring_results(self):
+    @pytest.mark.parametrize(
+        "prop, workload, scale, retire",
+        [
+            pytest.param(UNSAFEITER, "bloat", 0.03, True, id="unsafeiter"),
+            # The join-bearing properties: their createiter / asynciter /
+            # synciter kernels run the generated join loop.  They replay
+            # without retirement: with deaths, which monitors a lazy scan
+            # reaches by the end depends on which dead ids the allocator
+            # hands to new objects, and the timed kernels allocate their
+            # probe floats from the same pool.
+            pytest.param(UNSAFEMAPITER, "pmd", 0.1, False, id="unsafemapiter"),
+            pytest.param(UNSAFESYNCMAP, "pmd", 0.1, False, id="unsafesyncmap"),
+        ],
+    )
+    def test_attribution_does_not_change_monitoring_results(
+        self, prop, workload, scale, retire
+    ):
         """On vs off, every observable matches: verdicts, E, M, FM, CM and
         the live peak.  Interval 3 mixes timed and plain kernels in one
         run, so the two variants must hand each other identical state."""
-        entries = bloat_entries()
+        entries = record_workload_events(WORKLOADS[workload].scaled(scale), [prop])
+        spec_name = prop.make().properties[0].spec_name
 
         def run(attribution, interval):
             verdicts = []
             telemetry = Telemetry(sample_interval=interval, attribution=attribution)
             engine = MonitoringEngine(
-                UNSAFEITER.make().silence(),
+                prop.make().silence(),
                 gc="coenable",
                 propagation="lazy",
                 telemetry=telemetry,
@@ -147,8 +164,8 @@ class TestStageAccounting:
                     (cat, mon.serial)
                 ),
             )
-            replay_entries(entries, engine, retire_after_last_use=True)
-            stats = engine.stats_for("UnsafeIter")
+            replay_entries(entries, engine, retire_after_last_use=retire)
+            stats = engine.stats_for(spec_name)
             return sorted(verdicts), tuple(
                 getattr(stats, field) for field in (
                     "events", "monitors_created", "monitors_flagged",
@@ -157,7 +174,9 @@ class TestStageAccounting:
             )
 
         for interval in (1, 3):
-            assert run(False, interval) == run(True, interval), interval
+            plain = run(False, interval)
+            assert plain[0], "the trace must produce verdicts"
+            assert plain == run(True, interval), interval
 
     def test_engines_without_attribution_never_generate_timed_kernels(self):
         from repro.spec.codegen import shared_kernel_cache

@@ -6,16 +6,23 @@ every verdict in the goal set that the abstract algorithm reports must be
 reported by the engine, for the same parameter instance, at the same event
 — and vice versa.  We check this on random parametric traces for three
 property shapes (1-param FSM, 2-param ERE, the cross-join ERE, and the
-3-param UNSAFEMAPITER pattern).
+3-param UNSAFEMAPITER pattern).  The abstract algorithm knows no deaths,
+so it is also the verdict oracle when a parameter dies mid-trace; the
+last tests pin the one known loss, a dead join partner, in every tier,
+GC strategy and propagation.
 """
 
 from __future__ import annotations
 
+import gc
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.events import ParametricEvent
 from repro.core.parametric import AbstractParametricMonitor
 from repro.core.params import Binding
+from repro.properties import UNSAFESYNCMAP
 from repro.runtime.engine import MonitoringEngine
 from repro.spec import compile_spec
 
@@ -177,3 +184,78 @@ def test_gc_strategies_do_not_change_goal_reports(trace):
             box["pos"] = position
             engine.emit_binding(event.name, event.binding)
         assert normalized(reports) == baseline, gc_kind
+
+
+# -- a dead join partner (ROADMAP: "A dead join partner must not erase a
+# verdict") -------------------------------------------------------------------
+
+DEAD_JOIN_GRID = pytest.mark.parametrize(
+    "dispatch, gc_kind, propagation",
+    [
+        (dispatch, gc_kind, propagation)
+        for dispatch in ("codegen", "reference")
+        for gc_kind in ("none", "alldead", "coenable", "statebased")
+        for propagation in ("lazy", "eager")
+    ],
+)
+
+
+def syncmap_trace(m, c, i):
+    return [
+        ("syncmap", {"m": m}),
+        ("createset", {"m": m, "c": c}),
+        ("asynciter", {"c": c, "i": i}),
+    ]
+
+
+def syncmap_abstract_matches() -> int:
+    """Goal verdicts of Algorithm MONITOR on the trace; deaths do not exist
+    there, so this is the count under any death schedule."""
+    prop = UNSAFESYNCMAP.make().properties[0]
+    monitor = AbstractParametricMonitor(prop.template, prop.definition)
+    return sum(
+        category in prop.goal
+        for name, binding in syncmap_trace(Obj("m"), Obj("c"), Obj("i"))
+        for category in monitor.process(ParametricEvent(name, binding)).values()
+    )
+
+
+def syncmap_engine_matches(dispatch, gc_kind, propagation, drop_map) -> int:
+    """Goal verdicts of one engine on the trace; with ``drop_map`` the map
+    ``m`` dies (and is collected) between ``createset`` and ``asynciter``."""
+    matches = []
+    engine = MonitoringEngine(
+        UNSAFESYNCMAP.make().silence(),
+        gc=gc_kind,
+        propagation=propagation,
+        dispatch=dispatch,
+        on_verdict=lambda prop, category, monitor: matches.append(category),
+    )
+    m, c, i = Obj("m"), Obj("c"), Obj("i")
+    syncmap, createset, asynciter = syncmap_trace(m, c, i)
+    engine.emit_values(*syncmap)
+    engine.emit_values(*createset)
+    if drop_map:
+        del m, syncmap, createset
+        gc.collect()
+    engine.emit_values(*asynciter)
+    return len(matches)
+
+
+@DEAD_JOIN_GRID
+def test_live_join_partner_matches_the_abstract_monitor(dispatch, gc_kind, propagation):
+    assert syncmap_abstract_matches() == 1
+    assert syncmap_engine_matches(dispatch, gc_kind, propagation, False) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 'A dead join partner must not erase a verdict': every "
+    "join loop skips a candidate whose parameter died",
+)
+@DEAD_JOIN_GRID
+def test_dead_join_partner_matches_the_abstract_monitor(dispatch, gc_kind, propagation):
+    assert syncmap_engine_matches(
+        dispatch, gc_kind, propagation, True
+    ) == syncmap_abstract_matches()

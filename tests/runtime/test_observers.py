@@ -202,3 +202,33 @@ class TestOrdering:
         with pytest.raises(UnknownEventError):
             engine.emit("undeclared", x=Obj("x"))
         assert log == [("probe", "before", "undeclared"), ("probe", "after", "undeclared")]
+
+
+class AfterOnly:
+    def __init__(self, log):
+        self.log = log
+
+    def after_event(self, event, params):
+        self.log.append(event)
+
+
+class BeforeAndAfter(AfterOnly):
+    def before_event(self, event, params):
+        pass
+
+
+@pytest.mark.parametrize("observer", [AfterOnly, BeforeAndAfter])
+def test_after_hooks_stop_at_the_batch_event_that_raised(observer):
+    """A strict batch that raises on its second event runs the after hooks
+    of the first two events only, whether or not the observer also has a
+    ``before_event`` hook (which sends the batch through ``_emit_tapped``
+    instead of the grouped codegen path)."""
+    log = []
+    engine = MonitoringEngine(UNSAFEITER.make().silence(), dispatch="codegen")
+    c, i = Obj("c"), Obj("i")
+    engine.emit("update", c=c)  # binds the kernels: the grouped path exists
+    engine.add_observer(observer(log))
+    batch = [("create", {"c": c, "i": i}), ("bogus", {}), ("next", {"i": i})]
+    with pytest.raises(UnknownEventError):
+        engine.emit_batch(batch)
+    assert log == ["create", "bogus"]
