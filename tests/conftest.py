@@ -2,7 +2,49 @@
 
 from __future__ import annotations
 
+import socket
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
+
+from repro.instrument import collections_shim
+
+#: Classes the shipped pointcuts weave into, with their unwoven attributes.
+_WOVEN_CLASSES = {
+    cls: dict(vars(cls))
+    for cls in [
+        value
+        for value in vars(collections_shim).values()
+        if isinstance(value, type) and value.__module__ == collections_shim.__name__
+    ]
+    + [socket.socket, tempfile.TemporaryDirectory, ThreadPoolExecutor]
+}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_advice():
+    """Fail a test that leaves a woven method behind.
+
+    Advice binds its sink's ``emit`` at weave time, so a leaked advice
+    would go on feeding a stale engine in every later test, silently.
+    """
+    yield
+    leaked = [
+        (cls, name)
+        for cls, unwoven in _WOVEN_CLASSES.items()
+        for name, value in vars(cls).items()
+        if value is not unwoven.get(name)
+        and (hasattr(value, "__rv_original__") or hasattr(value, "__wrapped__"))
+    ]
+    for cls, name in leaked:  # restore, so only the leaking test fails
+        if name in _WOVEN_CLASSES[cls]:
+            setattr(cls, name, _WOVEN_CLASSES[cls][name])
+        else:
+            delattr(cls, name)
+    if leaked:
+        leaked = [f"{cls.__name__}.{name}" for cls, name in leaked]
+        pytest.fail(f"woven methods left behind: {', '.join(sorted(leaked))}")
 
 
 class Obj:
