@@ -827,15 +827,22 @@ class LiveSession:
         for instrumentation a declarative pointcut cannot express (e.g.
         attaching completion callbacks to objects a call returns).
         """
-        original = getattr(cls, method)
+        found = getattr(cls, method)
+        own = method in cls.__dict__
+        if own:
+            original = found
+        else:
+            # Looked up per call, as the Weaver does: advice a base class
+            # gets later (or loses) applies to this subclass too.
+            def original(target: Any, *args: Any, **kwargs: Any) -> Any:
+                return getattr(super(cls, target), method)(*args, **kwargs)
 
-        @functools.wraps(original)
+        @functools.wraps(found)
         def patched(*args: Any, **kwargs: Any) -> Any:
             return around(original, *args, **kwargs)
 
-        own = method in cls.__dict__
         setattr(cls, method, patched)
-        self._patches.append((cls, method, original if own else None, patched))
+        self._patches.append((cls, method, found if own else None, patched))
 
     def probe(
         self,

@@ -42,7 +42,7 @@ from ..spec.registry import (
     normalize_properties,
 )
 from .codec import restore_engine, snapshot_engine, trace_symbol_of
-from .wal import WalWriter, iter_wal_records
+from .wal import WalWriter, _cut_tail, _records
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -163,6 +163,7 @@ class DurableEngine:
         _engine: MonitoringEngine | None = None,
         _registry: SymbolRegistry | None = None,
         _start_seq: int = 0,
+        _repaired: bool = False,
     ):
         self.telemetry = as_telemetry(telemetry)
         if _engine is not None:
@@ -186,6 +187,7 @@ class DurableEngine:
             fsync_interval=fsync_interval,
             start_seq=_start_seq,
             telemetry=self.telemetry,
+            _repaired=_repaired,
         )
         self.checkpoint_every = checkpoint_every
         self.prune_on_checkpoint = prune_on_checkpoint
@@ -222,10 +224,14 @@ class DurableEngine:
         self._events_since_checkpoint += 1
 
     def emit(self, event: str, _strict: bool = True, **params: Any) -> None:
-        """Log, dispatch, and auto-checkpoint when the interval elapses."""
+        """Log, dispatch, and auto-checkpoint when the interval elapses.
+
+        The keyword binding goes on to the engine as the one dict it
+        already is (:meth:`MonitoringEngine.emit_values`, which observers
+        see exactly as :meth:`MonitoringEngine.emit`), not repacked."""
         if self._closed:
             raise PersistError("emit on a closed DurableEngine")
-        self.engine.emit(event, _strict=_strict, **params)
+        self.engine.emit_values(event, params, _strict)
         if (
             self.checkpoint_every is not None
             and self._events_since_checkpoint >= self.checkpoint_every
@@ -416,13 +422,16 @@ class DurableEngine:
                 engine.enable_telemetry(telemetry)
             after = payload["seq"]
         # One pass over the log: collect the replay suffix (events *and*
-        # registry ops, in sequence order), the last durable sequence, and
-        # the highest numeric symbol ever used (so post-recovery minting
-        # cannot collide with pre-crash names).
+        # registry ops, in sequence order), the last durable sequence, the
+        # highest numeric symbol ever used (so post-recovery minting
+        # cannot collide with pre-crash names), and the intact length of
+        # the last segment, whose torn tail is cut here rather than by a
+        # second decoding pass in the new writer.
         records: list[tuple[str, Any]] = []
         last_seq = after
         highest = registry.counter
-        for seq2, kind, payload in iter_wal_records(directory, 0):
+        tail: list = []
+        for seq2, kind, payload in _records(directory, 0, tail):
             last_seq = max(last_seq, seq2)
             if kind == "event":
                 for symbol in payload[1].values():
@@ -430,6 +439,8 @@ class DurableEngine:
                         highest = max(highest, int(symbol[1:]))
             if seq2 > after:
                 records.append((kind, payload))
+        if tail:
+            _cut_tail(*tail)
         # Replay the suffix with registry ops applied at exactly the trace
         # positions they originally happened — a property hot-loaded at
         # event k sees events k..n and nothing earlier, as in the original
@@ -456,6 +467,7 @@ class DurableEngine:
             _engine=engine,
             _registry=registry,
             _start_seq=last_seq,
+            _repaired=True,
             segment_events=segment_events,
             fsync_interval=fsync_interval,
             checkpoint_every=checkpoint_every,

@@ -17,6 +17,12 @@ the WAL adds what crash recovery needs:
   reader stops at the first undecodable line of the final segment instead
   of failing (mid-log corruption, by contrast, raises).
 
+Event and delivery records are encoded without ``json.dumps``: the writer
+caches, per ``(event, parameter names in order)``, the encoded
+``,"e":<event>,"p":{`` head and one ``"<name>":`` key per parameter, and
+joins them with the C string escaper of :mod:`json.encoder`.  The bytes on
+disk are exactly what ``json.dumps(entry, separators=(",", ":"))`` writes.
+
 The WAL records *events*, not object deaths — the caveat documented by
 :mod:`repro.runtime.tracelog` applies to recovery replays as well.
 """
@@ -26,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from json.encoder import encode_basestring_ascii as _quote
 from time import perf_counter
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -88,6 +95,7 @@ class WalWriter:
         telemetry: Any = None,
         on_write_error: "Any | None" = None,
         fault_hook: "Any | None" = None,
+        _repaired: bool = False,
     ):
         if segment_events < 1:
             raise PersistError("segment_events must be >= 1")
@@ -105,8 +113,10 @@ class WalWriter:
         # A previous crash may have left a torn trailing line in the last
         # segment.  Readers tolerate it only while that segment is last —
         # this writer is about to open a new one, so cut the tear off now
-        # or every future read of the directory would fail on it.
-        repair_tail(directory)
+        # or every future read of the directory would fail on it (recovery,
+        # which has just read the whole log, cuts it itself: ``_repaired``).
+        if not _repaired:
+            repair_tail(directory)
         self.directory = directory
         self.registry = registry if registry is not None else SymbolRegistry()
         self.segment_events = segment_events
@@ -120,6 +130,8 @@ class WalWriter:
         #: first_seq per written segment index (prune decisions).
         self._first_seqs: dict[int, int] = {}
         self._handle = None
+        #: (event, *parameter names) -> (encoded head, encoded name keys).
+        self._heads: dict[tuple, tuple[str, list[str]]] = {}
         self._open_segment()
         self.telemetry = as_telemetry(telemetry)
         if self.telemetry is not None:
@@ -209,47 +221,68 @@ class WalWriter:
                 pass
         raise error from exc
 
-    def _write_record(self, entry: dict, op: str) -> None:
+    def _write_line(self, line: str, op: str) -> None:
         try:
             # The injection point sits inside the conversion so a
             # simulated ENOSPC takes the exact path a real one does.
             if self._fault_hook is not None:
                 self._fault_hook(op)
-            self._handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
+            self._handle.write(line)
         except OSError as exc:
             self._write_failed(op, exc)
         self._segment_entries += 1
 
-    def _check_writable(self, op: str) -> None:
+    def _write_record(self, entry: dict) -> None:
+        self._write_line(json.dumps(entry, separators=(",", ":")) + "\n", "append")
+
+    def _next_seq(self, op: str) -> int:
+        """Refuse on a closed or failed writer, rotate a full segment, and
+        return the sequence number the next record takes."""
         if self._handle is None:
             raise PersistError(f"{op} on a closed WalWriter")
         if self.failed:
             raise WalWriteError(
                 f"{op} on a failed WalWriter in {self.directory}"
             )
-
-    def append(self, event: str, params: Mapping[str, Any]) -> int:
-        """Durably record one parametric event; returns its sequence number."""
-        self._check_writable("append")
         if self._segment_entries >= self.segment_events:
             self._rotate()
+        return self.seq + 1
+
+    def _commit(self, seq: int) -> int:
         # The sequence counter commits only after the write lands: a
         # failed append must not consume a number, or the replacement
         # writer seeded from ``seq`` would leave a permanent gap that
         # poisons every future recovery read of the directory.
-        seq = self.seq + 1
-        symbol_for = self.registry.symbol_for
-        entry = {
-            "q": seq,
-            "e": event,
-            "p": {name: symbol_for(value) for name, value in params.items()},
-        }
-        self._write_record(entry, "append")
         self.seq = seq
         self._since_fsync += 1
         if self._since_fsync >= self.fsync_interval:
             self.sync()
-        return self.seq
+        return seq
+
+    def _event_line(
+        self, seq: int, event: str, names: Any, symbols: Any, end: str
+    ) -> str:
+        """``{"q":<seq>,"e":<event>,"p":{<name:symbol,...>`` + ``end``, the
+        bytes ``json.dumps`` writes for those keys, from the cached head."""
+        head = self._heads.get((event, *names))
+        if head is None:
+            head = self._heads[(event, *names)] = (
+                ',"e":' + _quote(event) + ',"p":{',
+                [_quote(name) + ":" for name in names],
+            )
+        return (
+            '{"q":' + str(seq) + head[0]
+            + ",".join([key + _quote(symbol) for key, symbol in zip(head[1], symbols)])
+            + end
+        )
+
+    def append(self, event: str, params: Mapping[str, Any]) -> int:
+        """Durably record one parametric event; returns its sequence number."""
+        seq = self._next_seq("append")
+        symbols = map(self.registry.symbol_for, params.values())
+        line = self._event_line(seq, event, params, symbols, "}}\n")
+        self._write_line(line, "append")
+        return self._commit(seq)
 
     def append_delivery(
         self, event: str, symbols: Mapping[str, str], plan: Any
@@ -261,17 +294,11 @@ class WalWriter:
         plan — recovery replays the plan verbatim, bypassing the router,
         whose sticky state has moved on since the original routing.
         """
-        self._check_writable("append_delivery")
-        if self._segment_entries >= self.segment_events:
-            self._rotate()
-        seq = self.seq + 1
-        entry = {"q": seq, "e": event, "p": dict(symbols), "d": plan}
-        self._write_record(entry, "append")
-        self.seq = seq
-        self._since_fsync += 1
-        if self._since_fsync >= self.fsync_interval:
-            self.sync()
-        return self.seq
+        seq = self._next_seq("append_delivery")
+        end = '},"d":' + json.dumps(plan, separators=(",", ":")) + "}\n"
+        line = self._event_line(seq, event, symbols, symbols.values(), end)
+        self._write_line(line, "append")
+        return self._commit(seq)
 
     def append_deaths(self, symbols: "Sequence[str] | list[str]") -> int:
         """Record a batch of parameter deaths (retire broadcast) in order.
@@ -280,17 +307,9 @@ class WalWriter:
         must drop its tokens between the same two deliveries the live
         worker did, because verdict bindings omit dead parameters.
         """
-        self._check_writable("append_deaths")
-        if self._segment_entries >= self.segment_events:
-            self._rotate()
-        seq = self.seq + 1
-        entry = {"q": seq, "x": list(symbols)}
-        self._write_record(entry, "append")
-        self.seq = seq
-        self._since_fsync += 1
-        if self._since_fsync >= self.fsync_interval:
-            self.sync()
-        return self.seq
+        seq = self._next_seq("append_deaths")
+        self._write_record({"q": seq, "x": list(symbols)})
+        return self._commit(seq)
 
     def append_registry_op(self, op: Mapping[str, Any]) -> int:
         """Durably record one property-registry operation in stream order.
@@ -301,15 +320,11 @@ class WalWriter:
         fsynced immediately — a lost registry op would silently change the
         meaning of every event after it.
         """
-        self._check_writable("append_registry_op")
-        if self._segment_entries >= self.segment_events:
-            self._rotate()
-        seq = self.seq + 1
-        entry = {"q": seq, "r": dict(op)}
-        self._write_record(entry, "append")
+        seq = self._next_seq("append_registry_op")
+        self._write_record({"q": seq, "r": dict(op)})
         self.seq = seq
         self.sync()
-        return self.seq
+        return seq
 
     def sync(self) -> None:
         """An explicit fsync point: everything appended so far is durable."""
@@ -413,39 +428,25 @@ def repair_tail(directory: str) -> int:
     segments = wal_segments(directory)
     if not segments:
         return 0
-    _index, path = segments[-1]
-    good = 0
-    missing_newline = False
-    with open(path, "rb") as handle:
-        for line_number, line in enumerate(handle):
-            try:
-                record = json.loads(line)
-            except ValueError:
-                break
-            if line_number == 0:
-                if not (isinstance(record, dict) and "wal" in record):
-                    break
-            elif not (
-                isinstance(record, dict)
-                and (
-                    {"q", "e", "p"} <= record.keys()
-                    or {"q", "r"} <= record.keys()
-                    or {"q", "x"} <= record.keys()
-                )
-            ):
-                break
-            good += len(line)
-            missing_newline = not line.endswith(b"\n")
+    tail: list = []
+    for _record in _scan_segment(segments[-1][1], True, tail):
+        pass
+    return _cut_tail(*tail)
+
+
+def _cut_tail(path: str, intact: int, missing_newline: bool) -> int:
+    """Cut ``path`` back to its ``intact`` prefix (restoring a lost final
+    newline) and fsync it; returns how many bytes were removed."""
     size = os.path.getsize(path)
-    if good < size or missing_newline:
+    if intact < size or missing_newline:
         with open(path, "r+b") as handle:
-            handle.truncate(good)
+            handle.truncate(intact)
             if missing_newline:
                 handle.seek(0, os.SEEK_END)
                 handle.write(b"\n")
             handle.flush()
             os.fsync(handle.fileno())
-    return size - good
+    return size - intact
 
 
 def read_wal(
@@ -489,56 +490,76 @@ def iter_wal_records(
     property adds/removes — and supervised replays' retire points —
     replay at exactly the trace positions they originally happened.
     """
+    return _records(directory, after_seq)
+
+
+def _records(
+    directory: str, after_seq: int = 0, tail: "list | None" = None
+) -> Iterator[tuple[int, str, Any]]:
+    """:func:`iter_wal_records`; once the stream is exhausted, ``tail``
+    (when given) holds the :func:`_cut_tail` arguments of the last
+    segment, so recovery repairs it without decoding it a second time."""
     segments = wal_segments(directory)
-    last_index = segments[-1][0] if segments else None
     expected = None
-    for index, path in segments:
-        with open(path, encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle):
-                if line_number == 0:
-                    # The final segment's header may itself be the torn
-                    # tail (rotation writes it buffered): treat it as an
-                    # empty tail segment rather than corruption.
-                    header = _decode(line, path, 1, tolerate=index == last_index)
-                    if header is None:
-                        return
-                    if header.get("wal") != WAL_VERSION:
-                        raise PersistError(
-                            f"{path}: unsupported WAL version {header.get('wal')!r}"
-                        )
-                    continue
-                tolerate = index == last_index
-                entry = _decode(line, path, line_number + 1, tolerate)
-                if entry is None:
-                    return  # torn tail: stop cleanly at the last fsynced state
-                try:
-                    seq = entry["q"]
-                    if "r" in entry:
-                        kind, payload = "registry", entry["r"]
-                    elif "x" in entry:
-                        kind, payload = "deaths", entry["x"]
-                    elif "d" in entry:
-                        kind, payload = "delivery", (entry["e"], entry["p"], entry["d"])
-                    else:
-                        kind, payload = "event", (entry["e"], entry["p"])
-                except (KeyError, TypeError):
-                    if tolerate:
-                        return
-                    raise PersistError(f"{path}:{line_number + 1}: malformed entry")
-                if expected is not None and seq != expected:
-                    raise PersistError(
-                        f"{path}:{line_number + 1}: sequence gap (got {seq}, "
-                        f"expected {expected})"
-                    )
-                expected = seq + 1
-                if seq > after_seq:
-                    yield seq, kind, payload
+    for position, (_index, path) in enumerate(segments, 1):
+        # Only the last segment may end torn — its header too, since
+        # rotation writes it buffered: that reads as an empty tail segment.
+        last = position == len(segments)
+        scan = _scan_segment(path, last, tail if last else None)
+        for line_number, seq, kind, payload in scan:
+            if kind == "header":
+                if payload != WAL_VERSION:
+                    raise PersistError(f"{path}: unsupported WAL version {payload!r}")
+                continue
+            if expected is not None and seq != expected:
+                raise PersistError(
+                    f"{path}:{line_number}: sequence gap (got {seq}, "
+                    f"expected {expected})"
+                )
+            expected = seq + 1
+            if seq > after_seq:
+                yield seq, kind, payload
 
 
-def _decode(line: str, path: str, line_number: int, tolerate: bool):
-    try:
-        return json.loads(line)
-    except ValueError:
-        if tolerate:
-            return None
-        raise PersistError(f"{path}:{line_number}: corrupt WAL line") from None
+def _scan_segment(
+    path: str, tolerate: bool, tail: "list | None" = None
+) -> Iterator[tuple[int, Any, str, Any]]:
+    """Decode each line of one segment once: ``(line number, seq, kind,
+    payload)``, the first line as kind ``"header"`` with its WAL version.
+
+    A line that is not a complete record raises
+    :class:`~repro.core.errors.PersistError`, or — with ``tolerate``, for
+    the last segment, whose tail a crash may have torn — ends the scan.
+    ``tail`` (optional) then receives ``[path, intact byte length, whether
+    the last intact line lacks its newline]``.
+    """
+    intact, newline = 0, True
+    with open(path, "rb") as handle:
+        for line_number, line in enumerate(handle, 1):
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                if tolerate:
+                    break
+                raise PersistError(f"{path}:{line_number}: corrupt WAL line") from None
+            try:
+                if line_number == 1:
+                    record = (None, "header", entry["wal"])
+                elif "r" in entry:
+                    record = (entry["q"], "registry", entry["r"])
+                elif "x" in entry:
+                    record = (entry["q"], "deaths", entry["x"])
+                elif "d" in entry:
+                    payload = (entry["e"], entry["p"], entry["d"])
+                    record = (entry["q"], "delivery", payload)
+                else:
+                    record = (entry["q"], "event", (entry["e"], entry["p"]))
+            except (KeyError, TypeError):
+                if tolerate:
+                    break
+                raise PersistError(f"{path}:{line_number}: malformed entry") from None
+            intact += len(line)
+            newline = line.endswith(b"\n")
+            yield (line_number, *record)
+    if tail is not None:
+        tail[:] = [path, intact, not newline]

@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from repro.core.errors import ReproError
+from repro.instrument import collections_shim
+from repro.instrument.aspects import Weaver, before
 from repro.instrument.live import (
     LiveBinding,
     LiveSession,
@@ -374,6 +376,29 @@ class TestLiveSession:
             assert Victim().ping() == "pong"
         assert Victim.ping is original
         assert calls == [1]
+
+    def test_patch_on_inherited_method_follows_base_advice_woven_later(self):
+        """Around-advice on a method the class only inherits calls the base
+        method as it is at call time, not as it was when patched."""
+        fired = []
+
+        class Sink:
+            def emit(self, event, _strict=True, **params):
+                fired.append(event)
+
+        base = collections_shim.MonitoredCollection
+        sub = collections_shim.SynchronizedCollection
+        session = LiveSession(properties=[HASNEXT_SRC], gc="none")
+        weaver = Weaver(Sink())
+        with session:
+            session.patch_method(sub, "iterator", lambda orig, self_: orig(self_))
+            weaver.weave(before(base, "iterator", event="made", bind={"c": "target"}))
+            try:
+                sub([1]).iterator()
+            finally:
+                weaver.unweave()
+        assert fired == ["made"]
+        assert "iterator" not in vars(sub)  # the patch is deleted, not copied
 
     def test_death_ledger_skipped_for_lazy_sinks(self):
         lazy = LiveSession(properties=[HASNEXT_SRC], gc="none")

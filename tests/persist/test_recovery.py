@@ -200,6 +200,43 @@ class TestDurableEngine:
         assert second.engine.stats_for("UnsafeIter").events == 3
         second.close()
 
+    @pytest.mark.parametrize("crash", ["torn record", "lost newline"])
+    def test_recovery_repairs_the_tail_from_its_own_read(
+        self, tmp_path, monkeypatch, crash
+    ):
+        """Recovery cuts the tear (or restores the newline) from the pass
+        that replays the log; the writer it builds reads nothing again."""
+        from repro.persist import wal
+
+        pool = {k: Obj(k) for k in ("c0", "i0")}
+        durable = DurableEngine(
+            ALL_PROPERTIES["unsafeiter"].make().silence(),
+            str(tmp_path),
+            fsync_interval=1,
+        )
+        durable.emit("create", c=pool["c0"], i=pool["i0"])
+        durable.emit("update", c=pool["c0"])
+        del durable
+        gc.collect()
+        _seg, path = wal_segments(str(tmp_path))[-1]
+        with open(path, "rb+") as handle:
+            if crash == "torn record":
+                handle.seek(0, os.SEEK_END)
+                handle.write(b'{"q": 3, "e"')
+            else:
+                handle.seek(-1, os.SEEK_END)
+                handle.truncate()
+        repair_tail = wal.repair_tail
+        with monkeypatch.context() as patch:
+            patch.setattr(wal, "repair_tail", None)  # a second pass would fail
+            recovered, _ = DurableEngine.recover(
+                ALL_PROPERTIES["unsafeiter"].make().silence(), str(tmp_path)
+            )
+        assert repair_tail(str(tmp_path)) == 0
+        recovered.emit("update", c=pool["c0"])
+        recovered.close()
+        assert [seq for seq, _entry in wal.iter_wal(str(tmp_path))] == [1, 2, 3]
+
     def test_recovered_registry_never_reuses_symbols(self, tmp_path):
         pool = {k: Obj(k) for k in ("c0", "i0")}
         durable = DurableEngine(

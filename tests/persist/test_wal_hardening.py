@@ -18,6 +18,8 @@ from repro.core.errors import PersistError, WalWriteError
 from repro.persist import WalWriter, wal_segments
 from repro.persist.wal import iter_wal_records
 
+from ..conftest import Obj
+
 
 def _hook_failing_on(call: int, op: str = "append"):
     """A fault hook raising ``ENOSPC`` on the n-th occurrence of ``op``."""
@@ -42,6 +44,23 @@ class TestTypedFailure:
         assert exc_info.value.errno == errno.ENOSPC
         assert isinstance(exc_info.value, PersistError)  # one except clause
         assert writer.failed is True
+
+    def test_event_append_failure_consumes_no_sequence(self, tmp_path):
+        writer = WalWriter(str(tmp_path), fault_hook=_hook_failing_on(2))
+        first, second = Obj("first"), Obj("second")
+        assert writer.append("e0", {"p": first}) == 1
+        with pytest.raises(WalWriteError) as exc_info:
+            writer.append("e1", {"p": second})
+        assert exc_info.value.errno == errno.ENOSPC
+        assert writer.seq == 1
+        assert writer.failed is True
+        with pytest.raises(WalWriteError):
+            writer.append("e2", {"p": first})
+        writer.close()
+        _index, path = wal_segments(str(tmp_path))[-1]
+        with open(path, encoding="utf-8") as handle:
+            events = handle.read().splitlines()[1:]
+        assert events == ['{"q":1,"e":"e0","p":{"p":"o1"}}']
 
     def test_failed_writer_latches_shut(self, tmp_path):
         writer = WalWriter(str(tmp_path), fault_hook=_hook_failing_on(1))
