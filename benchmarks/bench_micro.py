@@ -13,6 +13,7 @@ import pytest
 from repro.core.coenable import param_coenable_sets
 from repro.formalism.ere import compile_ere
 from repro.runtime.engine import MonitoringEngine
+from repro.runtime.refs import ParamLedger
 from repro.runtime.rvmap import RVMap
 from repro.spec import compile_spec
 
@@ -64,15 +65,16 @@ def test_micro_monitor_creation(benchmark):
 def test_micro_rvmap_churn(benchmark):
     """put/get churn with dead keys mixed in (the lazy-scan hot path)."""
     rvmap = RVMap(scan_budget=2)
+    entry = ParamLedger().entry
     live = [Token() for _ in range(128)]
     for index, token in enumerate(live):
-        rvmap.put(token, index)
+        rvmap.put(entry(token), index)
     cursor = 0
 
     def churn():
         nonlocal cursor
-        rvmap.put(Token(), cursor)  # immediately dead key
-        rvmap.get(live[cursor & 127])
+        rvmap.put(entry(Token()), cursor)  # immediately dead key
+        rvmap.get(entry(live[cursor & 127]))
         cursor += 1
 
     benchmark(churn)

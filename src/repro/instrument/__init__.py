@@ -6,8 +6,8 @@ Three layers:
 * :mod:`~repro.instrument.aspects` — AspectJ-style pointcuts woven into
   Python classes by monkey-patching (the Section 5 setting);
 * :mod:`~repro.instrument.live` — monitoring *real running programs*:
-  ``LiveSession`` (engine/service front door with a weakref-driven death
-  ledger), ``TraceWeaver`` (``sys.monitoring``/``settrace`` weaving of
+  ``LiveSession`` (engine/service front door; deaths reach the engines
+  through their identity ledgers), ``TraceWeaver`` (``sys.monitoring``/``settrace`` weaving of
   plain functions), and the ``emits`` decorator;
 * :mod:`~repro.instrument.collections_shim` — the Java-collections
   substrate the DaCapo-analog workloads run against.
@@ -17,7 +17,6 @@ from .aspects import CallContext, Pointcut, Weaver, after_returning, before
 from .live import (
     FunctionContext,
     FunctionPointcut,
-    LiveBinding,
     LiveSession,
     TraceWeaver,
     emits,
@@ -49,7 +48,6 @@ __all__ = [
     "before",
     "FunctionContext",
     "FunctionPointcut",
-    "LiveBinding",
     "LiveSession",
     "TraceWeaver",
     "emits",

@@ -1,20 +1,13 @@
 """Live-program instrumentation: monitor real Python objects in real runs.
 
-The rest of the stack learns about parameter-object deaths either lazily
-(weak-keyed structures notice dead keys as they are touched) or from a
-replayed trace's retirement points.  This module closes the loop for *live*
-executions — the regime dynamic-analysis systems operate in — with three
-pieces:
+The engine learns about parameter-object deaths from its own identity
+ledger (:class:`~repro.runtime.refs.ParamLedger`): every object it keys
+carries one ``weakref`` whose callback stamps the death and, under eager
+propagation, queues it for the next safe event boundary.  In a *live*
+execution — the regime dynamic-analysis systems operate in — the paper's
+monitor GC is thereby driven by the *host garbage collector* instead of
+trace markers.  This module closes the loop with two pieces:
 
-* :class:`LiveBinding` — an identity map over every object bound as a
-  specification parameter.  Each watched object carries a ``weakref.ref``
-  callback; when the interpreter reclaims it, the death is recorded as a
-  coalesced ``(parameter name, id)`` pair and, at the next safe event
-  boundary, injected into the engine through
-  :meth:`~repro.runtime.engine.MonitoringEngine.note_deaths` — the same
-  ``purge_ids`` flow the engine's own eager watcher feeds.  The paper's
-  monitor GC is thereby driven by the *host garbage collector* instead of
-  trace markers.
 * :class:`TraceWeaver` — an aspect weaver for plain Python functions: on
   CPython 3.12+ it uses :pep:`669` ``sys.monitoring`` local events (near
   zero cost for unmonitored code); on 3.11 it falls back to
@@ -24,11 +17,10 @@ pieces:
   from monkey-patched methods to arbitrary user code.
 * :class:`LiveSession` — the front door: owns (or wraps) a
   :class:`~repro.runtime.engine.MonitoringEngine` or
-  :class:`~repro.service.MonitorService`, watches every emitted parameter
-  in its :class:`LiveBinding`, drains deaths at event boundaries, weaves
-  class pointcuts, function pointcuts and :func:`emits` decorators, and
-  can record the run — *including explicit death markers* — to a
-  tracelog for offline re-monitoring.
+  :class:`~repro.service.MonitorService`, weaves class pointcuts,
+  function pointcuts and :func:`emits` decorators, and can record the run
+  — *including explicit death markers* — to a tracelog for offline
+  re-monitoring.
 
 The recorded-trace story is round-trip tested: a workload run live (real
 object drops) and its recorded trace replayed with death markers yield
@@ -43,7 +35,6 @@ import functools
 import inspect
 import sys
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, TextIO
 
@@ -57,7 +48,6 @@ from ..runtime.tracelog import TraceRecorder
 from .aspects import Pointcut, Weaver
 
 __all__ = [
-    "LiveBinding",
     "FunctionContext",
     "FunctionPointcut",
     "on_call",
@@ -67,93 +57,6 @@ __all__ = [
     "LiveSession",
     "active_sessions",
 ]
-
-
-# ---------------------------------------------------------------------------
-# The weakref-driven death ledger.
-# ---------------------------------------------------------------------------
-
-
-class LiveBinding:
-    """Identity map of live parameter objects with death callbacks.
-
-    ``watch(name, value)`` registers one object under one parameter name
-    (an object bound under several names is registered once with all its
-    names).  When the interpreter reclaims a watched object, the
-    ``weakref`` callback — which may run in any thread, possibly
-    mid-dispatch — only appends to a pending ledger; :meth:`drain`
-    coalesces the ledger into the ``{parameter name: {dead ids}}`` map
-    that :meth:`MonitoringEngine.note_deaths` consumes at the next safe
-    event boundary.
-
-    Non-weak-referenceable values (ints, strings, tuples...) are treated
-    as immortal and never watched — identical to
-    :class:`~repro.runtime.refs.ParamRef` semantics.
-    """
-
-    __slots__ = ("_watched", "_pending", "_pending_lock")
-
-    def __init__(self) -> None:
-        #: id -> (weakref guard, parameter names the object is bound under).
-        self._watched: dict[int, tuple[weakref.ref, set[str]]] = {}
-        #: Deaths since the last drain: (parameter name, dead id).
-        self._pending: list[tuple[str, int]] = []
-        #: Guards the pending-swap in drain() against a death callback
-        #: appending from another thread at the same moment.
-        self._pending_lock = threading.Lock()
-
-    def watch(self, name: str, value: Any) -> None:
-        """Track ``value`` as a parameter object bound under ``name``."""
-        key = id(value)
-        entry = self._watched.get(key)
-        if entry is not None:
-            if entry[0]() is value:
-                entry[1].add(name)
-                return
-            # Recycled id: the previous holder died but its callback has
-            # not fired yet (reference cycles).  Record the missed death so
-            # the new registration does not shadow it.
-            del self._watched[key]
-            self._note(entry[1], key)
-        try:
-            ref = weakref.ref(value, lambda _ref, _key=key: self._on_death(_key))
-        except TypeError:
-            return  # immortal value: it never dies, nothing to watch
-        self._watched[key] = (ref, {name})
-
-    def _on_death(self, key: int) -> None:
-        entry = self._watched.get(key)
-        if entry is None or entry[0]() is not None:
-            # Handled at re-registration time, or the id was re-registered
-            # for a new live object.
-            return
-        del self._watched[key]
-        self._note(entry[1], key)
-
-    def _note(self, names: Iterable[str], dead_id: int) -> None:
-        with self._pending_lock:
-            pending = self._pending
-            for name in names:
-                pending.append((name, dead_id))
-
-    def drain(self) -> dict[str, set[int]]:
-        """Coalesced deaths since the last drain (empty dict when none)."""
-        if not self._pending:
-            return {}
-        with self._pending_lock:
-            pending, self._pending = self._pending, []
-        dead: dict[str, set[int]] = {}
-        for name, dead_id in pending:
-            dead.setdefault(name, set()).add(dead_id)
-        return dead
-
-    @property
-    def live_count(self) -> int:
-        """How many watched objects are currently alive."""
-        return len(self._watched)
-
-    def __len__(self) -> int:
-        return len(self._watched)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +461,7 @@ def _emit_ambient(
 
 
 class LiveSession:
-    """One live-monitoring run: engine/service + death ledger + weavers.
+    """One live-monitoring run: engine/service + weavers.
 
     ``sink`` is an existing :class:`~repro.runtime.engine.MonitoringEngine`
     or :class:`~repro.service.MonitorService`; with ``sink=None`` the
@@ -576,14 +479,11 @@ class LiveSession:
       death, as explicit markers — is written as a tracelog for offline
       replay.
 
-    When the sink consumes injected deaths (eager propagation), every
-    parameter of every emitted event is watched in the session's
-    :class:`LiveBinding` and interpreter-observed deaths are drained and
-    injected at the next event boundary; against a purely lazy sink the
-    ledger is skipped — the weak-keyed structures notice dead keys on
-    their own, and recorded death markers come from the recorder's symbol
-    registry.  Exiting restores all woven code and interpreter hooks; the
-    sink stays alive for inspection.
+    Parameter deaths reach the sink's engines through their ledgers, which
+    under eager propagation deliver them at the next event boundary;
+    recorded death markers come from the recorder's symbol registry.
+    Exiting restores all woven code and interpreter hooks; the sink stays
+    alive for inspection.
     """
 
     def __init__(
@@ -597,8 +497,8 @@ class LiveSession:
         **engine_options: Any,
     ):
         #: Weave-overhead telemetry: an exact per-pointcut-event counter
-        #: plus a sampled emit-boundary timer (watch + death drain +
-        #: dispatch — the full cost the weaving adds per woven event).
+        #: plus a sampled emit-boundary timer (the full cost the weaving
+        #: adds per woven event).
         #: A session-built engine shares this registry.
         self.telemetry = as_telemetry(telemetry)
         self._props = self._resolve_properties(properties)
@@ -617,12 +517,6 @@ class LiveSession:
             )
         self.sink = sink
         self.engine = sink if isinstance(sink, MonitoringEngine) else None
-        self.binding = LiveBinding()
-        #: The ledger matters only when the sink consumes injected deaths
-        #: (eager propagation; note_deaths is a no-op under lazy, and the
-        #: process backend tracks deaths through its symbol registry).
-        #: Resolved once so the per-event hot path skips dead weight.
-        self._track_deaths = self._sink_consumes_deaths(sink)
         self.recorder: TraceRecorder | None = None
         if record is not None:
             if self.engine is None:
@@ -651,16 +545,6 @@ class LiveSession:
                 obs_registry, "repro_live_pointcut_seconds"
             )
             self._live_sampler = self.telemetry.sampler()
-
-    @staticmethod
-    def _sink_consumes_deaths(sink: Any) -> bool:
-        """Whether injected deaths reach anything (see note_deaths docs)."""
-        if isinstance(sink, MonitoringEngine):
-            return sink.propagation != "lazy"
-        engines = getattr(sink, "engines", None)
-        if engines:  # inline service; the queued modes have none
-            return any(engine.propagation != "lazy" for engine in engines)
-        return False
 
     @staticmethod
     def _resolve_properties(properties: Any) -> list[tuple[Any, Any]]:
@@ -751,15 +635,11 @@ class LiveSession:
     # -- emission ----------------------------------------------------------
 
     def emit(self, event: str, _strict: bool = False, **params: Any) -> None:
-        """Watch the parameters, inject pending deaths, dispatch the event.
+        """Dispatch one event to the sink.
 
-        This is the safe event boundary: deaths the interpreter reported
-        since the last emission are drained from the :class:`LiveBinding`
-        and handed to the sink's ``note_deaths`` *before* the event, so
-        eager propagation sees them exactly where a recorded trace's death
-        markers would land.  Against a purely lazy sink the ledger is
-        skipped entirely — the weak-keyed structures (and the recorder's
-        symbol registry, for death markers) observe deaths on their own.
+        This is the safe event boundary: an eager engine propagates the
+        deaths its ledger observed since the last emission *before* the
+        event, exactly where a recorded trace's death markers would land.
         """
         if self._m_live_events is not None:
             counter = self._live_counters.get(event)
@@ -776,28 +656,15 @@ class LiveSession:
                     )
                 start = perf_counter()
                 try:
-                    self._emit_inner(event, _strict, params)
+                    self.sink.emit(event, _strict=_strict, **params)
                 finally:
                     timer.observe(perf_counter() - start)
                 return
-        self._emit_inner(event, _strict, params)
-
-    def _emit_inner(self, event: str, _strict: bool, params: dict[str, Any]) -> None:
-        if self._track_deaths:
-            watch = self.binding.watch
-            for name, value in params.items():
-                watch(name, value)
-            dead = self.binding.drain()
-            if dead:
-                self.sink.note_deaths(dead)
         self.sink.emit(event, _strict=_strict, **params)
 
     def flush_deaths(self) -> None:
-        """Drain the death ledger outside an event (end-of-run accounting)."""
-        if self._track_deaths:
-            dead = self.binding.drain()
-            if dead:
-                self.sink.note_deaths(dead)
+        """Write buffered death markers outside an event (end-of-run
+        accounting of a recording session)."""
         if self.recorder is not None:
             self.recorder.flush_deaths()
 

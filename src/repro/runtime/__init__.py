@@ -12,7 +12,7 @@ from .gc_strategies import (
 )
 from .indexing import IndexingTree, JoinIndex, Leaf
 from .instance import MonitorInstance
-from .refs import ParamRef
+from .refs import ParamLedger
 from .rvmap import RVMap
 from .rvset import RVSet
 from .statistics import MonitorStats
@@ -33,7 +33,7 @@ __all__ = [
     "JoinIndex",
     "Leaf",
     "MonitorInstance",
-    "ParamRef",
+    "ParamLedger",
     "RVMap",
     "RVSet",
     "MonitorStats",

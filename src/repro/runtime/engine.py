@@ -36,14 +36,18 @@ This is the production counterpart of the abstract Algorithm MONITOR
   last structure lets go — counted via ``weakref.finalize`` as the paper's
   CM column.
 
-``propagation="eager"`` switches to the eager scheme the paper warns about
-(Section 4.2: "eager garbage collection ... introduces a very large amount
-of runtime overhead"): parameter deaths are coalesced per event boundary
-and propagated *before* the next event.  The propagation is targeted — only
-the indexing trees whose domain contains a dead parameter's position are
-rescanned, and only the buckets of the known-dead ids; monitors flagged by
-the propagation are evicted from every remaining structure immediately
-(the Tracematches cost profile, minus the full-scan pathology).
+Every parameter object the engine keys has one entry in the engine's
+:class:`~repro.runtime.refs.ParamLedger`, shared by every indexing
+structure and monitor of every property.  ``propagation="eager"``
+switches to the eager scheme the paper warns about (Section 4.2: "eager
+garbage collection ... introduces a very large amount of runtime
+overhead"): the ledger's death callback queues each dead entry, and the
+deaths are coalesced per event boundary and propagated *before* the next
+event.  The propagation is targeted — every structure probes its maps for
+the dead entries only; monitors flagged by the propagation are evicted
+from every remaining structure immediately (the Tracematches cost
+profile, minus the full-scan pathology).  Under lazy propagation the
+callback only stamps the death.
 ``propagation="eager_full"`` keeps the historical full-scan-per-boundary
 behavior for the ablation benchmark.
 
@@ -70,11 +74,12 @@ from ..core.params import Binding
 from ..obs.catalogue import declare as _declare_metric
 from ..obs.telemetry import Telemetry, as_telemetry
 from ..spec.compiler import CompiledProperty, CompiledSpec
+from ..spec.dispatch import _domain_sort_key
 from ..spec.registry import PropertyRegistry, normalize_properties
 from .gc_strategies import GcStrategy, make_strategy
 from .indexing import IndexingTree, JoinIndex, Leaf
 from .instance import MonitorInstance
-from .refs import ParamRef
+from .refs import ParamLedger
 from .statistics import MonitorStats
 
 __all__ = ["MonitoringEngine", "PropertyRuntime", "SYSTEMS"]
@@ -132,7 +137,7 @@ class PropertyRuntime:
         gc: str,
         scan_budget: int,
         on_verdict: VerdictCallback | None,
-        on_param_registered: Callable[[str, Any], None] | None,
+        ledger: ParamLedger,
         dispatch: str = "codegen",
         slot: int = -1,
         telemetry: "Telemetry | None" = None,
@@ -145,7 +150,8 @@ class PropertyRuntime:
         self.stats = MonitorStats()
         self.strategy: GcStrategy = make_strategy(gc, prop)
         self._on_verdict = on_verdict
-        self._on_param_registered = on_param_registered
+        #: The engine's identity ledger: every structure keys its entries.
+        self.ledger = ledger
         self._serial = 0
         self._event_serial = 0
         #: Collector of monitors flagged during a targeted eager purge
@@ -156,7 +162,10 @@ class PropertyRuntime:
         self.event_domains: dict[str, frozenset[str]] = {
             event: definition.params_of(event) for event in definition.alphabet
         }
-        self._event_domain_set = set(self.event_domains.values())
+        #: The distinct event domains, in the dispatch plan's fixed order
+        #: (every loop over them, and so every checkpoint, is
+        #: independent of string hashing).
+        self._event_domain_list = prop.dispatch_plan().event_domains
         self._enable_domains: dict[str, frozenset[frozenset[str]]] = dict(
             prop.param_enable
         )
@@ -164,11 +173,14 @@ class PropertyRuntime:
         # One tree per domain of interest; extensions are tracked only where
         # dispatch needs them (domains that are some event's D(e)).
         self.trees: dict[frozenset[str], IndexingTree] = {}
-        for domain in self.monitor_domains | self._event_domain_set:
+        for domain in sorted(
+            self.monitor_domains.union(self._event_domain_list), key=_domain_sort_key
+        ):
             self.trees[domain] = IndexingTree(
                 params=tuple(sorted(domain)),
-                tracks_extensions=domain in self._event_domain_set,
+                tracks_extensions=domain in self._event_domain_list,
                 notify=self._notify_monitor,
+                ledger=ledger,
                 scan_budget=scan_budget,
             )
         # Join indices are statically known (the dispatch plan lists them);
@@ -177,6 +189,7 @@ class PropertyRuntime:
             (join_domain, key_domain): JoinIndex(
                 key_params=tuple(sorted(key_domain)),
                 notify=self._notify_monitor,
+                ledger=ledger,
                 scan_budget=scan_budget,
             )
             for join_domain, key_domain in prop.dispatch_plan().join_index_keys
@@ -314,12 +327,12 @@ class PropertyRuntime:
                     gc_cell.add(elapsed)
                     plane.charged += elapsed
 
-        def collect_deaths(dead):
+        def collect_deaths(dead, found):
             if purge_sampler.sample():
-                return timed_gc(inner_collect, (dead,), purge_pause)
+                return timed_gc(inner_collect, (dead, found), purge_pause)
             if attributed and plane.active:
-                return timed_gc(inner_collect, (dead,), None)
-            return inner_collect(dead)
+                return timed_gc(inner_collect, (dead, found), None)
+            return inner_collect(dead, found)
 
         def scan_all():
             timed_gc(inner_scan, (), scan_pause)
@@ -402,36 +415,26 @@ class PropertyRuntime:
         self._batch_kernels.clear()
         self._timed_kernels.clear()
 
-    def collect_deaths(self, dead: Mapping[str, set[int]]) -> None:
+    def collect_deaths(
+        self, dead: Sequence[Any], found: list[tuple[str, Any]]
+    ) -> None:
         """Targeted eager propagation of coalesced parameter deaths.
 
-        ``dead`` maps parameter names to the ids of objects that died bound
-        under that name.  Only structures whose domain contains a dead
-        name are touched, and within them only the buckets of the dead ids
-        are scanned (the notification work a full scan would do for these
-        keys, without walking live state).  Monitors the notifications flag
-        are then evicted from every structure still holding them, so the
-        eager regime keeps its collect-at-boundary semantics.
+        ``dead`` lists the ledger entries of objects that died since the
+        last boundary.  Every structure probes its maps for those keys
+        only (the notification work a full scan would do for them, without
+        scanning live keys), appending ``(parameter name, entry)`` to
+        ``found`` per removed key.  Monitors the notifications flag are
+        then evicted from every structure still holding them, so the eager
+        regime keeps its collect-at-boundary semantics.
         """
         flagged: list[MonitorInstance] = []
         self._flag_sink = flagged
         try:
             for tree in self.trees.values():
-                ids_by_depth = {
-                    depth: dead[param]
-                    for depth, param in enumerate(tree.params)
-                    if param in dead
-                }
-                if ids_by_depth:
-                    tree.purge_ids(ids_by_depth)
+                tree.purge(dead, found)
             for index in self._join_indices.values():
-                ids_by_depth = {
-                    depth: dead[param]
-                    for depth, param in enumerate(index.params)
-                    if param in dead
-                }
-                if ids_by_depth:
-                    index.purge_ids(ids_by_depth)
+                index.purge(dead, found)
         finally:
             self._flag_sink = None
         for monitor in flagged:
@@ -446,12 +449,12 @@ class PropertyRuntime:
         a full second scan pass.
         """
         live: dict[str, Any] = {}
-        for name, ref in monitor.params.items():
-            value = ref.get()
+        for name, entry in monitor.params.items():
+            value = entry()
             if value is not None:
                 live[name] = value
         domain = monitor.domain
-        for event_domain in self._event_domain_set:
+        for event_domain in self._event_domain_list:
             if event_domain <= domain and all(name in live for name in event_domain):
                 leaf = self.trees[event_domain].lookup(
                     {name: live[name] for name in event_domain}, create=False
@@ -461,7 +464,7 @@ class PropertyRuntime:
                         leaf.own = None
                     if leaf.extensions is not None:
                         leaf.extensions.compact()
-        if all(name in live for name in domain) and domain not in self._event_domain_set:
+        if all(name in live for name in domain) and domain not in self._event_domain_list:
             own_leaf = self.trees[domain].lookup(live, create=False)
             if own_leaf is not None and own_leaf.own is monitor:
                 own_leaf.own = None
@@ -615,8 +618,8 @@ class PropertyRuntime:
             for candidate in index.candidates(key_values):
                 candidate_values: dict[str, Any] = {}
                 dead = False
-                for name, ref in candidate.params.items():
-                    value = ref.get()
+                for name, entry in candidate.params.items():
+                    value = entry()
                     if value is None:
                         dead = True
                         break
@@ -652,7 +655,7 @@ class PropertyRuntime:
         not invalidate: the new monitor receives that event itself.
         """
         target_domain = frozenset(target_values)
-        for event_domain in self._event_domain_set:
+        for event_domain in self._event_domain_list:
             if not event_domain or not event_domain <= target_domain:
                 continue
             if event_domain <= source_domain:
@@ -680,22 +683,20 @@ class PropertyRuntime:
         source: MonitorInstance | None,
     ) -> None:
         base = source.base.clone() if source is not None else self.prop.template.create()
-        params = {name: ParamRef(value) for name, value in target_values.items()}
+        entry = self.ledger.entry
+        params = {name: entry(value) for name, value in target_values.items()}
         self._serial += 1
         monitor = MonitorInstance(self.prop, base, params, self._serial)
         self._insert(monitor, target_values)
         self.stats.record_creation()
         weakref.finalize(monitor, self.stats.record_collection)
-        if self._on_param_registered is not None:
-            for name, value in target_values.items():
-                self._on_param_registered(name, value)
         self._step(monitor, event)
 
     def _insert(self, monitor: MonitorInstance, values: Mapping[str, Any]) -> None:
         domain = frozenset(values)
         own_leaf = self.trees[domain].lookup(values, create=True)
         own_leaf.own = monitor
-        for event_domain in self._event_domain_set:
+        for event_domain in self._event_domain_list:
             if event_domain <= domain:
                 leaf = self.trees[event_domain].lookup(
                     {param: values[param] for param in event_domain}, create=True
@@ -712,13 +713,13 @@ class PropertyRuntime:
 
     def live_instances(self) -> list[MonitorInstance]:
         """Unflagged instances currently reachable through the trees."""
-        seen: dict[int, MonitorInstance] = {}
+        seen: dict[MonitorInstance, None] = {}
         for tree in self.trees.values():
             for leaf in tree.walk_leaves():
                 for monitor in leaf.monitors():
                     if not monitor.flagged:
-                        seen[id(monitor)] = monitor
-        return list(seen.values())
+                        seen[monitor] = None
+        return list(seen)
 
     # -- persistence (the checkpoint codec's view) -------------------------------
 
@@ -730,18 +731,18 @@ class PropertyRuntime:
         under its live key sub-binding, and the codec must capture it there
         or the restored run would under-count its eventual collection.
         """
-        seen: dict[int, MonitorInstance] = {}
+        seen: dict[MonitorInstance, None] = {}
         for tree in self.trees.values():
             for leaf in tree.walk_leaves():
                 for monitor in leaf.monitors():
                     if not monitor.flagged:
-                        seen.setdefault(id(monitor), monitor)
+                        seen[monitor] = None
         for index in self._join_indices.values():
             for bucket in index.walk_leaves():
                 for monitor in bucket:
                     if not monitor.flagged:
-                        seen.setdefault(id(monitor), monitor)
-        return list(seen.values())
+                        seen[monitor] = None
+        return list(seen)
 
     def export_persist_state(self, symbol_of: Callable[[Any], str]) -> dict:
         """Serialize this runtime's dynamic state (codec payload).
@@ -793,14 +794,11 @@ class PropertyRuntime:
             leaf = self.trees[frozenset(values)].lookup(values, create=True)
             leaf.touched = record["serial"]
         for monitor_payload in payload["monitors"]:
-            monitor = MonitorInstance.from_payload(self.prop, monitor_payload, tokens)
+            monitor = MonitorInstance.from_payload(
+                self.prop, monitor_payload, tokens, self.ledger
+            )
             self._restore_insert(monitor)
             weakref.finalize(monitor, self.stats.record_collection)
-            if self._on_param_registered is not None:
-                for name, ref in monitor.params.items():
-                    value = ref.get()
-                    if value is not None:
-                        self._on_param_registered(name, value)
 
     def _restore_insert(self, monitor: MonitorInstance) -> None:
         """Dead-aware :meth:`_insert`: entries are re-created only along
@@ -808,8 +806,8 @@ class PropertyRuntime:
         holds (dead-keyed entries were purged before the snapshot)."""
         live: dict[str, Any] = {}
         dead: set[str] = set()
-        for name, ref in monitor.params.items():
-            value = ref.get()
+        for name, entry in monitor.params.items():
+            value = entry()
             if value is None:
                 dead.add(name)
             else:
@@ -818,7 +816,7 @@ class PropertyRuntime:
         if not dead:
             own_leaf = self.trees[domain].lookup(live, create=True)
             own_leaf.own = monitor
-        for event_domain in self._event_domain_set:
+        for event_domain in self._event_domain_list:
             if event_domain <= domain and not (event_domain & dead):
                 leaf = self.trees[event_domain].lookup(
                     {name: live[name] for name in event_domain}, create=True
@@ -913,17 +911,18 @@ class MonitoringEngine:
         self.properties: list[CompiledProperty | None] = self.registry.properties()
 
         self._eager = propagation != "lazy"
-        #: Coalesced parameter deaths since the last event boundary:
-        #: (runtime index, parameter name, dead object id).
-        self._pending_dead: list[tuple[int, str, int]] = []
-        #: Guards every _pending_dead mutation: weakref death callbacks
-        #: (any thread), external note_deaths (emitter threads), and the
-        #: boundary swap in _propagate_deaths (shard worker threads) may
-        #: all touch it concurrently; an unguarded swap would strand
-        #: appends on the orphaned list and leak their dead-id buckets.
+        #: Ledger entries of objects that died since the last event
+        #: boundary (eager propagation only).
+        self._pending_dead: list[Any] = []
+        #: Guards every _pending_dead mutation: the ledger's death callback
+        #: (any thread) and the boundary swap in _propagate_deaths (shard
+        #: worker threads) may touch it concurrently; an unguarded swap
+        #: would strand appends on the orphaned list and leak their keys.
         self._dead_lock = threading.Lock()
-        #: id -> (weakref guard, positions the object is registered under).
-        self._watched: dict[int, tuple[weakref.ref, set[tuple[int, str]]]] = {}
+        #: One entry per parameter object, shared by every runtime.  Its
+        #: clock counts the events the engine has taken in, so each entry
+        #: records the event ordinal of its object's death.
+        self.ledger = ParamLedger(on_death=self._note_dead if self._eager else None)
         #: Statistics of detached properties, folded into the engine totals
         #: (slot -> (spec name, formalism, final stats)).
         self._retired: dict[int, tuple[str, str, MonitorStats]] = {}
@@ -982,7 +981,9 @@ class MonitoringEngine:
         registration order: ``before_event(event, params)`` and
         ``after_event(event, params)`` around every event any emit entry
         point takes in (``after_event`` also when dispatch raises);
-        ``on_deaths(dead)`` on every :meth:`note_deaths` call;
+        ``on_deaths(dead)`` on every :meth:`note_deaths` call and at each
+        event boundary where eager propagation removed dead keys (``dead``
+        then maps parameter names to the dead objects' ledger serials);
         ``on_registry_op(op, **fields)`` after every attach / detach /
         enable; and ``on_verdict(prop, category, monitor)`` per verdict,
         after the constructor's ``on_verdict`` callback.  The write-ahead
@@ -1048,11 +1049,7 @@ class MonitoringEngine:
             gc=self.gc,
             scan_budget=self.scan_budget,
             on_verdict=self._report_verdict,
-            on_param_registered=(
-                (lambda name, value, _index=index: self._watch_param(_index, name, value))
-                if self._eager
-                else None
-            ),
+            ledger=self.ledger,
             dispatch=self.dispatch,
             slot=index,
             telemetry=self.telemetry,
@@ -1158,9 +1155,9 @@ class MonitoringEngine:
     def detach_property(self, ref: Any) -> MonitorStats:
         """Hot-unload one property at the current event boundary.
 
-        The runtime is quiesced first: its share of any coalesced pending
-        deaths is delivered through the targeted ``purge_ids`` machinery,
-        then a two-pass full scan flags and sweeps everything a boundary
+        The runtime is quiesced first: coalesced pending deaths are
+        propagated (to every runtime: this is an event boundary), then a
+        two-pass full scan flags and sweeps everything a boundary
         propagation would have.  Its final statistics are folded into the
         engine totals (and returned); dropping the runtime releases its
         indexing trees and join indices wholesale.
@@ -1171,17 +1168,7 @@ class MonitoringEngine:
         if runtime is None:
             raise RegistryError(f"property {entry.name!r} is already detached")
         if self._eager and self._pending_dead:
-            mine: dict[str, set[int]] = {}
-            with self._dead_lock:
-                keep: list[tuple[int, str, int]] = []
-                for runtime_index, param, dead_id in self._pending_dead:
-                    if runtime_index == index:
-                        mine.setdefault(param, set()).add(dead_id)
-                    else:
-                        keep.append((runtime_index, param, dead_id))
-                self._pending_dead = keep
-            if mine:
-                runtime.collect_deaths(mine)
+            self._propagate_deaths()
         for _pass in range(2):
             runtime.scan_all()
         stats = runtime.stats
@@ -1190,14 +1177,6 @@ class MonitoringEngine:
         self.runtimes[index] = None
         self.properties[index] = None
         self._retired[index] = (entry.spec_name, entry.formalism, stats)
-        # Purge eager watch positions pointing at the detached slot so its
-        # future parameter deaths are not routed to a dead runtime.
-        for key, (guard, positions) in list(self._watched.items()):
-            stale = {position for position in positions if position[0] == index}
-            if stale:
-                positions -= stale
-                if not positions:
-                    del self._watched[key]
         self._rebuild_event_index()
         for hook in self._registry_hooks:
             hook("detach", ref=str(ref))
@@ -1229,6 +1208,7 @@ class MonitoringEngine:
         uses this because a woven program point may produce events for
         specifications that are not currently monitored.
         """
+        self.ledger.clock += 1
         if self._tapped:
             self._emit_tapped(event, params, _strict)
             return
@@ -1268,6 +1248,7 @@ class MonitoringEngine:
         keyword repack — the replay hot loop already holds the dict.
         Boundary observers see it exactly as they see :meth:`emit`.
         """
+        self.ledger.clock += 1
         if self._tapped:
             self._emit_tapped(event, values, _strict)
             return
@@ -1313,8 +1294,11 @@ class MonitoringEngine:
         generated kernels (and, for creation-free FSM events, through the
         vectorized batch kernel) — see :meth:`_emit_batch_codegen`.
         """
-        if self._batch_emit is not None:
+        if not isinstance(events, list):
             events = list(events)
+        # Deaths inside a batch are stamped with its last event's ordinal.
+        self.ledger.clock += len(events)
+        if self._batch_emit is not None:
             self._batch_emit.observe(len(events))
         if self._tapped:
             if self._before or not self._codegen_routes or self._eager:
@@ -1375,7 +1359,7 @@ class MonitoringEngine:
 
     def _emit_batch_codegen(
         self,
-        events: Iterable[tuple[str, Mapping[str, Any]]],
+        events: list[tuple[str, Mapping[str, Any]]],
         _strict: bool = True,
         after: Sequence[Callable[[str, Mapping[str, Any]], None]] = (),
     ) -> int:
@@ -1400,7 +1384,6 @@ class MonitoringEngine:
         step per event, never through the vectorized kernel, so the event
         that raised is known.
         """
-        events = events if isinstance(events, list) else list(events)
         n = len(events)
         if n == 1 and not after:
             # Tiny chunks dominate replayed traces (death boundaries flush
@@ -1486,6 +1469,7 @@ class MonitoringEngine:
         amortizes the per-event call and attribute overhead at the
         queue-drain boundary.
         """
+        self.ledger.clock += len(deliveries)
         if self._batch_selected is not None:
             self._batch_selected.observe(len(deliveries))
         if self._tapped:
@@ -1536,77 +1520,24 @@ class MonitoringEngine:
     # -- GC control -----------------------------------------------------------------
 
     def note_deaths(self, dead: Mapping[str, Iterable[int]]) -> None:
-        """Record externally observed parameter deaths for the next boundary.
+        """Report externally observed parameter deaths to the observers.
 
         ``dead`` maps parameter names to the ``id()``\\ s of objects that
-        died while bound under that name — the shape the live
-        instrumentation layer's :class:`~repro.instrument.live.LiveBinding`
-        drains from its ``weakref`` callbacks.  The deaths are queued and
-        propagated at the next *safe event boundary* (the top of the next
-        ``emit``), through exactly the coalesced ``purge_ids`` flow the
-        engine's own eager watcher uses.
-
-        Under lazy propagation this is a no-op: dead keys are discovered by
-        the weak-keyed structures themselves as they are touched, so
-        injected knowledge would never be drained.  The method exists so
-        external watchers can treat every engine uniformly.
-
-        The external watcher may know about objects the engine's own eager
-        watcher never saw (objects that appeared only in touched bindings,
-        never in a created monitor); their buckets are purged too, which
-        only removes provably dead state.
+        died while bound under that name; every ``on_deaths`` observer is
+        called with it.  The engine itself needs no report: its ledger
+        observes the death of every object it keys, and under eager
+        propagation queues it for the next safe event boundary (the top of
+        the next ``emit``), where the observers hear of it too.  Under lazy
+        propagation the structures discover dead keys themselves as they
+        are touched.
         """
         for hook in self._death_hooks:
             hook(dead)
-        if not self._eager:
-            return
+
+    def _note_dead(self, entry: Any) -> None:
+        """The ledger's death callback under eager propagation."""
         with self._dead_lock:
-            pending = self._pending_dead
-            for name, ids in dead.items():
-                # Paused runtimes receive deaths too — the engine's own
-                # watcher makes no enabled distinction, and a long-paused
-                # property must not accumulate dead-id buckets until it is
-                # resumed.
-                for index, runtime in enumerate(self.runtimes):
-                    if runtime is None:
-                        continue
-                    if name in runtime.prop.definition.parameters:
-                        for dead_id in ids:
-                            pending.append((index, name, dead_id))
-
-    def _watch_param(self, runtime_index: int, name: str, value: Any) -> None:
-        """Register one (runtime, parameter-name, object) for eager tracking."""
-        key = id(value)
-        entry = self._watched.get(key)
-        if entry is not None:
-            if entry[0]() is value:
-                entry[1].add((runtime_index, name))
-                return
-            # Recycled id: the previous holder died but its callback has not
-            # fired yet (reference cycles).  Record its death now so the new
-            # registration does not shadow it.
-            del self._watched[key]
-            self._note_dead(entry[1], key)
-        try:
-            ref = weakref.ref(value, lambda _ref, _key=key: self._on_param_death(_key))
-        except TypeError:
-            return
-        self._watched[key] = (ref, {(runtime_index, name)})
-
-    def _on_param_death(self, key: int) -> None:
-        entry = self._watched.get(key)
-        if entry is None or entry[0]() is not None:
-            # Already handled at re-registration time, or the id was
-            # re-registered for a new live object.
-            return
-        del self._watched[key]
-        self._note_dead(entry[1], key)
-
-    def _note_dead(self, positions: set[tuple[int, str]], dead_id: int) -> None:
-        with self._dead_lock:
-            pending = self._pending_dead
-            for runtime_index, name in positions:
-                pending.append((runtime_index, name, dead_id))
+            self._pending_dead.append(entry)
 
     def _propagate_deaths(self) -> None:
         """Eager boundary propagation of all deaths since the last event."""
@@ -1615,15 +1546,18 @@ class MonitoringEngine:
             return
         with self._dead_lock:
             pending, self._pending_dead = self._pending_dead, []
-        per_runtime: dict[int, dict[str, set[int]]] = {}
-        for runtime_index, name, dead_id in pending:
-            per_runtime.setdefault(runtime_index, {}).setdefault(name, set()).add(
-                dead_id
-            )
-        for runtime_index, dead in per_runtime.items():
-            runtime = self.runtimes[runtime_index]
+        # Paused runtimes receive deaths too: a long-paused property must
+        # not accumulate dead keys until it is resumed.
+        found: list[tuple[str, Any]] = []
+        for runtime in self.runtimes:
             if runtime is not None:
-                runtime.collect_deaths(dead)
+                runtime.collect_deaths(pending, found)
+        if found and self._death_hooks:
+            dead: dict[str, set[int]] = {}
+            for name, entry in found:
+                dead.setdefault(name, set()).add(entry.serial)
+            for hook in self._death_hooks:
+                hook(dead)
 
     def flush_gc(self) -> None:
         """Fully scan every structure: purge dead keys, notify, compact.

@@ -79,7 +79,7 @@ class CoenableGc(GcStrategy):
     """The RV rule: ``ALIVENESS(last event)`` must still be satisfiable.
 
     The formulas were compiled from the parameter coenable sets at spec
-    compilation time; evaluation touches only the monitor's own weak refs,
+    compilation time; evaluation touches only the monitor's own parameter entries,
     which is what makes the per-notification check cheap.
     """
 
@@ -97,16 +97,13 @@ class CoenableGc(GcStrategy):
             return monitor.all_params_dead()
         # Fused formula.evaluate(monitor.param_alive): one notification per
         # parameter death makes this the hottest interpreted check in the
-        # lazy path, so the liveness atoms read the raw ref fields directly
+        # lazy path, so the liveness atoms call the entries directly
         # (unbound parameters count as alive — Theorem 1).
         params = monitor.params
         for conjunct in formula._conjuncts:
             for name in conjunct:
-                ref = params.get(name)
-                if ref is None:
-                    continue
-                weak = ref._weak
-                if (weak() if weak is not None else ref._strong) is None:
+                entry = params.get(name)
+                if entry is not None and entry() is None:
                     break
             else:
                 return False

@@ -15,8 +15,11 @@ carry:
   keep skipped-creation semantics sound — see
   :meth:`repro.runtime.engine.PropertyRuntime._creation_is_valid`).
 
-The generated dispatch kernels walk trees with *value tuples* in the tree's
-parameter order (:meth:`_TreeBase.lookup_vals`, inlined) — no per-event dict
+Every level is keyed by the parameter objects' entries in the engine's
+:class:`~repro.runtime.refs.ParamLedger`, which each tree holds.  The
+generated dispatch kernels resolve an event's values to entries once and
+walk trees with them in the tree's parameter order
+(:meth:`_TreeBase.lookup_entries`, inlined) — no per-event dict
 construction; the mapping-keyed :meth:`_TreeBase.lookup` remains for the
 reference path, restores and tests.  Each level's incremental scan uses an
 ``inspect_value`` callback specialized at construction to the kind of value
@@ -32,9 +35,10 @@ scanning ``Theta``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterator, Mapping, Sequence
 
 from .instance import MonitorInstance
+from .refs import ParamLedger
 from .rvmap import DROP, KEEP, RVMap
 from .rvset import RVSet
 
@@ -88,10 +92,12 @@ class _TreeBase:
         self,
         params: tuple[str, ...],
         notify: Callable[[MonitorInstance], None],
+        ledger: ParamLedger,
         scan_budget: int = 2,
     ):
         self.params = params
         self._notify = notify
+        self._entry = ledger.entry
         self._scan_budget = scan_budget
         self._root: Any = self._new_node(depth=0)
 
@@ -136,64 +142,30 @@ class _TreeBase:
 
     # -- traversal ---------------------------------------------------------------
 
-    def lookup_vals(self, values: Sequence[Any], create: bool) -> Any | None:
-        """Walk the levels with parameter objects in tree-parameter order.
+    def lookup_entries(self, entries: Sequence[Any], create: bool) -> Any | None:
+        """Walk the levels with ledger entries in tree-parameter order.
 
-        The dispatch hot path: ``values`` is a tuple aligned with
-        ``self.params``.  Returns the leaf (creating the spine if
-        ``create``), or ``None``.  Every step performs the RVMap's
-        incremental dead-key scan — this is what makes collection *lazy*:
-        detection happens on access.
+        Returns the leaf (creating the spine if ``create``), or ``None``.
+        Every step performs the RVMap's incremental dead-key scan — this is
+        what makes collection *lazy*: detection happens on access.  The
+        generated kernels inline this walk.
         """
-        # RVMap.get is inlined here (scan, then identity probe): this walk
-        # is the single hottest loop in event dispatch.
         node = self._root
-        if create:
-            depth = 0
-            for obj in values:
-                node.scan_some()
-                child = None
-                bucket = node._buckets.get(id(obj))
-                if bucket:
-                    for ref, value in bucket:
-                        weak = ref._weak
-                        if (weak() if weak is not None else ref._strong) is obj:
-                            child = value
-                            break
-                if child is None:
-                    child = self._new_node(depth + 1)
-                    node.put_fresh(obj, child)
-                node = child
-                depth += 1
-            return node
-        for obj in values:
-            node.scan_some()
-            bucket = node._buckets.get(id(obj))
-            child = None
-            if bucket:
-                for ref, value in bucket:
-                    weak = ref._weak
-                    if (weak() if weak is not None else ref._strong) is obj:
-                        child = value
-                        break
-            if child is None:
-                return None
-            node = child
-        return node
-
-    def lookup(self, values: Mapping[str, Any], create: bool) -> Any | None:
-        """Mapping-keyed :meth:`lookup_vals` (reference path, restores, tests)."""
-        node = self._root
-        for depth, param in enumerate(self.params):
-            obj = values[param]
-            child = node.get(obj)
+        for depth, entry in enumerate(entries):
+            child = node.get(entry)
             if child is None:
                 if not create:
                     return None
                 child = self._new_node(depth + 1)
-                node.put_fresh(obj, child)
+                node.put_fresh(entry, child)
             node = child
         return node
+
+    def lookup(self, values: Mapping[str, Any], create: bool) -> Any | None:
+        """:meth:`lookup_entries` over a ``{param: object}`` binding
+        (reference path, restores, tests)."""
+        entry = self._entry
+        return self.lookup_entries([entry(values[param]) for param in self.params], create)
 
     def walk_leaves(self) -> Iterator[Any]:
         """Every leaf currently in the tree (live keys only)."""
@@ -266,33 +238,31 @@ class _TreeBase:
 
         walk(self._root)
 
-    def purge_ids(self, ids_by_depth: Mapping[int, set[int]]) -> None:
-        """Targeted dead-key purge: scan only the buckets of known-dead ids.
+    def purge(self, dead: Collection[Any], found: list[tuple[str, Any]]) -> None:
+        """Targeted dead-key purge: scan only the keys of known-dead entries.
 
-        ``ids_by_depth`` maps a level (position in :attr:`params`) to the
-        ``id()``s of parameter objects known to have died at that level.
         The eager-propagation flush uses this instead of a full
-        :meth:`scan_all`: finding a dead key is O(maps at its level), not
-        O(every bucket of every level).  Scanning a bucket notifies the
+        :meth:`scan_all`: finding a dead key costs a probe per map, not a
+        scan of every key of every level.  Scanning a key notifies the
         monitors below the broken mapping and removes it — exactly what a
-        full scan would eventually do for these keys.
+        full scan would eventually do for these keys.  Each removal appends
+        ``(parameter name, entry)`` to ``found``.
         """
-        if not ids_by_depth:
-            return
-        max_depth = max(ids_by_depth)
+        params = self.params
+        last = len(params) - 1
 
-        def walk(node: Any, depth: int) -> None:
-            if not isinstance(node, RVMap):
-                return
-            dead_ids = ids_by_depth.get(depth)
-            if dead_ids:
-                for dead_id in dead_ids:
-                    node._scan_bucket(dead_id)
-            if depth < max_depth:
+        def walk(node: RVMap, depth: int) -> None:
+            buckets = node._buckets
+            for entry in dead:
+                if entry in buckets:
+                    node._scan_bucket(entry)
+                    found.append((params[depth], entry))
+            if depth < last:
                 for value in node.all_values():
                     walk(value, depth + 1)
 
-        walk(self._root, 0)
+        if last >= 0:
+            walk(self._root, 0)
 
 
 class IndexingTree(_TreeBase):
@@ -303,10 +273,11 @@ class IndexingTree(_TreeBase):
         params: tuple[str, ...],
         tracks_extensions: bool,
         notify: Callable[[MonitorInstance], None],
+        ledger: ParamLedger,
         scan_budget: int = 2,
     ):
         self.tracks_extensions = tracks_extensions
-        super().__init__(params, notify, scan_budget)
+        super().__init__(params, notify, ledger, scan_budget)
 
     def _new_leaf(self) -> Leaf:
         return Leaf(self.tracks_extensions)
@@ -333,10 +304,6 @@ class IndexingTree(_TreeBase):
             return KEEP
         return DROP
 
-    def lookup_leaf(self, values: Mapping[str, Any], create: bool) -> Leaf | None:
-        leaf = self.lookup(values, create)
-        return leaf  # type: ignore[return-value]
-
 
 class JoinIndex(_TreeBase):
     """Index of domain-``K`` instances by their ``K ∩ J`` sub-binding.
@@ -349,9 +316,10 @@ class JoinIndex(_TreeBase):
         self,
         key_params: tuple[str, ...],
         notify: Callable[[MonitorInstance], None],
+        ledger: ParamLedger,
         scan_budget: int = 2,
     ):
-        super().__init__(key_params, notify, scan_budget)
+        super().__init__(key_params, notify, ledger, scan_budget)
 
     def _new_leaf(self) -> RVSet:
         return RVSet()
@@ -364,8 +332,8 @@ class JoinIndex(_TreeBase):
         bucket = self.lookup(values, create=True)
         bucket.add(monitor)
 
-    def add_vals(self, values: Sequence[Any], monitor: MonitorInstance) -> None:
-        bucket = self.lookup_vals(values, create=True)
+    def add_entries(self, entries: Sequence[Any], monitor: MonitorInstance) -> None:
+        bucket = self.lookup_entries(entries, create=True)
         bucket.add(monitor)
 
     def candidates(self, values: Mapping[str, Any]) -> Iterator[MonitorInstance]:

@@ -1,9 +1,10 @@
 """Runtime monitor instances.
 
 A :class:`MonitorInstance` pairs a base monitor (the formalism-level state)
-with a parameter binding held through weak :class:`~repro.runtime.refs.ParamRef`
-handles — the instance must never keep its parameter objects alive, or the
-entire GC technique would be moot.
+with a parameter binding held through the objects' entries in the engine's
+:class:`~repro.runtime.refs.ParamLedger` (weak references) — the instance
+must never keep its parameter objects alive, or the entire GC technique
+would be moot.
 
 Per Section 4.2.2, each instance remembers the *last event* it received so
 that, when a parameter-death notification arrives, the GC strategy can
@@ -16,7 +17,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..core.params import Binding
-from .refs import ParamRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..spec.compiler import CompiledProperty
@@ -43,7 +43,7 @@ class MonitorInstance:
         self,
         prop: "CompiledProperty",
         base: Any,
-        params: Mapping[str, ParamRef],
+        params: Mapping[str, Any],
         serial: int,
     ):
         self.prop = prop
@@ -64,11 +64,11 @@ class MonitorInstance:
         """Liveness of one bound parameter; unbound parameters count as alive
         (they may still be bound by future events — Theorem 1 is about bound
         objects only)."""
-        ref = self.params.get(name)
-        return True if ref is None else ref.is_alive
+        entry = self.params.get(name)
+        return True if entry is None else entry() is not None
 
     def liveness(self) -> dict[str, bool]:
-        return {name: ref.is_alive for name, ref in self.params.items()}
+        return {name: entry() is not None for name, entry in self.params.items()}
 
     def all_params_dead(self) -> bool:
         """JavaMOP's collectability condition: every bound parameter is gone.
@@ -80,9 +80,8 @@ class MonitorInstance:
         params = self.params
         if not params:
             return False
-        for ref in params.values():
-            weak = ref._weak
-            if (weak() if weak is not None else ref._strong) is not None:
+        for entry in params.values():
+            if entry() is not None:
                 return False
         return True
 
@@ -90,9 +89,8 @@ class MonitorInstance:
         """Rebuild a :class:`Binding` of the still-live parameter objects
         (dead parameters are omitted) — used when firing handlers."""
         pairs = []
-        for name, ref in self.params.items():
-            weak = ref._weak
-            value = weak() if weak is not None else ref._strong
+        for name, entry in self.params.items():
+            value = entry()
             if value is not None:
                 pairs.append((name, value))
         return Binding._of_unique(pairs)
@@ -102,14 +100,15 @@ class MonitorInstance:
 
         ``symbol_of`` names live parameter objects (see
         :class:`~repro.runtime.refs.SymbolRegistry`); dead parameters are
-        recorded as ``!dead:<param_id>`` markers — their identity is gone,
-        but the restored instance must still report them bound-and-dead.
+        recorded as ``!dead:<serial>`` markers (the entry's ledger serial) —
+        their identity is gone, but the restored instance must still report
+        them bound-and-dead.
         """
         params: dict[str, str] = {}
-        for name, ref in self.params.items():
-            value = ref.get()
+        for name, entry in self.params.items():
+            value = entry()
             if value is None:
-                params[name] = f"!dead:{ref.param_id:x}"
+                params[name] = f"!dead:{entry.serial}"
             else:
                 params[name] = symbol_of(value)
         return {
@@ -125,18 +124,24 @@ class MonitorInstance:
         prop: "CompiledProperty",
         payload: Mapping[str, Any],
         tokens: Mapping[str, Any],
+        ledger: Any,
     ) -> "MonitorInstance":
         """Rebuild an instance from :meth:`snapshot_payload` output.
 
-        ``tokens`` maps live symbols to their restored stand-in objects;
-        ``!dead:`` markers become already-dead refs.
+        ``tokens`` maps live symbols to their restored stand-in objects,
+        whose entries ``ledger`` provides; ``!dead:`` markers become
+        tombstones.  Markers written before entries had serials carry a
+        hexadecimal ``id()`` instead and restore the same way.
         """
-        params: dict[str, ParamRef] = {}
+        params: dict[str, Any] = {}
         for name, symbol in payload["params"].items():
             if symbol.startswith("!dead:"):
-                params[name] = ParamRef.dead(int(symbol[len("!dead:"):], 16))
+                number = symbol[len("!dead:"):]
+                params[name] = ledger.tombstone(
+                    int(number) if number.isdigit() else int(number, 16)
+                )
             else:
-                params[name] = ParamRef(tokens[symbol])
+                params[name] = ledger.entry(tokens[symbol])
         base = prop.template.monitor_from_state(payload["state"])
         instance = cls(prop, base, params, payload["serial"])
         instance.last_event = payload["last_event"]
@@ -144,7 +149,7 @@ class MonitorInstance:
 
     def __repr__(self) -> str:
         names = ", ".join(
-            f"{name}{'†' if not ref.is_alive else ''}" for name, ref in sorted(self.params.items())
+            f"{name}{'†' if entry() is None else ''}" for name, entry in sorted(self.params.items())
         )
         mark = " FLAGGED" if self.flagged else ""
         return f"MonitorInstance#{self.serial}<{names}>({self.base.verdict()}){mark}"

@@ -1,11 +1,23 @@
-"""Weak parameter references.
+"""Parameter identities: one ledger entry per parameter object.
 
 The monitor GC technique hinges on observing the *death* of parameter
 objects without keeping them alive.  Java uses ``WeakReference``; CPython's
-:mod:`weakref` plays the same role here, with one twist: some Python values
-(``int``, ``str``, ``tuple`` ...) are not weak-referenceable.  Such values
-are held strongly and treated as immortal — which is also semantically
-right: an interned value never "dies" in a way a monitor should react to.
+:mod:`weakref` plays the same role here.  A :class:`ParamLedger` gives each
+parameter object one :class:`ParamEntry` the first time any structure
+keys it: a weak reference carrying the ledger's serial for the object and
+the event ordinal of its death.  Every structure of an engine — RVMap
+keys, monitor parameters, eager death propagation — shares that one
+entry, so an object carries one weak reference per ledger however many
+maps and monitors hold it, and a recycled ``id()`` can never alias a dead
+object's entry: the ledger's ``id()`` index is the only place an ``id``
+appears, and it is checked against the live referent.
+
+Some Python values (``int``, ``str``, ``tuple`` ...) are not
+weak-referenceable.  Their entries hold the value strongly and never die,
+which is also semantically right: an interned value never "dies" in a way
+a monitor should react to.  Such an entry lives only as long as the
+structures holding it, and entries of one value compare equal, so a map
+keyed by one is found through another.
 
 CPython's reference counting makes death *deterministic* (the weakref goes
 dead the moment the last strong reference drops), which this reproduction
@@ -19,72 +31,119 @@ from __future__ import annotations
 import weakref
 from typing import Any, Callable
 
-__all__ = ["ParamRef", "SymbolRegistry"]
+__all__ = ["ParamEntry", "ParamLedger", "SymbolRegistry"]
 
 
-class ParamRef:
-    """A handle to one parameter object that does not keep it alive.
+class ParamEntry(weakref.ref):
+    """One parameter object's identity: a weak reference to it.
 
-    ``param_id`` is the object's ``id()`` at capture time and is what the
-    weak-keyed maps hash on.  After death an id can be reused by CPython, so
-    equality of a *dead* ref with anything is always ``False`` — dead
-    entries never match lookups (lookups always carry a live object) and are
-    purged lazily, so id reuse at worst leaves a dead entry alongside a live
-    one until the next scan.
+    Calling the entry returns the object, or ``None`` once it is dead.
+    ``serial`` numbers the object within its ledger, ``died`` is the
+    ledger's event ordinal at its death (``None`` while alive) and ``key``
+    its ``id()`` in the ledger's index.  Entries hash and compare by
+    identity, never through the referent.
     """
 
-    __slots__ = ("_weak", "_strong", "param_id", "__weakref__")
+    __slots__ = ("serial", "died", "key")
 
-    def __init__(self, value: Any):
-        self.param_id = id(value)
-        try:
-            self._weak: weakref.ref | None = weakref.ref(value)
-            self._strong = None
-        except TypeError:
-            # Non-weak-referenceable value: hold it strongly; it is immortal
-            # from the monitor GC's point of view.
-            self._weak = None
-            self._strong = value
-
-    @classmethod
-    def dead(cls, param_id: int = 0) -> "ParamRef":
-        """A reference that was already dead at construction time.
-
-        The checkpoint codec uses this to restore monitor instances whose
-        parameter object died before the snapshot: the restored instance
-        must report the parameter as bound-but-dead (``is_alive`` False,
-        ``get()`` None), exactly like the live instance did.
-        """
-        ref = object.__new__(cls)
-        ref.param_id = param_id
-        ref._weak = None
-        ref._strong = None
-        return ref
-
-    def get(self) -> Any | None:
-        """The referent, or ``None`` if it has been garbage collected."""
-        if self._weak is None:
-            return self._strong
-        return self._weak()
-
-    @property
-    def is_alive(self) -> bool:
-        return self.get() is not None
-
-    @property
-    def is_weak(self) -> bool:
-        """Whether the referent can actually die (False for immortal values)."""
-        return self._weak is not None
-
-    def refers_to(self, value: Any) -> bool:
-        """Identity check against a live candidate object."""
-        return self.get() is value
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
 
     def __repr__(self) -> str:
-        referent = self.get()
+        referent = self()
         if referent is None:
-            return f"ParamRef(<dead:{self.param_id:#x}>)"
-        return f"ParamRef({type(referent).__name__}@{self.param_id:#x})"
+            return f"ParamEntry(<dead #{self.serial}>)"
+        return f"ParamEntry({type(referent).__name__} #{self.serial})"
+
+
+class _ImmortalEntry:
+    """The entry of a non-weak-referenceable value: held strongly, never dead.
+
+    Not indexed by the ledger, so the value lives only as long as the
+    structures holding an entry for it; entries of one value are equal.
+    """
+
+    __slots__ = ("value",)
+
+    serial = 0
+    died = None
+
+    def __init__(self, value: Any):
+        self.value = value
+
+    def __call__(self) -> Any:
+        return self.value
+
+    def __hash__(self) -> int:
+        return id(self.value)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is _ImmortalEntry and other.value is self.value
+
+
+class ParamLedger:
+    """One entry per parameter object, minted on first sight.
+
+    ``entry(value)`` returns the object's entry, creating it (with the next
+    ``serial``) the first time.  When an object dies, its entry's ``died``
+    is stamped with :attr:`clock` (the owner's event ordinal; an engine
+    advances it per event), the entry leaves the index, and ``on_death``
+    (optional) is called with it.  The callback runs in whatever thread
+    drops the last reference, possibly mid-dispatch; it must not block.
+    Entries held by other structures stay behind as tombstones.
+    """
+
+    __slots__ = ("_by_id", "_serial", "_callback", "clock", "on_death")
+
+    def __init__(self, on_death: Callable[[ParamEntry], None] | None = None):
+        #: id -> entry of every live object this ledger has seen.
+        self._by_id: dict[int, ParamEntry] = {}
+        self._serial = 0
+        self._callback = self._died
+        self.clock = 0
+        self.on_death = on_death
+
+    def entry(self, value: Any) -> Any:
+        """The entry of ``value``, minted on first sight."""
+        key = id(value)
+        entry = self._by_id.get(key)
+        if entry is not None and entry() is value:
+            return entry
+        try:
+            entry = ParamEntry(value, self._callback)
+        except TypeError:
+            return _ImmortalEntry(value)
+        self._serial += 1
+        entry.serial = self._serial
+        entry.died = None
+        entry.key = key
+        self._by_id[key] = entry
+        return entry
+
+    def tombstone(self, serial: int) -> ParamEntry:
+        """An entry whose object is already dead (not indexed).
+
+        Restores use it for parameters that died before the snapshot: the
+        restored monitor must report them bound-but-dead, as the live one
+        did.  The referent is a temporary freed on return.
+        """
+        entry = ParamEntry(set())
+        entry.serial = serial
+        entry.died = self.clock
+        entry.key = 0
+        return entry
+
+    def __len__(self) -> int:
+        """How many live objects have an entry."""
+        return len(self._by_id)
+
+    def _died(self, entry: ParamEntry) -> None:
+        entry.died = self.clock
+        if self._by_id.get(entry.key) is entry:
+            del self._by_id[entry.key]
+        if self.on_death is not None:
+            self.on_death(entry)
 
 
 class SymbolRegistry:
@@ -93,11 +152,11 @@ class SymbolRegistry:
     The tracelog, the checkpoint codec, and the multiprocess shard backend
     all need to name parameter objects across a serialization boundary
     without keeping them alive.  A registry mints one symbol per object
-    identity (``o1``, ``o2``, ...): the id-keyed table is weak-guarded, so
-    a recycled ``id`` after death mints a fresh symbol instead of
-    inheriting a dead object's name.  Non-weak-referenceable (immortal)
-    values are held strongly and keyed by their ``repr`` (``v:...``), so
-    equal immortals share a symbol for the registry's lifetime.
+    identity (``o1``, ``o2``, ...), keyed by the object's entry in the
+    registry's :class:`ParamLedger`, so a recycled ``id`` after death mints
+    a fresh symbol instead of inheriting a dead object's name.
+    Non-weak-referenceable (immortal) values are named by their ``repr``
+    (``v:...``), so equal immortals share a symbol.
 
     ``on_death`` (optional) is invoked with the symbol whenever a
     registered weak-referenceable object is reclaimed — the process shard
@@ -106,13 +165,12 @@ class SymbolRegistry:
     not block and must tolerate reentrancy.
     """
 
-    __slots__ = ("_symbols", "_guards", "_by_symbol", "_counter", "on_death")
+    __slots__ = ("_ledger", "_symbols", "_by_symbol", "_counter", "on_death")
 
     def __init__(self, start: int = 0, on_death: Callable[[str], None] | None = None):
-        self._symbols: dict[int, str] = {}
-        #: id -> weakref (weakable objects) or the object itself (immortals).
-        self._guards: dict[int, Any] = {}
-        self._by_symbol: dict[str, int] = {}
+        self._ledger = ParamLedger(on_death=self._on_entry_death)
+        self._symbols: dict[Any, str] = {}
+        self._by_symbol: dict[str, Any] = {}
         self._counter = start
         self.on_death = on_death
 
@@ -141,32 +199,23 @@ class SymbolRegistry:
         write-ahead log, checkpoint codec, process shard backend —
         agreeing on one name per object.
         """
-        key = id(value)
-        guard = self._guards.get(key)
-        if guard is not None:
-            if guard is value or (isinstance(guard, weakref.ref) and guard() is value):
-                return self._symbols[key]
-            self._drop(key)  # stale entry from a recycled id
+        entry = self._ledger.entry(value)
+        symbol = self._symbols.get(entry)
+        if symbol is not None:
+            return symbol
         if isinstance(value, str) and value.startswith("v:"):
             return value
         existing = getattr(value, "symbol", None)
         if isinstance(existing, str) and existing:
             self.register(value, existing)
             return existing
-        try:
-            self._guards[key] = weakref.ref(
-                value, lambda _ref, key=key: self._on_guard_death(key)
-            )
-        except TypeError:
+        if type(entry) is not ParamEntry:
             symbol = f"v:{value!r}"
-            self._guards[key] = value  # immortal: hold strongly
-            self._symbols[key] = symbol
-            self._by_symbol[symbol] = key
-            return symbol
-        self._counter += 1
-        symbol = f"o{self._counter}"
-        self._symbols[key] = symbol
-        self._by_symbol[symbol] = key
+        else:
+            self._counter += 1
+            symbol = f"o{self._counter}"
+        self._symbols[entry] = symbol
+        self._by_symbol[symbol] = entry
         return symbol
 
     def register(self, value: Any, symbol: str) -> None:
@@ -177,55 +226,37 @@ class SymbolRegistry:
         Adopting a symbol already naming a *different* live object would
         silently alias two identities; that is refused loudly.
         """
-        key = id(value)
-        existing = self._by_symbol.get(symbol)
-        if existing is not None and existing != key:
-            guard = self._guards.get(existing)
-            holder = guard() if isinstance(guard, weakref.ref) else guard
-            if holder is not None and holder is not value:
-                from ..core.errors import PersistError
+        entry = self._ledger.entry(value)
+        holder = self._by_symbol.get(symbol)
+        if holder is not None and holder != entry and holder() is not None:
+            from ..core.errors import PersistError
 
-                raise PersistError(
-                    f"symbol {symbol!r} already names a different live object"
-                )
-        if self._guards.get(key) is not None:
-            self._drop(key)
-        try:
-            self._guards[key] = weakref.ref(
-                value, lambda _ref, key=key: self._on_guard_death(key)
-            )
-        except TypeError:
-            self._guards[key] = value
-        self._symbols[key] = symbol
-        self._by_symbol[symbol] = key
+            raise PersistError(f"symbol {symbol!r} already names a different live object")
+        previous = self._symbols.get(entry)
+        if previous is not None and self._by_symbol.get(previous) == entry:
+            del self._by_symbol[previous]
+        self._symbols[entry] = symbol
+        self._by_symbol[symbol] = entry
         match = _NUMERIC_SYMBOL(symbol)
         if match is not None and match > self._counter:
             self._counter = match
 
     def resolve(self, symbol: str) -> Any | None:
         """The live object a symbol names, or ``None`` (dead or unknown)."""
-        key = self._by_symbol.get(symbol)
-        if key is None:
-            return None
-        guard = self._guards.get(key)
-        if isinstance(guard, weakref.ref):
-            return guard()
-        return guard
+        entry = self._by_symbol.get(symbol)
+        return None if entry is None else entry()
 
     def __len__(self) -> int:
         return len(self._symbols)
 
-    def _on_guard_death(self, key: int) -> None:
-        symbol = self._symbols.get(key)
-        self._drop(key)
-        if symbol is not None and self.on_death is not None:
-            self.on_death(symbol)
-
-    def _drop(self, key: int) -> None:
-        symbol = self._symbols.pop(key, None)
-        self._guards.pop(key, None)
-        if symbol is not None and self._by_symbol.get(symbol) == key:
+    def _on_entry_death(self, entry: ParamEntry) -> None:
+        symbol = self._symbols.pop(entry, None)
+        if symbol is None:
+            return
+        if self._by_symbol.get(symbol) is entry:
             del self._by_symbol[symbol]
+        if self.on_death is not None:
+            self.on_death(symbol)
 
 
 def _NUMERIC_SYMBOL(symbol: str) -> int | None:

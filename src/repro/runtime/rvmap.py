@@ -1,12 +1,14 @@
 """RVMap — the weak-keyed map of Section 4.2.1.
 
-An ``RVMap`` maps *parameter objects* (weakly, via
-:class:`~repro.runtime.refs.ParamRef`) to indexing-tree values: deeper maps
-or leaves.  Faithful to the paper:
+An ``RVMap`` maps *parameter objects* to indexing-tree values: deeper maps
+or leaves.  It is keyed by the objects' entries in the engine's
+:class:`~repro.runtime.refs.ParamLedger` — one weak reference per object,
+shared by every map and monitor — so a dead key is an entry whose object
+is gone.  Faithful to the paper:
 
 * whenever an operation (``put``/``get``) is performed, the map "looks
   through a subset of its entries" for dead keys (an incremental rotating
-  scan bounded by ``scan_budget`` buckets per operation);
+  scan bounded by ``scan_budget`` keys per operation);
 * a dead key triggers the ``on_dead_value`` callback — the engine uses it to
   notify every monitor instance below the broken mapping (Figure 7A) — and
   the broken mapping is then removed (Figure 7B);
@@ -15,17 +17,14 @@ or leaves.  Faithful to the paper:
   empty substructures) and returns whether the mapping should be kept
   (Section 5.1.1).
 
-Keys are hashed by object identity (``id``); a bucket holds the entries
-sharing an id (id reuse after death can briefly co-locate a dead and a live
-entry — lookups compare identity against the live referent, so this is
-benign; the dead entry is purged by a later scan).
+A recycled ``id()`` gets a fresh ledger entry, so a new object never
+shares a key with a dead one: the scan order depends only on the order in
+which objects were first keyed, not on the allocator.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterator
-
-from .refs import ParamRef
 
 __all__ = ["RVMap"]
 
@@ -34,7 +33,11 @@ KEEP, DROP = True, False
 
 
 class RVMap:
-    """A weak-keyed identity map with lazy dead-key scanning."""
+    """A weak-keyed identity map with lazy dead-key scanning.
+
+    Keys are ledger entries (see :mod:`repro.runtime.refs`); callers
+    resolve objects to entries first.
+    """
 
     __slots__ = ("_buckets", "_scan_keys", "_scan_pos", "on_dead_value", "inspect_value", "scan_budget")
 
@@ -44,8 +47,9 @@ class RVMap:
         inspect_value: Callable[[Any], bool] | None = None,
         scan_budget: int = 2,
     ):
-        self._buckets: dict[int, list[tuple[ParamRef, Any]]] = {}
-        self._scan_keys: list[int] = []
+        #: entry -> value, in first-keyed order.
+        self._buckets: dict[Any, Any] = {}
+        self._scan_keys: list[Any] = []
         self._scan_pos = 0
         self.on_dead_value = on_dead_value
         self.inspect_value = inspect_value
@@ -54,69 +58,36 @@ class RVMap:
     # -- basic operations ---------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return len(self._buckets)
 
     def __bool__(self) -> bool:
         return bool(self._buckets)
 
-    def get(self, obj: Any) -> Any | None:
-        """The value mapped to ``obj`` (by identity), or ``None``."""
+    def get(self, entry: Any) -> Any | None:
+        """The value mapped to ``entry``, or ``None``."""
         self.scan_some()
-        bucket = self._buckets.get(id(obj))
-        if bucket:
-            for ref, value in bucket:
-                weak = ref._weak
-                if (weak() if weak is not None else ref._strong) is obj:
-                    return value
-        return None
+        return self._buckets.get(entry)
 
-    def put(self, obj: Any, value: Any) -> None:
-        """Map ``obj`` to ``value``, replacing any existing mapping."""
+    def put(self, entry: Any, value: Any) -> None:
+        """Map ``entry`` to ``value``, replacing any existing mapping."""
         self.scan_some()
-        key = id(obj)
-        bucket = self._buckets.setdefault(key, [])
-        for index, (ref, _old) in enumerate(bucket):
-            if ref.refers_to(obj):
-                bucket[index] = (ref, value)
-                return
-        bucket.append((ParamRef(obj), value))
+        self._buckets[entry] = value
 
-    def put_fresh(self, obj: Any, value: Any) -> None:
-        """Insert a mapping the caller just proved absent (via ``get``).
+    def put_fresh(self, entry: Any, value: Any) -> None:
+        """Insert a mapping the caller just proved absent (via ``get``),
+        skipping the incremental scan the ``get`` already paid for."""
+        self._buckets[entry] = value
 
-        Skips the incremental scan (the preceding ``get`` already paid for
-        one) and the live-entry replacement check.  A dead entry sharing a
-        recycled id may coexist in the bucket until a later scan purges it
-        — the same tolerance ordinary ``put`` has.
-        """
-        key = id(obj)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = [(ParamRef(obj), value)]
-        else:
-            bucket.append((ParamRef(obj), value))
-
-    def remove(self, obj: Any) -> bool:
-        """Remove the mapping for ``obj``; returns whether one existed."""
-        key = id(obj)
-        bucket = self._buckets.get(key)
-        if not bucket:
-            return False
-        for index, (ref, _value) in enumerate(bucket):
-            if ref.refers_to(obj):
-                del bucket[index]
-                if not bucket:
-                    del self._buckets[key]
-                return True
-        return False
+    def remove(self, entry: Any) -> bool:
+        """Remove the mapping for ``entry``; returns whether one existed."""
+        return self._buckets.pop(entry, self) is not self
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         """Iterate (live referent, value) pairs over a snapshot."""
-        for bucket in tuple(self._buckets.values()):
-            for ref, value in tuple(bucket):
-                referent = ref.get()
-                if referent is not None:
-                    yield referent, value
+        for entry, value in tuple(self._buckets.items()):
+            referent = entry()
+            if referent is not None:
+                yield referent, value
 
     def values(self) -> Iterator[Any]:
         for _referent, value in self.items():
@@ -124,20 +95,17 @@ class RVMap:
 
     def all_values(self) -> Iterator[Any]:
         """Every stored value, including those under already-dead keys."""
-        for bucket in tuple(self._buckets.values()):
-            for _ref, value in tuple(bucket):
-                yield value
+        return iter(tuple(self._buckets.values()))
 
     # -- lazy scanning (Sections 4.2.1 and 5.1.1) ----------------------------
 
     def scan_some(self) -> int:
-        """Scan up to ``scan_budget`` buckets for dead keys; returns how many
+        """Scan up to ``scan_budget`` keys for dead ones; returns how many
         entries were cleaned."""
         buckets = self._buckets
         if not buckets:
             return 0
-        # Rotating cursor over the bucket keys, with the clean-bucket fast
-        # pass of _scan_bucket inlined: this runs on every map operation,
+        # Rotating cursor over the keys: this runs on every map operation,
         # so per-step call overhead matters.
         keys = self._scan_keys
         pos = self._scan_pos
@@ -149,66 +117,42 @@ class RVMap:
                 pos = 0
                 if not keys:
                     break
-            bucket = buckets.get(keys[pos])
+            key = keys[pos]
             pos += 1
-            if bucket is None:
+            value = buckets.get(key)
+            if value is None:
                 continue
-            for ref, value in bucket:
-                weak = ref._weak
-                alive = (weak() if weak is not None else ref._strong) is not None
-                if not alive or (inspect is not None and inspect(value) is DROP):
-                    cleaned += self._scan_bucket(keys[pos - 1], known_dirty=True)
-                    break
+            if key() is None or (inspect is not None and inspect(value) is DROP):
+                cleaned += self._scan_bucket(key, known_dirty=True)
         self._scan_pos = pos
         return cleaned
 
     def scan_all(self) -> int:
-        """Scan every bucket (used by eager propagation and by tests)."""
+        """Scan every key (used by eager propagation and by tests)."""
         cleaned = 0
         for key in list(self._buckets):
             cleaned += self._scan_bucket(key)
         return cleaned
 
-    def _scan_bucket(self, key: int, known_dirty: bool = False) -> int:
-        bucket = self._buckets.get(key)
-        if bucket is None:
+    def _scan_bucket(self, key: Any, known_dirty: bool = False) -> int:
+        """Clean one mapping: drop it (notifying the monitors below, when
+        its key is dead) unless its key is alive and its value survives
+        inspection.  ``known_dirty`` skips the inspection a caller already
+        made."""
+        value = self._buckets.get(key)
+        if value is None:
             return 0
-        inspect = self.inspect_value
-        if not known_dirty:
-            # Fast pass: in the common case nothing in the bucket is dead
-            # and every live value survives inspection — detect that
-            # without building a survivor list (this runs on every map
-            # operation).  Callers that already detected dirt (scan_some's
-            # inline pass) skip straight to the rebuild.
-            dirty = False
-            for ref, value in bucket:
-                weak = ref._weak
-                alive = (weak() if weak is not None else ref._strong) is not None
-                if not alive or (inspect is not None and inspect(value) is DROP):
-                    dirty = True
-                    break
-            if not dirty:
-                return 0
-        cleaned = 0
-        survivors: list[tuple[ParamRef, Any]] = []
-        for ref, value in bucket:
-            weak = ref._weak
-            if (weak() if weak is not None else ref._strong) is None:
-                # Figure 7A: notify the monitors below the broken mapping...
-                if self.on_dead_value is not None:
-                    self.on_dead_value(value)
-                # ...and Figure 7B: remove it.
-                cleaned += 1
-            elif inspect is not None and inspect(value) is DROP:
-                cleaned += 1
-            else:
-                survivors.append((ref, value))
-        if cleaned:
-            if survivors:
-                self._buckets[key] = survivors
-            else:
-                del self._buckets[key]
-        return cleaned
+        if key() is None:
+            # Figure 7A: notify the monitors below the broken mapping...
+            del self._buckets[key]
+            if self.on_dead_value is not None:
+                self.on_dead_value(value)
+            # ...and Figure 7B: it is removed.
+            return 1
+        if known_dirty or (self.inspect_value is not None and self.inspect_value(value) is DROP):
+            del self._buckets[key]
+            return 1
+        return 0
 
     def release(self) -> None:
         """Drop all entries and the owner callbacks.
@@ -226,4 +170,4 @@ class RVMap:
         self.inspect_value = None
 
     def __repr__(self) -> str:
-        return f"RVMap({len(self)} entries, {len(self._buckets)} buckets)"
+        return f"RVMap({len(self)} entries)"

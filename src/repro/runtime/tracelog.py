@@ -5,7 +5,7 @@ and writes every emitted parametric event as one JSON line — the event name
 plus a *symbolic identity* per parameter object (``c0``, ``i17``, ...).
 Identities preserve the aliasing structure of the run (two events binding
 the same object record the same symbol) without holding the objects alive:
-the registry is an id-keyed weak table.
+the registry keys symbols by the objects' weak ledger entries.
 
 :func:`replay` reads the log back, materializes one fresh token object per
 symbol, and re-emits the events into a new engine — so a production trace

@@ -63,8 +63,8 @@ hashing, and anchor-free sub-bindings are covered by pretouch.
 Routing hashes parameter objects by identity (``id``), matching the
 identity semantics of bindings and of the weak-keyed RVMaps; a bit mixer
 spreads CPython's 16-byte-aligned addresses across shards.  Association
-tables hold weak guards (strong for immortal values, like
-:class:`~repro.runtime.refs.ParamRef`) so dead objects cannot leak or —
+tables hold weak guards (strong for immortal values, as the engine's
+:class:`~repro.runtime.refs.ParamLedger` does) so dead objects cannot leak or —
 worse — let a recycled ``id`` inherit stale routing state.
 """
 

@@ -718,16 +718,13 @@ class MonitorService:
     def note_deaths(self, dead: Mapping[str, Iterable[int]]) -> None:
         """Forward externally observed parameter deaths to the shard engines.
 
-        The live instrumentation layer (:mod:`repro.instrument.live`)
-        drains its ``weakref``-callback ledger at each event boundary and
-        hands the coalesced ``{param name: dead ids}`` map here; each
-        inline shard engine queues it exactly like its own eager
-        watcher's observations (see
-        :meth:`~repro.runtime.engine.MonitoringEngine.note_deaths` — a
-        no-op under lazy propagation, where dead keys are discovered on
-        access).  In the queued modes this is a no-op (:attr:`engines` is
-        empty): worker GC is driven by the symbol registry's retire
-        markers, which already cover every routed parameter object.
+        Each inline shard engine reports the ``{param name: dead ids}`` map
+        to its ``on_deaths`` observers (see
+        :meth:`~repro.runtime.engine.MonitoringEngine.note_deaths`); the
+        engines' own ledgers already observe every object they key.  In
+        the queued modes this is a no-op (:attr:`engines` is empty): worker
+        GC is driven by the symbol registry's retire markers, which already
+        cover every routed parameter object.
         """
         for engine in self.engines:
             engine.note_deaths(dead)
@@ -999,8 +996,8 @@ class MonitorService:
                         if runtime is None:
                             continue
                         for monitor in runtime.iter_reachable_instances():
-                            for ref in monitor.params.values():
-                                value = ref.get()
+                            for entry in monitor.params.values():
+                                value = entry()
                                 if isinstance(value, ReplayToken):
                                     registry.register(value, value.symbol)
                 symbol_of = trace_symbol_of(registry)

@@ -10,7 +10,10 @@ path at property-compile time (JinMGR11 Section 4.1): for each
 with
 
 * the slot-tuple shape unrolled (``v0 = values["c"]`` …, no list
-  comprehension, no loop over the event's parameters),
+  comprehension, no loop over the event's parameters), each value
+  resolved once to its entry in the engine's
+  :class:`~repro.runtime.refs.ParamLedger` (``e0``, …), which every map
+  probe then uses as its key,
 * the interned event id folded into a precomputed per-event transition
   *column* (one subscript per monitor step instead of two),
 * the indexing-tree walk — including the ``RVMap`` incremental dead-key
@@ -36,22 +39,22 @@ Equivalence contract
 --------------------
 The kernels must produce the same verdicts as the reference
 interpretation, and perform exactly the ``RVMap`` scan operations of the
-interpreted helpers they inline (``_TreeBase.lookup_vals``,
+interpreted helpers they inline (``_TreeBase.lookup_entries``,
 ``RVMap.scan_some``, ``RVSet.iter_active``).  Lazy GC discovers deaths
 on access, so the set of monitors a later event still steps depends on
 how many
 buckets every earlier operation scanned — reordering or eliding a single
 ``scan_some`` would change flag-discovery timing and, with it,
 observable verdict streams.  Every inlined walk therefore performs
-exactly the operations of ``_TreeBase.lookup_vals`` (scan, probe,
+exactly the operations of ``_TreeBase.lookup_entries`` (scan, probe,
 create) in the same order; the inlining removes call overhead, never
 operations.  Nor may it lengthen a lifetime: no kernel local outlives
 what the interpreted helper's frame would hold, because CPython frees a
-monitor at its last reference and recycles a dead key's id at once — a
-local still bound to a dead leaf would count its monitors live at the
-next creation.  ``tests/runtime/test_dispatch_equivalence.py`` holds
-codegen to the reference oracle and its monitor lifetimes to a pinned
-table recorded from the interpreted plan.
+monitor at its last reference — a local still bound to a dead leaf would
+count its monitors live at the next creation.
+``tests/runtime/test_dispatch_equivalence.py`` holds codegen to the
+reference oracle and its monitor lifetimes to a pinned table recorded
+from the interpreted plan.
 
 Timed variant
 -------------
@@ -134,10 +137,10 @@ class _KernelEmitter:
     ``prelude`` lines run once at bind time inside the factory (closure
     bindings pulled off the runtime: trees and join indices by literal
     domain); the kernel body references only those locals, literals, the
-    event's ``v0..vN`` slot variables and the join loops' candidate values.
-    The walk, check and materialize emitters take value *variable names*
-    in the walked structure's parameter order, so the self-creation and
-    the join share them.
+    event's ``v0..vN`` slot variables, their ledger entries ``e0..eN`` and
+    the join loops' candidate entries.  The walk, check and materialize
+    emitters take entry *variable names* in the walked structure's
+    parameter order, so the self-creation and the join share them.
     """
 
     def __init__(
@@ -153,14 +156,6 @@ class _KernelEmitter:
         self.prelude: list[str] = []
         self._uid = 0
         self._tree_ctxs: dict[str, dict[str, str]] = {}
-        #: ``v{i}`` -> hoisted ``_id{i}`` variable (ids are stable while the
-        #: values dict keeps the parameters alive, i.e. the whole kernel body).
-        self._id_cache: dict[str, str] = {}
-        #: ``v{i}`` -> lazily-built shared ``_pr{i}`` ParamRef variable.
-        #: ParamRef identity is not observable (only referent deadness is),
-        #: so one ref per parameter per invocation serves every tree entry
-        #: and the monitor's own params table.
-        self._pr_cache: dict[str, str] = {}
         #: Bind-time expression -> its variable (see :meth:`bind_once`).
         self._bound: dict[str, str] = {f"rt.trees[{_domain(ep.domain)}]": "tree"}
         #: Inline ``RVMap.scan_some`` (off inside join loops, see
@@ -231,12 +226,13 @@ class _KernelEmitter:
 
         ``holds_leaves`` selects the inlined inspector: the fused
         ``IndexingTree._inspect_leaf`` for leaf-holding maps, the
-        emptiness test of ``_inspect_map`` otherwise.  A dirty bucket is
-        rebuilt out of line by ``node._scan_bucket(key, True)`` — the very
-        call ``scan_some`` makes — after the fast pass drops its references
-        into that bucket, so no local keeps a dead leaf or its monitors
-        alive past the rebuild.  With ``inline_scans`` off the walk calls
-        ``scan_some`` itself: the same operations, in a tenth of the source.
+        emptiness test of ``_inspect_map`` otherwise.  A dirty mapping is
+        removed out of line by ``node._scan_bucket(key, True)`` — the very
+        call ``scan_some`` makes — after the inline pass drops its
+        references to the value, so no local keeps a dead leaf or its
+        monitors alive past the removal.  With ``inline_scans`` off the
+        walk calls ``scan_some`` itself: the same operations, in a tenth of
+        the source.
         """
         if not self.inline_scans:
             w.emit(d, f"{node}.scan_some()")
@@ -256,19 +252,14 @@ class _KernelEmitter:
         w.emit(d + 3, f"_kn{u} = len(_ks{u})")
         w.emit(d + 3, f"if not _kn{u}:")
         w.emit(d + 4, "break")
-        w.emit(d + 2, f"_b{u} = {buckets}.get(_ks{u}[_p{u}])")
+        w.emit(d + 2, f"_k{u} = _ks{u}[_p{u}]")
         w.emit(d + 2, f"_p{u} += 1")
-        w.emit(d + 2, f"if _b{u} is None:")
+        w.emit(d + 2, f"_v{u} = {buckets}.get(_k{u})")
+        w.emit(d + 2, f"if _v{u} is None:")
         w.emit(d + 3, "continue")
-        w.emit(d + 2, f"for _r{u}, _v{u} in _b{u}:")
-        w.emit(d + 3, f"_w{u} = _r{u}._weak")
-        w.emit(
-            d + 3,
-            f"if (_w{u}() if _w{u} is not None else _r{u}._strong) is None:",
-        )
-        w.emit(d + 4, "break")
         if holds_leaves:
             # Inlined IndexingTree._inspect_leaf (fused clean + emptiness).
+            w.emit(d + 2, f"if _k{u}() is not None:")
             w.emit(d + 3, f"_o{u} = _v{u}.own")
             w.emit(d + 3, f"if _o{u} is not None and _o{u}.flagged:")
             w.emit(d + 4, f"_v{u}.own = _o{u} = None")
@@ -284,62 +275,18 @@ class _KernelEmitter:
             w.emit(d + 5, f"_lv{u} = True")
             w.emit(
                 d + 3,
-                f"if _v{u}.touched is None and _o{u} is None and not _lv{u}:",
+                f"if _v{u}.touched is not None or _o{u} is not None or _lv{u}:",
             )
-            w.emit(d + 4, "break")
-            held = f"_b{u} = _v{u} = _o{u} = _x{u} = _m{u} = None"
+            w.emit(d + 4, "continue")
+            held = f"_v{u} = _o{u} = _x{u} = _m{u} = None"
         else:
-            w.emit(d + 3, f"if not _v{u}._buckets:")
-            w.emit(d + 4, "break")
-            held = f"_b{u} = _v{u} = None"
-        # ``for ... else``: the bucket is clean unless the pass broke out.
-        w.emit(d + 2, "else:")
-        w.emit(d + 3, "continue")
+            w.emit(d + 2, f"if _k{u}() is not None and _v{u}._buckets:")
+            w.emit(d + 3, "continue")
+            held = f"_v{u} = None"
+        # A dead key, or a live one whose value the inspection drops.
         w.emit(d + 2, held)
-        w.emit(d + 2, f"{node}._scan_bucket(_ks{u}[_p{u} - 1], True)")
+        w.emit(d + 2, f"{node}._scan_bucket(_k{u}, True)")
         w.emit(d + 1, f"{node}._scan_pos = _p{u}")
-
-    def id_expr(self, val: str) -> str:
-        """``id(val)``, through the hoisted per-parameter variable if any."""
-        return self._id_cache.get(val, f"id({val})")
-
-    def emit_paramref(self, w: _Writer, d: int, val: str, out: str) -> str:
-        """Inline the ``ParamRef`` constructor (weak with immortal fallback).
-
-        Returns the variable holding the ref: for event parameters that is
-        the lazily-built shared ``_pr{i}`` (built at most once per kernel
-        invocation), otherwise ``out``.
-        """
-        cached = self._pr_cache.get(val)
-        if cached is not None:
-            w.emit(d, f"if {cached} is None:")
-            self._emit_paramref_body(w, d + 1, val, cached)
-            return cached
-        self._emit_paramref_body(w, d, val, out)
-        return out
-
-    def _emit_paramref_body(self, w: _Writer, d: int, val: str, out: str) -> None:
-        w.emit(d, f"{out} = _PR_new(_ParamRef)")
-        w.emit(d, f"{out}.param_id = {self.id_expr(val)}")
-        w.emit(d, "try:")
-        w.emit(d + 1, f"{out}._weak = _wref({val})")
-        w.emit(d + 1, f"{out}._strong = None")
-        w.emit(d, "except TypeError:")
-        w.emit(d + 1, f"{out}._weak = None")
-        w.emit(d + 1, f"{out}._strong = {val}")
-
-    def emit_put_fresh(
-        self, w: _Writer, d: int, buckets: str, val: str, child: str
-    ) -> None:
-        """Inline ``RVMap.put_fresh`` (the post-probe insert)."""
-        u = self.uid()
-        ref = self.emit_paramref(w, d, val, f"_pf{u}")
-        w.emit(d, f"_ky{u} = {self.id_expr(val)}")
-        w.emit(d, f"_pb{u} = {buckets}.get(_ky{u})")
-        w.emit(d, f"if _pb{u} is None:")
-        w.emit(d + 1, f"{buckets}[_ky{u}] = [({ref}, {child})]")
-        w.emit(d, "else:")
-        w.emit(d + 1, f"_pb{u}.append(({ref}, {child}))")
 
     def emit_new_leaf(
         self, w: _Writer, d: int, ctx: dict[str, str], child: str
@@ -375,28 +322,8 @@ class _KernelEmitter:
         w.emit(d, f"{child}.inspect_value = {insp}")
         w.emit(d, f"{child}.scan_budget = _budget")
 
-    def emit_probe(
-        self, w: _Writer, d: int, buckets: str, val: str, child: str
-    ) -> None:
-        """Inline the identity probe of ``RVMap.get`` (post-scan half)."""
-        u = self.uid()
-        w.emit(d, f"_bb{u} = {buckets}.get({self.id_expr(val)})")
-        w.emit(d, f"{child} = None")
-        w.emit(d, f"if _bb{u}:")
-        w.emit(d + 1, f"for _r{u}, _c{u} in _bb{u}:")
-        w.emit(d + 2, f"_w{u} = _r{u}._weak")
-        w.emit(
-            d + 2,
-            f"if (_w{u}() if _w{u} is not None else _r{u}._strong) is {val}:",
-        )
-        w.emit(d + 3, f"{child} = _c{u}")
-        w.emit(d + 3, "break")
-        # A candidate under a recycled id may be a dead key's leaf: hold
-        # neither it nor its bucket past the probe (``RVMap.get`` returns).
-        w.emit(d + 1, f"_bb{u} = _c{u} = None")
-
     def emit_main_walk(self, w: _Writer, d: int) -> None:
-        """The event-domain walk of ``lookup_vals(vals, create=True)``."""
+        """The event-domain walk of ``lookup_entries(ents, create=True)``."""
         depth = self.depth
         ctx = self.tree_ctx("tree")
         node, buckets = "root", "buckets0"
@@ -404,13 +331,13 @@ class _KernelEmitter:
             leaf_level = level + 1 == depth
             child = "leaf" if leaf_level else f"node{level + 1}"
             self.emit_scan(w, d, node, buckets, leaf_level)
-            self.emit_probe(w, d, buckets, f"v{level}", child)
+            w.emit(d, f"{child} = {buckets}.get(e{level})")
             w.emit(d, f"if {child} is None:")
             if leaf_level:
                 self.emit_new_leaf(w, d + 1, ctx, child)
             else:
                 self.emit_new_map(w, d + 1, ctx, child, level + 2 == depth)
-            self.emit_put_fresh(w, d + 1, buckets, f"v{level}", child)
+            w.emit(d + 1, f"{buckets}[e{level}] = {child}")
             if not leaf_level:
                 node = child
                 buckets = f"_bk{level + 1}"
@@ -421,19 +348,19 @@ class _KernelEmitter:
         w: _Writer,
         d: int,
         tree_path: str,
-        vals: tuple[str, ...],
+        ents: tuple[str, ...],
         out: str,
     ) -> None:
-        """A ``lookup_vals(vals, create=True)`` over an auxiliary tree.
+        """A ``lookup_entries(ents, create=True)`` over an auxiliary tree.
 
         Used by the inlined materialize to register the new monitor in
         its own leaf and the extension sets of every strictly-smaller
         event domain; the walk performs exactly the scan/probe/create
-        sequence of ``_TreeBase.lookup_vals`` on that tree.
+        sequence of ``_TreeBase.lookup_entries`` on that tree.
         """
         n = self.uid()
         root = self.bind(f"t{n}_root", f"{tree_path}._root")
-        depth = len(vals)
+        depth = len(ents)
         if depth == 0:
             w.emit(d, f"{out} = {root}")
             return
@@ -444,13 +371,13 @@ class _KernelEmitter:
             leaf_level = i + 1 == depth
             child = out if leaf_level else f"_n{n}_{i + 1}"
             self.emit_scan(w, d, node, buckets, leaf_level)
-            self.emit_probe(w, d, buckets, vals[i], child)
+            w.emit(d, f"{child} = {buckets}.get({ents[i]})")
             w.emit(d, f"if {child} is None:")
             if leaf_level:
                 self.emit_new_leaf(w, d + 1, ctx, child)
             else:
                 self.emit_new_map(w, d + 1, ctx, child, i + 2 == depth)
-            self.emit_put_fresh(w, d + 1, buckets, vals[i], child)
+            w.emit(d + 1, f"{buckets}[{ents[i]}] = {child}")
             if not leaf_level:
                 node = child
                 buckets = f"_nbk{n}_{i + 1}"
@@ -461,24 +388,24 @@ class _KernelEmitter:
         w: _Writer,
         d: int,
         tree_path: str,
-        vals: tuple[str, ...],
+        ents: tuple[str, ...],
         out: str,
     ) -> None:
-        """A ``lookup_vals(vals, create=False)`` over an auxiliary tree.
+        """A ``lookup_entries(ents, create=False)`` over an auxiliary tree.
 
         ``tree_path`` is the bind-time expression for the tree or join
-        index; ``vals`` names the variables feeding each level.
+        index; ``ents`` names the entry variables feeding each level.
         """
         n = self.uid()
         root = self.bind(f"t{n}_root", f"{tree_path}._root")
-        depth = len(vals)
+        depth = len(ents)
         w.emit(d, f"{out} = None")
 
         def level(d: int, node: str, buckets: str, i: int) -> None:
             leaf_level = i + 1 == depth
             child = out if leaf_level else f"_n{n}_{i + 1}"
             self.emit_scan(w, d, node, buckets, leaf_level)
-            self.emit_probe(w, d, buckets, vals[i], child)
+            w.emit(d, f"{child} = {buckets}.get({ents[i]})")
             if not leaf_level:
                 w.emit(d, f"if {child} is not None:")
                 nb = f"_nb{n}_{i + 1}"
@@ -493,6 +420,15 @@ class _KernelEmitter:
             level(d, root, buckets, 0)
 
     # -- kernel sections ----------------------------------------------------
+
+    def emit_entries(self, w: _Writer, d: int) -> None:
+        """Resolve each event value to its ledger entry: an index probe
+        checked against the live referent, the ledger's ``entry`` on a
+        miss (first sight, or a value that is not weak-referenceable)."""
+        for i in range(self.depth):
+            w.emit(d, f"e{i} = _by_id.get(id(v{i}))")
+            w.emit(d, f"if e{i} is None or e{i}() is not v{i}:")
+            w.emit(d + 1, f"e{i} = _entry(v{i})")
 
     def emit_header(self, w: _Writer, d: int, spec_name: str) -> None:
         ep = self.ep
@@ -513,18 +449,9 @@ class _KernelEmitter:
                 f"raise InconsistentEventError({prefix!r} + repr(exc.args[0])) "
                 "from None",
             )
-            for i in range(self.depth):
-                w.emit(d, f"_id{i} = id(v{i})")
-                self._id_cache[f"v{i}"] = f"_id{i}"
-            if ep.has_creation:
-                # Creating kernels reference each parameter's ParamRef at
-                # several sites (walk inserts + the monitor's params table);
-                # share one lazily-built ref per parameter per invocation.
-                for i in range(self.depth):
-                    w.emit(d, f"_pr{i} = None")
-                    self._pr_cache[f"v{i}"] = f"_pr{i}"
             if self.timed:
                 w.emit(d, "_t0 = _pc()")
+            self.emit_entries(w, d)
             self.emit_main_walk(w, d)
             if self.timed:
                 w.emit(d, "_tw = _pc() - _t0")
@@ -586,7 +513,7 @@ class _KernelEmitter:
                     f" or {self.domain_var(ep.domain)} not in pretouched)"
                 )
             w.emit(d, f"if {guard}:")
-            vals = tuple(f"v{i}" for i in range(self.depth))
+            ents = tuple(f"e{i}" for i in range(self.depth))
             insert = self.plan.insert_plans[ep.domain]
 
             def emit_sources(d: int, i: int) -> None:
@@ -594,18 +521,18 @@ class _KernelEmitter:
                 if i == len(self.sources):
                     if ep.allows_fresh:
                         self.emit_branch(
-                            w, d, ep.fresh_checks, vals, True, insert, "None", "leaf"
+                            w, d, ep.fresh_checks, ents, True, insert, "None", "leaf"
                         )
                     return
                 src = self.sources[i]
                 u = self.uid()
                 out = f"_sl{u}"
-                src_vals = tuple(vals[k] for k in src.extract)
-                self.emit_aux_walk(w, d, self.tree(src.domain), src_vals, out)
+                src_ents = tuple(ents[k] for k in src.extract)
+                self.emit_aux_walk(w, d, self.tree(src.domain), src_ents, out)
                 w.emit(d, f"_so{u} = {out}.own if {out} is not None else None")
                 w.emit(d, f"if _so{u} is not None and not _so{u}.flagged:")
                 self.emit_branch(
-                    w, d + 1, src.checks, vals, True, insert, f"_so{u}", "leaf"
+                    w, d + 1, src.checks, ents, True, insert, f"_so{u}", "leaf"
                 )
                 if i + 1 < len(self.sources) or ep.allows_fresh:
                     w.emit(d, "else:")
@@ -620,7 +547,7 @@ class _KernelEmitter:
         w: _Writer,
         d: int,
         checks: tuple[DomainCheck, ...],
-        vals: tuple[str, ...],
+        ents: tuple[str, ...],
         pretouched: bool,
         insert: InsertPlan,
         source_expr: str,
@@ -641,13 +568,13 @@ class _KernelEmitter:
                 w.emit(d, f"if pretouched is not None and {dom} in pretouched:")
                 w.emit(d + 1, "break")
             out = f"_cl{u}"
-            sub_vals = tuple(vals[k] for k in check.extract)
-            self.emit_aux_walk(w, d, self.tree(check.domain), sub_vals, out)
+            sub_ents = tuple(ents[k] for k in check.extract)
+            self.emit_aux_walk(w, d, self.tree(check.domain), sub_ents, out)
             w.emit(d, f"if {out} is not None:")
             w.emit(d + 1, f"_ct{u} = {out}.touched")
             w.emit(d + 1, f"if _ct{u} is not None and _ct{u} < serial:")
             w.emit(d + 2, "break")
-        self.emit_materialize(w, d, insert, vals, source_expr, own_leaf)
+        self.emit_materialize(w, d, insert, ents, source_expr, own_leaf)
         w.emit(d, "break")
 
     def emit_join(self, w: _Writer, d: int, jp: JoinPlan) -> None:
@@ -655,7 +582,8 @@ class _KernelEmitter:
         the event, found through their join index, each create the
         ``jp.target_domain`` instance unless it exists, was touched before
         now, or fails a validity check.  A candidate with a dead parameter
-        is skipped.
+        is skipped; a live one's parameter objects are held for the rest of
+        the call, as the reference path's ``candidate_values`` holds them.
 
         The loop's walks call ``RVMap.scan_some`` rather than inline it:
         joins are rare, and a three-parameter target's walks hold sixteen
@@ -666,8 +594,8 @@ class _KernelEmitter:
         u = self.uid()
         bucket = f"_jb{u}"
         index = self.index(jp.join_domain, frozenset(jp.key_params))
-        key_vals = tuple(f"v{i}" for i in jp.key_extract)
-        self.emit_aux_walk(w, d, index, key_vals, bucket)
+        key_ents = tuple(f"e{i}" for i in jp.key_extract)
+        self.emit_aux_walk(w, d, index, key_ents, bucket)
         w.emit(d, f"if {bucket} is not None:")
         d += 1
         # Inlined RVSet.iter_active: compact on the first flagged member,
@@ -686,15 +614,16 @@ class _KernelEmitter:
         w.emit(d + 1, "continue")
         w.emit(d, "_jp = candidate.params")
         for k, name in enumerate(jp.join_params):
-            w.emit(d, f"_jv{u}_{k} = _jp[{name!r}].get()")
+            w.emit(d, f"_je{u}_{k} = _jp[{name!r}]")
+            w.emit(d, f"_jv{u}_{k} = _je{u}_{k}()")
             w.emit(d, f"if _jv{u}_{k} is None:")
             w.emit(d + 1, "continue")
-        vals = tuple(
-            f"_jv{u}_{k}" if from_candidate else f"v{k}"
+        ents = tuple(
+            f"_je{u}_{k}" if from_candidate else f"e{k}"
             for from_candidate, k in jp.merge
         )
         target = f"_tl{u}"
-        self.emit_aux_walk(w, d, self.tree(jp.target_domain), vals, target)
+        self.emit_aux_walk(w, d, self.tree(jp.target_domain), ents, target)
         w.emit(d, f"if {target} is not None:")
         w.emit(d + 1, f"if {target}.own is not None and not {target}.own.flagged:")
         w.emit(d + 2, "continue")
@@ -703,7 +632,7 @@ class _KernelEmitter:
             w.emit(d + 1, f"if _tt{u} is not None and _tt{u} < serial:")
             w.emit(d + 2, "continue")
         insert = self.plan.insert_plans[jp.target_domain]
-        self.emit_branch(w, d, jp.checks, vals, False, insert, "candidate", None)
+        self.emit_branch(w, d, jp.checks, ents, False, insert, "candidate", None)
         # Let go of the snapshot when the loop ends, as a for loop over
         # ``iter_active()`` does.
         w.emit(d - 1, f"_ja{u} = _jm{u} = None")
@@ -742,19 +671,19 @@ class _KernelEmitter:
         w: _Writer,
         d: int,
         ip: InsertPlan,
-        vals: tuple[str, ...],
+        ents: tuple[str, ...],
         source_expr: str,
         own_leaf: str | None,
     ) -> None:
         """Create, register, watch and step one new monitor of ``ip.domain``
-        over ``vals`` (its parameter values, in ``ip.params`` order).
+        over ``ents`` (its parameter entries, in ``ip.params`` order).
 
         The operation order is fixed, and the pinned lifetime table was
-        recorded with it: base state, refs, own-leaf registration
-        (``own_leaf``, or a create-walk of the domain's tree when
-        ``None``), extension registrations (each an inlined create-walk
-        with its scans) in :class:`InsertPlan` order, join registrations,
-        stats, collection watch, parameter watch, first step.
+        recorded with it: base state, own-leaf registration (``own_leaf``,
+        or a create-walk of the domain's tree when ``None``), extension
+        registrations (each an inlined create-walk with its scans) in
+        :class:`InsertPlan` order, join registrations, stats, collection
+        watch, first step.
         """
         ep = self.ep
         if self.has_fsm:
@@ -777,12 +706,7 @@ class _KernelEmitter:
         w.emit(d, "rt._serial = _mser = rt._serial + 1")
         # Inlined MonitorInstance.__init__ (slot writes, no dict copy; the
         # domain frozenset is a bind-time constant).
-        refs = [
-            self.emit_paramref(w, d, val, f"_mp{i}") for i, val in enumerate(vals)
-        ]
-        pairs = ", ".join(
-            f"{param!r}: {ref}" for param, ref in zip(ip.params, refs)
-        )
+        pairs = ", ".join(f"{param!r}: {ent}" for param, ent in zip(ip.params, ents))
         w.emit(d, "monitor = _MI_new(_MonitorInstance)")
         w.emit(d, "monitor.prop = _prop")
         w.emit(d, "monitor.base = base")
@@ -794,7 +718,7 @@ class _KernelEmitter:
         w.emit(d, "monitor.provenance = None")
         if own_leaf is None:
             own_leaf = f"_ol{self.uid()}"
-            self.emit_aux_create_walk(w, d, self.tree(ip.domain), vals, own_leaf)
+            self.emit_aux_create_walk(w, d, self.tree(ip.domain), ents, own_leaf)
         w.emit(d, f"{own_leaf}.own = monitor")
         if ip.own_is_event_domain:
             w.emit(d, f"_lx = {own_leaf}.extensions")
@@ -805,7 +729,7 @@ class _KernelEmitter:
             u = self.uid()
             out = f"_el{u}"
             self.emit_aux_create_walk(
-                w, d, self.tree(ext_domain), tuple(vals[i] for i in extract), out
+                w, d, self.tree(ext_domain), tuple(ents[i] for i in extract), out
             )
             w.emit(d, f"_ex{u} = {out}.extensions")
             w.emit(d, f"if _ex{u} is not None:")
@@ -813,17 +737,13 @@ class _KernelEmitter:
             w.emit(d + 1, f"_ex{u}._active = None")
         for (join_domain, key_domain), extract in ip.join_entries:
             idx = self.index(join_domain, key_domain)
-            w.emit(d, f"{idx}.add_vals({_tuple(vals[i] for i in extract)}, monitor)")
+            w.emit(d, f"{idx}.add_entries({_tuple(ents[i] for i in extract)}, monitor)")
         # Inlined MonitorStats.record_creation (counter + live peak).
         w.emit(d, "stats.monitors_created = _mc = stats.monitors_created + 1")
         w.emit(d, "_mlive = _mc - stats.monitors_collected")
         w.emit(d, "if _mlive > stats.peak_live_monitors:")
         w.emit(d + 1, "stats.peak_live_monitors = _mlive")
         w.emit(d, "_live_refs.add(_wref(monitor, _on_collected))")
-        w.emit(d, "watch = rt._on_param_registered")
-        w.emit(d, "if watch is not None:")
-        for param, val in zip(ip.params, vals):
-            w.emit(d + 1, f"watch({param!r}, {val})")
         if self.has_fsm:
             if source_expr == "None":
                 w.emit(d, "base._state_id = _fresh_sid")
@@ -879,6 +799,7 @@ class _KernelEmitter:
                 f"raise InconsistentEventError({prefix!r} + repr(exc.args[0])) "
                 "from None",
             )
+            self.emit_entries(body, d)
             self.emit_main_walk(body, d)
         else:
             body.emit(d, "leaf = root_leaf")
@@ -907,7 +828,12 @@ class _KernelEmitter:
             "_brange = range(_budget)",
         ]
         if self.depth:
-            lines += ["root = tree._root", "buckets0 = root._buckets"]
+            lines += [
+                "root = tree._root",
+                "buckets0 = root._buckets",
+                "_by_id = rt.ledger._by_id",
+                "_entry = rt.ledger.entry",
+            ]
         else:
             lines.append("root_leaf = tree._root")
         if self.has_fsm:
@@ -960,14 +886,12 @@ def _module_parts(
     w.emit(0, "from repro.formalism.fsm import FSMMonitor as _FSMMonitor")
     w.emit(0, "from repro.runtime.indexing import Leaf as _Leaf")
     w.emit(0, "from repro.runtime.instance import MonitorInstance as _MonitorInstance")
-    w.emit(0, "from repro.runtime.refs import ParamRef as _ParamRef")
     w.emit(0, "from repro.runtime.rvmap import RVMap as _RVMap")
     w.emit(0, "from repro.runtime.rvset import RVSet as _RVSet")
     w.emit(0, "")
     w.emit(0, "_FM_new = _FSMMonitor.__new__")
     w.emit(0, "_LF_new = _Leaf.__new__")
     w.emit(0, "_MI_new = _MonitorInstance.__new__")
-    w.emit(0, "_PR_new = _ParamRef.__new__")
     w.emit(0, "_RM_new = _RVMap.__new__")
     w.emit(0, "_RS_new = _RVSet.__new__")
     factories: list[tuple[bool, str, str, str]] = []

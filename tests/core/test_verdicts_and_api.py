@@ -67,7 +67,7 @@ class TestPublicApi:
         assert engine.total_live_monitors() == 1
         live = engine.runtimes[0].live_instances()
         assert len(live) == 1
-        assert live[0].params["x"].get() is x1
+        assert live[0].params["x"]() is x1
 
     def test_systems_table(self):
         from repro import SYSTEMS

@@ -1,10 +1,11 @@
-"""The live instrumentation layer: LiveBinding, TraceWeaver, LiveSession."""
+"""The live instrumentation layer: ledger-fed deaths, TraceWeaver, LiveSession."""
 
 from __future__ import annotations
 
 import gc
 import io
 import sys
+import weakref
 
 import pytest
 
@@ -12,7 +13,6 @@ from repro.core.errors import ReproError
 from repro.instrument import collections_shim
 from repro.instrument.aspects import Weaver, before
 from repro.instrument.live import (
-    LiveBinding,
     LiveSession,
     TraceWeaver,
     active_sessions,
@@ -36,60 +36,86 @@ HasNext(i) {
 """
 
 
+PAIR_SRC = """
+Pair(a, b) {
+  event link(a, b)
+  ere: link link
+  @match
+}
+"""
+
+
 # ---------------------------------------------------------------------------
-# LiveBinding
+# How a live session's objects are bound: through the engine's ledger
 # ---------------------------------------------------------------------------
 
 
 class TestLiveBinding:
+    """A live session keeps no identity table of its own: every emitted
+    object gets one entry in the engine's ledger, whose death callback
+    queues it for the next event boundary under eager propagation."""
+
     def test_watch_and_death(self):
-        binding = LiveBinding()
-        token = Obj("a")
-        key = id(token)
-        binding.watch("i", token)
-        assert binding.live_count == 1
-        assert binding.drain() == {}
-        del token
-        gc.collect()
-        assert binding.live_count == 0
-        assert binding.drain() == {"i": {key}}
-        assert binding.drain() == {}  # drained once
+        session = LiveSession(properties=[HASNEXT_SRC], gc="none", propagation="eager")
+        engine = session.engine
+        with session:
+            token = Obj("a")
+            session.emit("hasnexttrue", i=token)
+            assert len(engine.ledger) == 1
+            serial = engine.ledger.entry(token).serial
+            assert engine._pending_dead == []
+            del token
+            gc.collect()
+            assert len(engine.ledger) == 0
+            assert [entry.serial for entry in engine._pending_dead] == [serial]
+            other = Obj("b")
+            session.emit("hasnexttrue", i=other)  # the boundary drains once
+            assert engine._pending_dead == []
 
     def test_one_object_many_names(self):
-        binding = LiveBinding()
-        token = Obj("a")
-        key = id(token)
-        binding.watch("i", token)
-        binding.watch("c", token)
-        assert binding.live_count == 1
-        del token
-        gc.collect()
-        assert binding.drain() == {"i": {key}, "c": {key}}
+        session = LiveSession(properties=[PAIR_SRC], gc="none", propagation="eager")
+        engine = session.engine
+        with session:
+            token = Obj("a")
+            session.emit("link", a=token, b=token)
+            assert len(engine.ledger) == 1
+            assert weakref.getweakrefcount(token) == 1
+            del token
+            gc.collect()
+            assert len(engine._pending_dead) == 1
 
     def test_immortal_values_are_not_watched(self):
-        binding = LiveBinding()
-        binding.watch("i", 42)
-        binding.watch("i", "interned")
-        assert binding.live_count == 0
-        assert binding.drain() == {}
+        session = LiveSession(properties=[HASNEXT_SRC], gc="none", propagation="eager")
+        with session:
+            session.emit("hasnexttrue", i=42)
+            session.emit("hasnexttrue", i="interned")
+        assert len(session.engine.ledger) == 0
+        assert session.engine._pending_dead == []
 
     def test_rewatch_same_object_is_stable(self):
-        binding = LiveBinding()
-        token = Obj("a")
-        for _ in range(3):
-            binding.watch("i", token)
-        assert binding.live_count == 1
+        session = LiveSession(properties=[HASNEXT_SRC], gc="none", propagation="eager")
+        with session:
+            token = Obj("a")
+            for _ in range(3):
+                session.emit("hasnexttrue", i=token)
+            assert len(session.engine.ledger) == 1
+            assert weakref.getweakrefcount(token) == 1
 
     def test_coalesces_many_deaths(self):
-        binding = LiveBinding()
-        tokens = [Obj(str(n)) for n in range(5)]
-        keys = {id(token) for token in tokens}
-        for token in tokens:
-            binding.watch("i", token)
-        del token
-        tokens.clear()
-        gc.collect()
-        assert binding.drain() == {"i": keys}
+        session = LiveSession(properties=[HASNEXT_SRC], gc="none", propagation="eager")
+        engine = session.engine
+        with session:
+            tokens = [Obj(str(n)) for n in range(5)]
+            for token in tokens:
+                session.emit("hasnexttrue", i=token)
+            serials = {engine.ledger.entry(token).serial for token in tokens}
+            del token
+            tokens.clear()
+            gc.collect()
+            assert {entry.serial for entry in engine._pending_dead} == serials
+            survivor = Obj("next")
+            session.emit("hasnexttrue", i=survivor)
+            assert engine._pending_dead == []
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +429,16 @@ class TestLiveSession:
     def test_death_ledger_skipped_for_lazy_sinks(self):
         lazy = LiveSession(properties=[HASNEXT_SRC], gc="none")
         with lazy:
-            lazy.emit("hasnexttrue", i=Obj("a"))
-            assert lazy.binding.live_count == 0  # ledger not engaged
+            token = Obj("a")
+            lazy.emit("hasnexttrue", i=token)
+            # The engine's ledger is the only identity; a lazy engine only
+            # stamps the death, its structures find the dead key on access.
+            assert weakref.getweakrefcount(token) == 1
+            entry = lazy.engine.ledger.entry(token)
+            del token
+            gc.collect()
+            assert entry.died is not None
+            assert lazy.engine._pending_dead == []
 
     def test_death_ledger_engaged_for_eager_sinks(self):
         eager = LiveSession(properties=[HASNEXT_SRC], gc="none",
@@ -412,7 +446,10 @@ class TestLiveSession:
         with eager:
             token = Obj("a")
             eager.emit("hasnexttrue", i=token)
-            assert eager.binding.live_count == 1
+            assert weakref.getweakrefcount(token) == 1
+            del token
+            gc.collect()
+            assert len(eager.engine._pending_dead) == 1
 
     def test_close_is_idempotent(self):
         session = LiveSession(properties=[HASNEXT_SRC], gc="none")

@@ -4,9 +4,8 @@ The live instrumentation layer's contract (ISSUE 5 acceptance): one
 workload run
 
 * **live** — real objects churn through woven classes, parameter deaths
-  are interpreter refcount drops observed by ``weakref`` callbacks
-  (:class:`~repro.instrument.live.LiveBinding` + the engine's own eager
-  watcher), while a :class:`~repro.runtime.tracelog.TraceRecorder` with
+  are interpreter refcount drops observed by the ``weakref`` callbacks of
+  the engine's identity ledger, while a :class:`~repro.runtime.tracelog.TraceRecorder` with
   ``record_deaths=True`` writes the event stream *plus* explicit death
   markers; and
 * **replayed** — the recorded trace re-monitored in a fresh engine, with

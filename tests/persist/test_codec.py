@@ -11,7 +11,7 @@ from repro.formalism.raw import functional_template
 from repro.properties import ALL_PROPERTIES
 from repro.runtime.engine import MonitoringEngine
 from repro.runtime.instance import MonitorInstance
-from repro.runtime.refs import ParamRef, SymbolRegistry
+from repro.runtime.refs import ParamLedger, SymbolRegistry
 from repro.runtime.tracelog import replay_entries
 from repro.persist import (
     SNAPSHOT_VERSION,
@@ -137,6 +137,30 @@ class TestStateFidelity:
         assert monitor.param_alive("c")
         assert not monitor.param_alive("i")
         assert monitor.all_params_dead() is False
+        del c
+
+    def test_dead_markers_name_ledger_serials(self):
+        """A dead parameter is written as ``!dead:<ledger serial>``, so the
+        bytes do not depend on addresses; a marker written before entries
+        had serials (a hexadecimal ``id()``) still restores dead."""
+        engine = make_engine(gc="none")
+        c = Obj("c")
+        engine.emit("create", c=c, i=Obj("i-dies"))
+        gc.collect()
+        snapshot = snapshot_engine(engine)
+        [payload] = snapshot["runtimes"][0]["monitors"]
+        assert payload["params"] == {"c": "o1", "i": "!dead:2"}
+        for marker in ("!dead:2", "!dead:7f3a9c2b1d90"):
+            payload["params"]["i"] = marker
+            restored, tokens = restore_engine(
+                snapshot, compile_spec(UNSAFEITER).silence()
+            )
+            [monitor] = restored.runtimes[0].iter_reachable_instances()
+            assert monitor.param_alive("c")
+            assert not monitor.param_alive("i")
+            assert snapshot_engine(restored)["runtimes"][0]["monitors"][0][
+                "params"
+            ]["i"].startswith("!dead:")
         del c
 
     def test_serials_and_stats_carry_over(self):
@@ -287,7 +311,7 @@ class TestSymbolRegistry:
         assert registry.symbol_for(Obj("a")) == "o42"
 
     def test_dead_ref_constructor(self):
-        ref = ParamRef.dead(0xDEAD)
-        assert not ref.is_alive
-        assert ref.get() is None
-        assert ref.param_id == 0xDEAD
+        entry = ParamLedger().tombstone(57005)
+        assert entry() is None
+        assert entry.died is not None
+        assert entry.serial == 57005

@@ -211,9 +211,9 @@ def test_only_codegen_and_reference_are_dispatch_tiers():
 def test_recycled_id_does_not_extend_a_dead_monitors_life():
     """HasNext, one iterator at a time: ``hasnexttrue`` then ``next`` on a
     fresh object that is dropped right after.  CPython hands the next
-    iterator the dead one's id, so the probe meets the dead key's leaf in
-    the same bucket; the kernel must not keep that leaf (and its monitor)
-    alive past the probe, or the next creation counts two live monitors."""
+    iterator the dead one's id; it must get a fresh ledger entry, and no
+    kernel local may keep the dead key's leaf (and its monitor) alive, or
+    the next creation counts two live monitors."""
     from repro.properties import HASNEXT
 
     peaks = {}

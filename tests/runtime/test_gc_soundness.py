@@ -88,7 +88,7 @@ def run_scenario(spec_key: str, ops, gc_kind: str, propagation: str = "lazy"):
     def on_verdict(prop, category, monitor):
         names = tuple(sorted(monitor.params))
         symbols = tuple(
-            objects_symbols.get(id(monitor.params[name].get()), "<dead>")
+            objects_symbols.get(id(monitor.params[name]()), "<dead>")
             for name in names
         )
         reports.append((step_box["step"], category, names, symbols))

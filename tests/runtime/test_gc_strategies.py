@@ -25,7 +25,7 @@ from repro.runtime.gc_strategies import (
     make_strategy,
 )
 from repro.runtime.instance import MonitorInstance
-from repro.runtime.refs import ParamRef
+from repro.runtime.refs import ParamLedger
 from repro.spec import compile_spec
 
 from ..conftest import Obj
@@ -45,6 +45,9 @@ Branchy(x, y) {
 """
 
 
+#: The identity ledger the instances under test hold their parameters through.
+LEDGER = ParamLedger()
+
 def make_instance(prop, trace, **params) -> MonitorInstance:
     base = prop.template.create()
     last = None
@@ -52,7 +55,7 @@ def make_instance(prop, trace, **params) -> MonitorInstance:
         base.step(event)
         last = event
     instance = MonitorInstance(
-        prop, base, {k: ParamRef(v) for k, v in params.items()}, serial=1
+        prop, base, {k: LEDGER.entry(v) for k, v in params.items()}, serial=1
     )
     instance.last_event = last
     return instance
@@ -103,7 +106,7 @@ class TestBasicStrategies:
         instance = MonitorInstance(
             branchy_prop,
             branchy_prop.template.create(),
-            {"x": ParamRef(Obj("die"))},
+            {"x": LEDGER.entry(Obj("die"))},
             serial=1,
         )
         gc.collect()

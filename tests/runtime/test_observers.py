@@ -182,6 +182,20 @@ class TestOrdering:
             ("second", "registry", "enable"),
         ]
 
+    def test_eager_boundary_reports_ledger_deaths(self):
+        """Deaths the engine's ledger observed reach ``on_deaths`` at the
+        boundary that propagates them, named by parameter; a lazy engine
+        propagates nothing, so its observers hear of nothing."""
+        for system, expected in (("tm", [("probe", "deaths", ("i",))]), ("rv", [])):
+            log = []
+            engine = MonitoringEngine(UNSAFEITER.make().silence(), system=system)
+            engine.add_observer(Probe("probe", log))
+            c = Obj("c")
+            engine.emit("create", c=c, i=Obj("i-dies"))
+            del log[:]
+            engine.emit("update", c=c)
+            assert [entry for entry in log if entry[1] == "deaths"] == expected, system
+
     def test_remove_observer_and_reject_duplicates(self):
         log = []
         engine = MonitoringEngine(UNSAFEITER.make().silence())

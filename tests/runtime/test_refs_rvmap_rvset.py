@@ -1,15 +1,20 @@
-"""Weak-reference substrate tests: ParamRef, RVMap, RVSet."""
+"""Weak-reference substrate tests: ledger entries, RVMap, RVSet."""
 
 from __future__ import annotations
 
 import gc
+import weakref
 
 from repro.runtime.instance import MonitorInstance
-from repro.runtime.refs import ParamRef
+from repro.runtime.refs import ParamLedger
 from repro.runtime.rvmap import RVMap
 from repro.runtime.rvset import RVSet
 
 from ..conftest import Obj
+
+#: The identity ledger the structures under test key their objects through.
+LEDGER = ParamLedger()
+E = LEDGER.entry
 
 
 class _FakeMonitor:
@@ -26,77 +31,85 @@ class _FakeMonitor:
 
 
 def make_instance(**params) -> MonitorInstance:
-    refs = {name: ParamRef(value) for name, value in params.items()}
+    refs = {name: E(value) for name, value in params.items()}
     return MonitorInstance(prop=None, base=_FakeMonitor(), params=refs, serial=0)
 
 
 class TestParamRef:
+    """A parameter reference is the object's one entry in a ledger."""
+
     def test_alive_while_referenced(self):
         obj = Obj("x")
-        ref = ParamRef(obj)
-        assert ref.is_alive
-        assert ref.get() is obj
-        assert ref.refers_to(obj)
-        assert ref.is_weak
+        entry = E(obj)
+        assert entry() is obj
+        assert entry.died is None
+        assert E(obj) is entry  # one entry, however often it is keyed
+        assert weakref.getweakrefcount(obj) == 1
 
     def test_dies_with_referent(self):
-        ref = ParamRef(Obj("x"))
+        ledger = ParamLedger()
+        ledger.clock = 7
+        entry = ledger.entry(Obj("x"))
         gc.collect()
-        assert not ref.is_alive
-        assert ref.get() is None
-        assert "dead" in repr(ref)
+        assert entry() is None
+        assert entry.died == 7  # the event ordinal of the death
+        assert "dead" in repr(entry)
+        assert len(ledger) == 0  # the index lets go; the entry is a tombstone
 
     def test_non_weakrefable_values_are_immortal(self):
-        ref = ParamRef(42)
-        assert ref.is_alive
-        assert not ref.is_weak
-        assert ref.get() == 42
+        entry = E(42)
+        assert entry() == 42
+        assert entry.died is None
+        # Not indexed, so not kept alive by the ledger; entries of one
+        # value are equal, so a map keyed by one is found through another.
+        assert E(42) == entry
+        assert {entry: "x"}[E(42)] == "x"
 
     def test_refers_to_checks_identity(self):
         a, b = Obj("a"), Obj("a")
-        ref = ParamRef(a)
-        assert ref.refers_to(a)
-        assert not ref.refers_to(b)
+        assert E(a) is not E(b)
+        assert E(a)() is a
+        assert E(b)() is b
 
 
 class TestRVMap:
     def test_put_get_by_identity(self):
         rvmap = RVMap()
         a, b = Obj("a"), Obj("b")
-        rvmap.put(a, 1)
-        rvmap.put(b, 2)
-        assert rvmap.get(a) == 1
-        assert rvmap.get(b) == 2
+        rvmap.put(E(a), 1)
+        rvmap.put(E(b), 2)
+        assert rvmap.get(E(a)) == 1
+        assert rvmap.get(E(b)) == 2
         assert len(rvmap) == 2
 
     def test_put_replaces(self):
         rvmap = RVMap()
         a = Obj("a")
-        rvmap.put(a, 1)
-        rvmap.put(a, 2)
-        assert rvmap.get(a) == 2
+        rvmap.put(E(a), 1)
+        rvmap.put(E(a), 2)
+        assert rvmap.get(E(a)) == 2
         assert len(rvmap) == 1
 
     def test_remove(self):
         rvmap = RVMap()
         a = Obj("a")
-        rvmap.put(a, 1)
-        assert rvmap.remove(a)
-        assert not rvmap.remove(a)
-        assert rvmap.get(a) is None
+        rvmap.put(E(a), 1)
+        assert rvmap.remove(E(a))
+        assert not rvmap.remove(E(a))
+        assert rvmap.get(E(a)) is None
 
     def test_items_skips_dead(self):
         rvmap = RVMap()
         keep = Obj("keep")
-        rvmap.put(keep, 1)
-        rvmap.put(Obj("die"), 2)
+        rvmap.put(E(keep), 1)
+        rvmap.put(E(Obj("die")), 2)
         gc.collect()
         assert dict((k.name, v) for k, v in rvmap.items()) == {"keep": 1}
 
     def test_scan_notifies_on_dead_key(self):
         notified = []
         rvmap = RVMap(on_dead_value=notified.append)
-        rvmap.put(Obj("die"), "subtree")
+        rvmap.put(E(Obj("die")), "subtree")
         gc.collect()
         cleaned = rvmap.scan_all()
         assert cleaned == 1
@@ -110,40 +123,50 @@ class TestRVMap:
         rvmap = RVMap(on_dead_value=notified.append, scan_budget=2)
         keep = [Obj(f"k{i}") for i in range(5)]
         for index, obj in enumerate(keep):
-            rvmap.put(obj, index)
+            rvmap.put(E(obj), index)
         for index in range(5):
-            rvmap.put(Obj(f"die{index}"), f"dead{index}")
+            rvmap.put(E(Obj(f"die{index}")), f"dead{index}")
         gc.collect()
         probe = Obj("probe")
-        rvmap.put(probe, "probe")
+        rvmap.put(E(probe), "probe")
         for _ in range(20):
-            rvmap.get(probe)
+            rvmap.get(E(probe))
         assert len(notified) == 5
         assert len(rvmap) == 6  # 5 keepers + probe
 
     def test_inspect_value_can_drop_entries(self):
         rvmap = RVMap(inspect_value=lambda value: value != "drop-me")
         keep, drop = Obj("keep"), Obj("drop")
-        rvmap.put(keep, "fine")
-        rvmap.put(drop, "drop-me")
+        rvmap.put(E(keep), "fine")
+        rvmap.put(E(drop), "drop-me")
         rvmap.scan_all()
-        assert rvmap.get(drop) is None
-        assert rvmap.get(keep) == "fine"
+        assert rvmap.get(E(drop)) is None
+        assert rvmap.get(E(keep)) == "fine"
 
     def test_all_values_includes_dead_subtrees(self):
         rvmap = RVMap()
-        rvmap.put(Obj("die"), "subtree")
+        rvmap.put(E(Obj("die")), "subtree")
         gc.collect()
         assert list(rvmap.all_values()) == ["subtree"]
 
     def test_id_reuse_is_benign(self):
-        """A dead entry whose key id gets reused must not shadow lookups."""
+        """A dead key whose object's id gets reused must not shadow
+        lookups: the new object gets a fresh entry, never the dead one's."""
         rvmap = RVMap(scan_budget=0)  # never scan: keep the dead entry
-        rvmap.put(Obj("die"), "old")
+        dead = Obj("die")
+        dead_id = id(dead)
+        old = E(dead)
+        rvmap.put(old, "old")
+        del dead
         gc.collect()
-        fresh = Obj("fresh")
-        rvmap.put(fresh, "new")
-        assert rvmap.get(fresh) == "new"
+        # CPython hands a same-sized allocation the freed slot; try a few.
+        candidates = [Obj("fresh") for _ in range(8)]
+        fresh = next((obj for obj in candidates if id(obj) == dead_id), candidates[0])
+        assert E(fresh) is not old
+        assert rvmap.get(E(fresh)) is None
+        rvmap.put(E(fresh), "new")
+        assert rvmap.get(E(fresh)) == "new"
+        assert len(rvmap) == 2  # the dead key is a separate mapping
 
 
 class TestRVSet:

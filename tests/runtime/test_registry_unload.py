@@ -1,12 +1,12 @@
 """Unregister-under-load: detaching a property mid-trace leaks nothing.
 
-Detach quiesces the runtime (pending coalesced deaths delivered through
-``purge_ids``, then a two-pass mark-and-sweep), folds its final statistics
-into the engine totals, and drops its indexing trees wholesale.  These
-tests assert the observable consequences: every monitor of the detached
-property becomes collectible (CM catches up with M once the parameter
-objects die), the engine's eager watch table holds no positions for the
-dead slot, and the surviving properties keep monitoring undisturbed.
+Detach quiesces the runtime (pending coalesced deaths propagated at the
+detach boundary, then a two-pass mark-and-sweep), folds its final
+statistics into the engine totals, and drops its indexing trees
+wholesale.  These tests assert the observable consequences: every monitor
+of the detached property becomes collectible (CM catches up with M once
+the parameter objects die), no pending death outlives the detach, and the
+surviving properties keep monitoring undisturbed.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ def test_detach_leaks_no_monitors(gc_kind, propagation):
     retired = engine.detach_property("UnsafeIter/ere")
     assert engine.runtimes[target.index] is None
     assert engine.properties[target.index] is None
-    # The eager watch table must hold no positions for the dead slot.
-    for _guard, positions in engine._watched.values():
-        assert all(index != target.index for index, _name in positions)
+    # Pending deaths were propagated at the detach boundary; later ones
+    # reach only the runtimes still attached.
+    assert not engine._pending_dead
 
     # Surviving properties keep monitoring; the retired stats stay in the
     # totals and never move again.
