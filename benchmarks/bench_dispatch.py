@@ -9,9 +9,8 @@ leak case) across the dispatch matrix:
   (``repro.spec.codegen``): straight-line generated source, no plan
   interpretation (the **headline**: must beat the recorded seed baseline
   and 1.8x the recorded pre-codegen number);
-* ``codegen lazy batch``  — same, ingested through ``emit_batch`` so runs
-  of the same event id hit the vectorized FSM batch kernels (deaths still
-  land at per-event boundaries, see
+* ``codegen lazy batch``  — same, ingested through ``emit_batch`` (deaths
+  still land at per-event boundaries, see
   ``repro.runtime.tracelog.replay_entries``);
 * ``reference eager_full``— the historical full-scan-per-boundary eager
   regime (the ablation the paper warns about);

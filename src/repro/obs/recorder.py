@@ -125,7 +125,8 @@ class FlightRecorder:
         self.record_event(event, params, source() if source is not None else None)
 
     def record_deaths(self, dead: Any) -> None:
-        """Record the parameter names of one ``note_deaths`` mapping."""
+        """Record the parameter names of one eager death boundary's
+        ``on_deaths`` mapping (parameter name -> dead ledger serials)."""
         self.record("deaths", params=sorted(dead))
 
     def record_registry_op(self, op: str, **fields: Any) -> None:

@@ -101,6 +101,21 @@ PROPAGATIONS = ("lazy", "eager", "eager_full")
 VerdictCallback = Callable[[CompiledProperty, str, MonitorInstance], None]
 
 
+def _undeclared(event: str) -> UnknownEventError:
+    return UnknownEventError(f"no monitored specification declares event {event!r}")
+
+
+def _fan_out(targets: list[Callable[[Mapping[str, Any]], Any]]) -> Callable:
+    """One route over several receiving runtimes, entered in slot order."""
+    targets = tuple(targets)
+
+    def route(params: Mapping[str, Any]) -> None:
+        for target in targets:
+            target(params)
+
+    return route
+
+
 class _CreationPlan:
     """Static per-event creation strategy for the *reference* dispatch path.
 
@@ -211,7 +226,6 @@ class PropertyRuntime:
         #: Generated per-event kernels (codegen dispatch only; empty dicts
         #: until the first event binds them, see :meth:`_handle_codegen`).
         self._kernels: dict[str, Any] = {}
-        self._batch_kernels: dict[str, Any] = {}
         #: Timed kernel variants, bound on the first attributed sample.
         self._timed_kernels: dict[str, Any] = {}
         self._kernel_module = None
@@ -224,9 +238,9 @@ class PropertyRuntime:
             self.handle = self._handle_codegen  # type: ignore[method-assign]
         else:
             self.handle = self._handle_reference  # type: ignore[method-assign]
-        #: The raw (unwrapped) handle: the engine's codegen routes call
-        #: kernels directly only while ``handle`` is still this object —
-        #: the instrument wrapper must not be bypassed.
+        #: The raw (unwrapped) handle: :meth:`target` hands out kernels
+        #: only while ``handle`` is still this object — the instrument
+        #: wrapper must not be bypassed.
         self._unwrapped_handle = self.handle
         # Telemetry interposes on the per-instance entry points only when
         # enabled: with telemetry=None (the default) every hot path above
@@ -296,7 +310,7 @@ class PropertyRuntime:
                         from ..spec.codegen import shared_kernel_cache
 
                         module = shared_kernel_cache.module_for(self.prop, timed=True)
-                        timed.update(module.bind(self)[0])
+                        timed.update(module.bind(self))
                     walk, step = timed[event](values, record, pretouched)
                 else:
                     raw(event, values, record, pretouched)
@@ -412,7 +426,6 @@ class PropertyRuntime:
         # Generated kernels close over this runtime (and it over them, via
         # these dicts) — clear them for the same refcount-only guarantee.
         self._kernels.clear()
-        self._batch_kernels.clear()
         self._timed_kernels.clear()
 
     def collect_deaths(
@@ -496,8 +509,7 @@ class PropertyRuntime:
         """
         kernels = self._kernels
         if not kernels:
-            kernels, self._batch_kernels = self._kernel_module.bind(self)
-            self._kernels = kernels
+            kernels = self._kernels = self._kernel_module.bind(self)
 
             def handle(event, values, record=True, pretouched=None, _kernels=kernels):
                 return _kernels[event](values, record, pretouched)
@@ -507,6 +519,19 @@ class PropertyRuntime:
             if self._on_kernels_bound is not None:
                 self._on_kernels_bound()
         return kernels[event](values, record, pretouched)
+
+    def target(self, event: str) -> Callable[[Mapping[str, Any]], Any]:
+        """Where the engine's route for ``event`` enters this runtime.
+
+        The bound kernel itself while ``handle`` is unwrapped; otherwise
+        ``handle``: under the reference tier, before the first event binds
+        the kernels (binding re-resolves the engine's routes), and under an
+        instrument wrapper, which must see every call.
+        """
+        kernel = self._kernels.get(event)
+        if kernel is not None and self.handle is self._unwrapped_handle:
+            return kernel
+        return partial(self.handle, event)
 
     # -- event processing (reference path) ----------------------------------------
 
@@ -839,8 +864,7 @@ class MonitoringEngine:
     ``none`` (see :data:`SYSTEMS`).  ``dispatch`` selects ``"codegen"``
     (default) — per-(property, event) kernels generated and
     ``exec``-compiled from the dispatch plan (:mod:`repro.spec.codegen`),
-    bound on each property's first event, plus a grouped batch-stepping
-    path in :meth:`emit_batch` — or the retained ``"reference"``
+    bound on each property's first event — or the retained ``"reference"``
     interpretation, the oracle the equivalence suites hold codegen to.
     Both produce bit-identical verdicts and creation counts.
     """
@@ -873,16 +897,12 @@ class MonitoringEngine:
         self._on_verdict = on_verdict
         #: Telemetry plane (None = off: hot paths identical to the
         #: un-instrumented build).  See :mod:`repro.obs`.
-        self.telemetry = as_telemetry(telemetry)
+        self.telemetry: Telemetry | None = None
         #: Set by a persistence wrapper (DurableEngine) to a zero-argument
         #: callable returning the WAL coordinates of the event currently
         #: being dispatched; runtimes merge it into verdict provenance.
         self.provenance_source: Callable[[], Mapping[str, Any]] | None = None
         self._batch_emit = self._batch_selected = None
-        if self.telemetry is not None:
-            batch = _declare_metric(self.telemetry.registry, "repro_engine_batch_size")
-            self._batch_emit = batch.labels("emit")
-            self._batch_selected = batch.labels("selected")
         #: Boundary observers in registration order (:meth:`add_observer`);
         #: :meth:`_refresh_hooks` caches one tuple per hook from them.
         self._observers: list[Any] = []
@@ -891,10 +911,6 @@ class MonitoringEngine:
         #: built only when the telemetry policy asks for it; None otherwise
         #: (no wrappers installed, hot paths untouched).
         self.attribution = None
-        if self.telemetry is not None and self.telemetry.attribution:
-            from ..obs.attribution import AttributionPlane
-
-            self.attribution = AttributionPlane(self.telemetry)
         #: Optional flight recorder (``enable_flight_recorder``); None by
         #: default, in which case nothing is recorded.
         self.flight_recorder = None
@@ -910,7 +926,6 @@ class MonitoringEngine:
             self.registry = PropertyRegistry.from_specs(specs)
         self.properties: list[CompiledProperty | None] = self.registry.properties()
 
-        self._eager = propagation != "lazy"
         #: Ledger entries of objects that died since the last event
         #: boundary (eager propagation only).
         self._pending_dead: list[Any] = []
@@ -922,7 +937,9 @@ class MonitoringEngine:
         #: One entry per parameter object, shared by every runtime.  Its
         #: clock counts the events the engine has taken in, so each entry
         #: records the event ordinal of its object's death.
-        self.ledger = ParamLedger(on_death=self._note_dead if self._eager else None)
+        self.ledger = ParamLedger(
+            on_death=None if propagation == "lazy" else self._note_dead
+        )
         #: Statistics of detached properties, folded into the engine totals
         #: (slot -> (spec name, formalism, final stats)).
         self._retired: dict[int, tuple[str, str, MonitorStats]] = {}
@@ -937,18 +954,19 @@ class MonitoringEngine:
             runtime = self._build_runtime(entry.index, entry.prop)
             runtime.enabled = entry.enabled
             self.runtimes.append(runtime)
-        self._by_event: dict[str, list[PropertyRuntime]] = {}
         self._rebuild_event_index()
-        if self.attribution is not None:
-            self.add_observer(self.attribution)
+        resolved = as_telemetry(telemetry)
+        if resolved is not None:
+            self.enable_telemetry(resolved)
 
     def enable_telemetry(self, telemetry: "Telemetry | bool") -> "Telemetry":
         """Attach a telemetry plane to an already-built engine.
 
-        Used when the engine was constructed by a path that cannot thread
-        the ``telemetry`` argument (checkpoint restore); wires every live
-        runtime exactly as construction-time wiring would.  Raises if
-        telemetry is already attached.
+        The constructor's ``telemetry`` argument comes through here too, as
+        does a path that cannot thread it (checkpoint restore): every live
+        runtime is wired, and the attribution plane, when the policy asks
+        for one, joins the boundary observers.  Raises if telemetry is
+        already attached.
         """
         if self.telemetry is not None:
             raise ValueError("telemetry is already attached to this engine")
@@ -968,7 +986,7 @@ class MonitoringEngine:
                 runtime._wire_instruments(resolved, self.attribution)
         if self.attribution is not None:
             self.add_observer(self.attribution)
-        # Wrapped handles invalidate the codegen direct-kernel routes.
+        # Wrapped handles must be routed through, not around.
         self._rebuild_event_index()
         return resolved
 
@@ -981,9 +999,9 @@ class MonitoringEngine:
         registration order: ``before_event(event, params)`` and
         ``after_event(event, params)`` around every event any emit entry
         point takes in (``after_event`` also when dispatch raises);
-        ``on_deaths(dead)`` on every :meth:`note_deaths` call and at each
-        event boundary where eager propagation removed dead keys (``dead``
-        then maps parameter names to the dead objects' ledger serials);
+        ``on_deaths(dead)`` at each event boundary where eager
+        propagation removed dead keys (``dead`` maps parameter names to
+        the dead objects' ledger serials);
         ``on_registry_op(op, **fields)`` after every attach / detach /
         enable; and ``on_verdict(prop, category, monitor)`` per verdict,
         after the constructor's ``on_verdict`` callback.  The write-ahead
@@ -1025,7 +1043,7 @@ class MonitoringEngine:
         """Attach a flight recorder (``repro.obs.recorder``) to this engine.
 
         The recorder registers as a boundary observer: it records every
-        event after dispatch, ``note_deaths`` calls, registry operations
+        event after dispatch, eager death boundaries, registry operations
         and verdicts.  Events carry the WAL coordinates of
         ``provenance_source`` when a persistence wrapper set one.
         Returns the attached recorder.
@@ -1060,15 +1078,19 @@ class MonitoringEngine:
         return runtime
 
     def _rebuild_event_index(self) -> None:
-        """Recompute the event -> runtimes map over enabled slots.
+        """Recompute the route table over enabled slots.
 
         Runs only at registry boundaries (attach / detach / enable /
-        disable), so the per-event hot path stays exactly one dict lookup.
-        Events declared only by *disabled* runtimes are remembered
-        separately: a paused property's events are silently dropped, never
-        reported as undeclared — pausing must be transparent to emitters.
+        disable), after telemetry wraps the runtimes, and when a runtime's
+        first event binds its kernels, so the per-event hot path stays one
+        dict lookup and one call.  ``_routes`` maps each event to the one
+        receiving runtime's :meth:`PropertyRuntime.target`, or to a
+        fan-out over several, in slot order.  Events declared only by
+        *disabled* runtimes are remembered separately: a paused property's
+        events are silently dropped, never reported as undeclared — pausing
+        must be transparent to emitters.
         """
-        by_event: dict[str, list[PropertyRuntime]] = {}
+        receivers: dict[str, list[PropertyRuntime]] = {}
         declared: set[str] = set()
         for runtime in self.runtimes:
             if runtime is None:
@@ -1076,32 +1098,13 @@ class MonitoringEngine:
             for event in runtime.prop.definition.alphabet:
                 declared.add(event)
                 if runtime.enabled:
-                    by_event.setdefault(event, []).append(runtime)
-        self._by_event = by_event
-        self._paused_events = declared - set(by_event)
-        # Codegen routing: per event, one (kernel, batch kernel) pair per
-        # receiving runtime.  Bound, unwrapped runtimes are entered at
-        # their kernels; a wrapped runtime at its instrument wrapper, which
-        # must see every call; a runtime whose kernels are not bound yet at
-        # its handle, whose first event binds them and re-runs this method.
-        routes: dict[str, list[tuple[Any, Any]]] = {}
-        singles: dict[str, Any] = {}
-        if self.dispatch == "codegen":
-            for event, runtimes in by_event.items():
-                entries = []
-                for runtime in runtimes:
-                    kernel = runtime._kernels.get(event)
-                    if kernel is not None and runtime.handle is runtime._unwrapped_handle:
-                        entries.append((kernel, runtime._batch_kernels.get(event)))
-                    else:
-                        entries.append((partial(runtime.handle, event), None))
-                routes[event] = entries
-                # Single-receiver events skip even the route loop: the
-                # emit surface calls the kernel through one dict lookup.
-                if len(runtimes) == 1 and runtimes[0]._kernels:
-                    singles[event] = entries[0][0]
-        self._codegen_routes = routes
-        self._codegen_single = singles
+                    receivers.setdefault(event, []).append(runtime)
+        self._paused_events = declared - set(receivers)
+        routes: dict[str, Callable[[Mapping[str, Any]], Any]] = {}
+        for event, runtimes in receivers.items():
+            targets = [runtime.target(event) for runtime in runtimes]
+            routes[event] = _fan_out(targets) if len(targets) > 1 else targets[0]
+        self._routes = routes
 
     # -- dynamic property lifecycle ----------------------------------------------
 
@@ -1167,7 +1170,7 @@ class MonitoringEngine:
         runtime = self.runtimes[index]
         if runtime is None:
             raise RegistryError(f"property {entry.name!r} is already detached")
-        if self._eager and self._pending_dead:
+        if self._pending_dead:
             self._propagate_deaths()
         for _pass in range(2):
             runtime.scan_all()
@@ -1212,32 +1215,13 @@ class MonitoringEngine:
         if self._tapped:
             self._emit_tapped(event, params, _strict)
             return
-        routes = self._codegen_routes
-        if routes and not self._eager:
-            # Codegen fast route: straight from the emit surface into the
-            # generated kernel, skipping the per-runtime handle closure.
-            # Routes cover every declared event, so a miss below falls
-            # through to the unknown-event handling.
-            kernel = self._codegen_single.get(event)
-            if kernel is not None:
-                kernel(params)
-                return
-            targets = routes.get(event)
-            if targets is not None:
-                for kernel, _batch in targets:
-                    kernel(params)
-                return
-        if self._eager and self._pending_dead:
+        if self._pending_dead:
             self._propagate_deaths()
-        runtimes = self._by_event.get(event)
-        if not runtimes:
-            if _strict and event not in self._paused_events:
-                raise UnknownEventError(
-                    f"no monitored specification declares event {event!r}"
-                )
-            return
-        for runtime in runtimes:
-            runtime.handle(event, params)
+        route = self._routes.get(event)
+        if route is not None:
+            route(params)
+        elif _strict and event not in self._paused_events:
+            raise _undeclared(event)
 
     def emit_values(
         self, event: str, values: Mapping[str, Any], _strict: bool = True
@@ -1252,28 +1236,13 @@ class MonitoringEngine:
         if self._tapped:
             self._emit_tapped(event, values, _strict)
             return
-        routes = self._codegen_routes
-        if routes and not self._eager:
-            kernel = self._codegen_single.get(event)
-            if kernel is not None:
-                kernel(values)
-                return
-            targets = routes.get(event)
-            if targets is not None:
-                for kernel, _batch in targets:
-                    kernel(values)
-                return
-        if self._eager and self._pending_dead:
+        if self._pending_dead:
             self._propagate_deaths()
-        runtimes = self._by_event.get(event)
-        if not runtimes:
-            if _strict and event not in self._paused_events:
-                raise UnknownEventError(
-                    f"no monitored specification declares event {event!r}"
-                )
-            return
-        for runtime in runtimes:
-            runtime.handle(event, values)
+        route = self._routes.get(event)
+        if route is not None:
+            route(values)
+        elif _strict and event not in self._paused_events:
+            raise _undeclared(event)
 
     def emit_batch(
         self,
@@ -1285,14 +1254,12 @@ class MonitoringEngine:
 
         Per-event semantics are identical to :meth:`emit` — eager death
         propagation still happens at every event boundary, and boundary
-        observers see every event — but the per-call overhead (attribute
-        lookups, the Python call itself) is amortized across the batch.
-
-        Under ``dispatch="codegen"`` with lazy propagation and no
-        ``before_event`` observer, the batch is processed by the grouped
-        kernel path instead: consecutive same-event runs step through
-        generated kernels (and, for creation-free FSM events, through the
-        vectorized batch kernel) — see :meth:`_emit_batch_codegen`.
+        observers see every event, each between its own hooks — but the
+        per-call overhead (attribute lookups, the Python call itself) is
+        amortized across the batch.  Events are dispatched in order, never
+        grouped or reordered: lazy GC discovers deaths on access, so the
+        exact operation order is part of the observable semantics the
+        equivalence suite pins down.
         """
         if not isinstance(events, list):
             events = list(events)
@@ -1300,33 +1267,20 @@ class MonitoringEngine:
         self.ledger.clock += len(events)
         if self._batch_emit is not None:
             self._batch_emit.observe(len(events))
-        if self._tapped:
-            if self._before or not self._codegen_routes or self._eager:
-                return sum(
-                    self._emit_tapped(event, params, _strict) for event, params in events
-                )
-            # After-only observers (the flight recorder) keep the grouped
-            # codegen path: each dispatched event's after hooks run, in
-            # order, once the batch is through.
-            return self._emit_batch_codegen(events, _strict, self._after)
-        if self._codegen_routes and not self._eager:
-            return self._emit_batch_codegen(events, _strict)
-        eager = self._eager
-        by_event = self._by_event
         accepted = 0
+        if self._tapped:
+            for event, params in events:
+                accepted += self._emit_tapped(event, params, _strict)
+            return accepted
         for event, params in events:
-            if eager and self._pending_dead:
+            if self._pending_dead:
                 self._propagate_deaths()
-            runtimes = by_event.get(event)
-            if not runtimes:
-                if _strict and event not in self._paused_events:
-                    raise UnknownEventError(
-                        f"no monitored specification declares event {event!r}"
-                    )
-                continue
-            accepted += 1
-            for runtime in runtimes:
-                runtime.handle(event, params)
+            route = self._routes.get(event)
+            if route is not None:
+                route(params)
+                accepted += 1
+            elif _strict and event not in self._paused_events:
+                raise _undeclared(event)
         return accepted
 
     def _emit_tapped(
@@ -1337,109 +1291,18 @@ class MonitoringEngine:
         for hook in self._before:
             hook(event, params)
         try:
-            if self._eager and self._pending_dead:
+            if self._pending_dead:
                 self._propagate_deaths()
-            kernel = self._codegen_single.get(event)
-            if kernel is not None:
-                kernel(params)
+            route = self._routes.get(event)
+            if route is not None:
+                route(params)
                 return 1
-            runtimes = self._by_event.get(event)
-            if not runtimes:
-                if _strict and event not in self._paused_events:
-                    raise UnknownEventError(
-                        f"no monitored specification declares event {event!r}"
-                    )
-                return 0
-            for runtime in runtimes:
-                runtime.handle(event, params)
-            return 1
+            if _strict and event not in self._paused_events:
+                raise _undeclared(event)
+            return 0
         finally:
             for hook in self._after:
                 hook(event, params)
-
-    def _emit_batch_codegen(
-        self,
-        events: list[tuple[str, Mapping[str, Any]]],
-        _strict: bool = True,
-        after: Sequence[Callable[[str, Mapping[str, Any]], None]] = (),
-    ) -> int:
-        """Grouped codegen batch dispatch (lazy propagation only).
-
-        Splits the batch into maximal runs of consecutive identical
-        events and dispatches each run once per receiving runtime:
-        creation-free FSM events step the whole run through the
-        generated batch kernel (one call, array-backed transition
-        column); anything else — creating events, non-FSM properties,
-        wrapped handles — falls back to the scalar kernel per event.
-        Only *consecutive* events are grouped, never reordered: lazy GC
-        discovers deaths on access, so the exact operation order is part
-        of the observable semantics the equivalence suite pins down.
-        Eager propagation never reaches this path (its death boundaries
-        interleave with dispatch), nor does an engine with a
-        ``before_event`` observer (it must see each event before dispatch).
-
-        ``after`` hooks run for every event once the batch is through; if
-        dispatch raises, only for the events up to and including the one
-        that raised, as :meth:`_emit_tapped` would run them.  Runs then
-        step per event, never through the vectorized kernel, so the event
-        that raised is known.
-        """
-        n = len(events)
-        if n == 1 and not after:
-            # Tiny chunks dominate replayed traces (death boundaries flush
-            # the pending batch, so the mean chunk tracks object lifetime,
-            # not batch_size) — skip the grouping scaffolding entirely.
-            event, params = events[0]
-            kernel = self._codegen_single.get(event)
-            if kernel is not None:
-                kernel(params)
-                return 1
-        routes = self._codegen_routes
-        paused = self._paused_events
-        accepted = 0
-        # ``k``: the event being dispatched (the last one, once through).
-        i = k = 0
-        try:
-            while i < n:
-                event = events[i][0]
-                k = i
-                j = i + 1
-                while j < n and events[j][0] == event:
-                    j += 1
-                targets = routes.get(event)
-                if not targets:
-                    if _strict and event not in paused:
-                        raise UnknownEventError(
-                            f"no monitored specification declares event {event!r}"
-                        )
-                    i = j
-                    continue
-                run = j - i
-                accepted += run
-                if run == 1:
-                    params = events[i][1]
-                    for kernel, _batch in targets:
-                        kernel(params)
-                else:
-                    for kernel, batch in targets:
-                        # The vectorized kernel pays a per-call prelude (FSM
-                        # column binds, group list build); below ~8 events
-                        # the scalar kernel loop wins.  Either path is legal
-                        # — the batch kernel is verdict-identical to the
-                        # scalar loop.
-                        if batch is not None and run >= 8 and not after:
-                            batch([entry[1] for entry in events[i:j]])
-                        else:
-                            for k in range(i, j):
-                                kernel(events[k][1])
-                i = j
-            k = n - 1
-        finally:
-            if after:
-                for event, params in events[: k + 1]:
-                    for hook in after:
-                        hook(event, params)
-        return accepted
 
     def emit_binding(self, event: str, binding: Binding) -> None:
         """Emit with an explicit :class:`Binding` (test/bench convenience)."""
@@ -1458,81 +1321,50 @@ class MonitoringEngine:
         The sharded service routes one emitted event to different shards
         per property (each property has its own anchor parameter), so a
         shard engine must dispatch to exactly the properties the router
-        selected, never to every property declaring the event.
-        ``prop_indexes`` index into :attr:`properties`; ``record_indexes``
-        (``None``: all of them) name the subset for which this engine is
-        the designated event-accountant (see ``PropertyRuntime.handle``);
-        ``pretouched`` maps property indexes to the event domains the
-        router's sticky state flags as touched elsewhere; ``count_only``
-        properties record the event without processing it (the router
-        proved the event can do nothing on any shard).  Batching
-        amortizes the per-event call and attribute overhead at the
-        queue-drain boundary.
+        selected, never to every property declaring the event: each
+        selected runtime is entered at its ``handle``, not through the
+        event's route.  ``prop_indexes`` index into :attr:`properties`;
+        ``record_indexes`` (``None``: all of them) name the subset for
+        which this engine is the designated event-accountant (see
+        ``PropertyRuntime.handle``); ``pretouched`` maps property indexes
+        to the event domains the router's sticky state flags as touched
+        elsewhere; ``count_only`` properties record the event without
+        processing it (the router proved the event can do nothing on any
+        shard).  Boundary observers and eager death propagation see each
+        delivery as :meth:`emit` sees an event.  Batching amortizes the
+        per-event call and attribute overhead at the queue-drain boundary.
         """
         self.ledger.clock += len(deliveries)
         if self._batch_selected is not None:
             self._batch_selected.observe(len(deliveries))
-        if self._tapped:
-            self._selected_tapped(deliveries)
-        else:
-            self._selected_batch_plain(deliveries)
-
-    def _selected_tapped(
-        self, deliveries: Sequence[tuple[str, Mapping[str, Any], tuple]]
-    ) -> None:
-        """:meth:`emit_selected_batch` with boundary observers attached."""
         before, after = self._before, self._after
-        for delivery in deliveries:
-            event, params = delivery[0], delivery[1]
+        runtimes = self.runtimes
+        for event, params, (prop_indexes, record_indexes, pretouched, count_only) in deliveries:
             for hook in before:
                 hook(event, params)
             try:
-                self._selected_batch_plain((delivery,))
+                if self._pending_dead:
+                    self._propagate_deaths()
+                for index in count_only:
+                    counter = runtimes[index]
+                    if counter is not None and counter.enabled:
+                        counter.stats.record_event()
+                for index in prop_indexes:
+                    runtime = runtimes[index]
+                    if runtime is None or not runtime.enabled:
+                        continue
+                    if event in runtime.event_domains:
+                        runtime.handle(
+                            event,
+                            params,
+                            record=record_indexes is None or index in record_indexes,
+                            pretouched=None if pretouched is None else pretouched.get(index),
+                        )
             finally:
                 for hook in after:
                     hook(event, params)
 
-    def _selected_batch_plain(
-        self, deliveries: Sequence[tuple[str, Mapping[str, Any], tuple]]
-    ) -> None:
-        """The routed-delivery loop, without observers."""
-        eager = self._eager
-        runtimes = self.runtimes
-        for event, params, (prop_indexes, record_indexes, pretouched, count_only) in deliveries:
-            if eager and self._pending_dead:
-                self._propagate_deaths()
-            for index in count_only:
-                counter = runtimes[index]
-                if counter is not None and counter.enabled:
-                    counter.stats.record_event()
-            for index in prop_indexes:
-                runtime = runtimes[index]
-                if runtime is None or not runtime.enabled:
-                    continue
-                if event in runtime.event_domains:
-                    runtime.handle(
-                        event,
-                        params,
-                        record=record_indexes is None or index in record_indexes,
-                        pretouched=None if pretouched is None else pretouched.get(index),
-                    )
-
     # -- GC control -----------------------------------------------------------------
-
-    def note_deaths(self, dead: Mapping[str, Iterable[int]]) -> None:
-        """Report externally observed parameter deaths to the observers.
-
-        ``dead`` maps parameter names to the ``id()``\\ s of objects that
-        died while bound under that name; every ``on_deaths`` observer is
-        called with it.  The engine itself needs no report: its ledger
-        observes the death of every object it keys, and under eager
-        propagation queues it for the next safe event boundary (the top of
-        the next ``emit``), where the observers hear of it too.  Under lazy
-        propagation the structures discover dead keys themselves as they
-        are touched.
-        """
-        for hook in self._death_hooks:
-            hook(dead)
 
     def _note_dead(self, entry: Any) -> None:
         """The ledger's death callback under eager propagation."""

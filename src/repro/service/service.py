@@ -715,20 +715,6 @@ class MonitorService:
             pool.check_alive()
         return accepted
 
-    def note_deaths(self, dead: Mapping[str, Iterable[int]]) -> None:
-        """Forward externally observed parameter deaths to the shard engines.
-
-        Each inline shard engine reports the ``{param name: dead ids}`` map
-        to its ``on_deaths`` observers (see
-        :meth:`~repro.runtime.engine.MonitoringEngine.note_deaths`); the
-        engines' own ledgers already observe every object they key.  In
-        the queued modes this is a no-op (:attr:`engines` is empty): worker
-        GC is driven by the symbol registry's retire markers, which already
-        cover every routed parameter object.
-        """
-        for engine in self.engines:
-            engine.note_deaths(dead)
-
     # -- dynamic property registry -------------------------------------------
 
     @property

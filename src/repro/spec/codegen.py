@@ -58,22 +58,12 @@ from the interpreted plan.
 
 Timed variant
 -------------
-With ``timed=True`` the scalar kernels gain ``perf_counter`` probes
+With ``timed=True`` the kernels gain ``perf_counter`` probes
 around the tree walk and the stepping loop and return their two
 durations; everything else is the plain source, line for line.  The
 runtime's instrument wrapper runs them on attributed samples only
 (cached under ``fingerprint + ":timed"``), so ``repro_prop_stage_*``
 times the code that runs unsampled.
-
-Batch stepping
---------------
-For events that can never create monitors and whose property lowers to
-a flat FSM table, a second *batch* factory is generated: it steps a
-whole group of same-event bindings through an :mod:`array`-backed
-transition column in one call, amortizing the per-event call and
-attribute overhead.  Events with creation (or engines under eager
-propagation, whose death boundaries interleave with dispatch) fall back
-to the scalar kernel — see ``MonitoringEngine._emit_batch_codegen``.
 """
 
 from __future__ import annotations
@@ -132,7 +122,7 @@ class _Writer:
 
 
 class _KernelEmitter:
-    """Emits one event's factory (and optional batch factory).
+    """Emits one event's kernel factory.
 
     ``prelude`` lines run once at bind time inside the factory (closure
     bindings pulled off the runtime: trees and join indices by literal
@@ -774,41 +764,6 @@ class _KernelEmitter:
         body.emit(1, "return kernel")
         self._write_factory(w, name, body)
 
-    def emit_batch_factory(self, w: _Writer, name: str, spec_name: str) -> None:
-        """The grouped stepping kernel (creation-free FSM events only)."""
-        body = _Writer()
-        body.emit(1, "col = _array('i', col)")
-        body.emit(1, "def batch_kernel(group, record=True):")
-        body.emit(2, "serial = rt._event_serial")
-        body.emit(2, "for values in group:")
-        d = 3
-        body.emit(d, "if record:")
-        body.emit(d + 1, "stats.events += 1")
-        body.emit(d, "serial = serial + 1")
-        body.emit(d, "rt._event_serial = serial")
-        if self.depth:
-            body.emit(d, "try:")
-            for i, param in enumerate(self.ep.params):
-                body.emit(d + 1, f"v{i} = values[{param!r}]")
-            body.emit(d, "except KeyError as exc:")
-            prefix = (
-                f"event {self.ep.event!r} of {spec_name} requires parameter "
-            )
-            body.emit(
-                d + 1,
-                f"raise InconsistentEventError({prefix!r} + repr(exc.args[0])) "
-                "from None",
-            )
-            self.emit_entries(body, d)
-            self.emit_main_walk(body, d)
-        else:
-            body.emit(d, "leaf = root_leaf")
-        body.emit(d, "if leaf.touched is None:")
-        body.emit(d + 1, "leaf.touched = serial")
-        self.emit_step(body, d)
-        body.emit(1, "return batch_kernel")
-        self._write_factory(w, name, body)
-
     def _write_factory(self, w: _Writer, name: str, body: _Writer) -> None:
         w.blank()
         w.blank()
@@ -865,11 +820,11 @@ def _module_parts(
 ) -> tuple[str, list[tuple[bool, str, str, str]]]:
     """The generated module as ``(header, factories)``.
 
-    ``factories`` lists ``(is_batch, event, factory name, source)`` in
-    module order; each source is one top-level ``def _make_*`` that needs
-    only the header's names, so the cache can compile them one at a time.
-    ``timed`` renders the attribution variant: the scalar kernels with
-    their timing probes and no batch factories.
+    ``factories`` lists ``(event, factory name, source)`` in module
+    order; each source is one top-level ``def _make_*`` that needs only
+    the header's names, so the cache can compile them one at a time.
+    ``timed`` renders the attribution variant: the kernels with their
+    timing probes.
     """
     w = _Writer()
     w.emit(0, f'"""Generated dispatch kernels for {spec_name}')
@@ -877,7 +832,6 @@ def _module_parts(
     w.emit(0, "")
     w.emit(0, "Auto-generated by repro.spec.codegen — do not edit; see")
     w.emit(0, 'docs/dispatch-kernels.md for the shape of this code."""')
-    w.emit(0, "from array import array as _array")
     if timed:
         w.emit(0, "from time import perf_counter as _pc")
     w.emit(0, "from weakref import ref as _wref")
@@ -894,18 +848,13 @@ def _module_parts(
     w.emit(0, "_MI_new = _MonitorInstance.__new__")
     w.emit(0, "_RM_new = _RVMap.__new__")
     w.emit(0, "_RS_new = _RVSet.__new__")
-    factories: list[tuple[bool, str, str, str]] = []
+    factories: list[tuple[str, str, str]] = []
     for index, event in enumerate(plan.events):
         ep = plan.event_plans[event]
         fw = _Writer()
         name = f"_make_{index}_{_sanitize(event)}"
         _KernelEmitter(plan, ep, has_fsm, timed).emit_factory(fw, name, spec_name)
-        factories.append((False, event, name, fw.source()))
-        if has_fsm and not ep.has_creation and not timed:
-            bw = _Writer()
-            bname = f"_make_batch_{index}_{_sanitize(event)}"
-            _KernelEmitter(plan, ep, has_fsm).emit_batch_factory(bw, bname, spec_name)
-            factories.append((True, event, bname, bw.source()))
+        factories.append((event, name, fw.source()))
     return w.source(), factories
 
 
@@ -935,16 +884,14 @@ def kernel_module_source(
     )
 
 
-def _assemble(header: str, factories: list[tuple[bool, str, str, str]]) -> str:
-    """Join :func:`_module_parts` into one module with its factory tables."""
+def _assemble(header: str, factories: list[tuple[str, str, str]]) -> str:
+    """Join :func:`_module_parts` into one module with its factory table."""
     w = _Writer()
-    for batch in (False, True):
-        w.emit(0, "BATCH_FACTORIES = {" if batch else "FACTORIES = {")
-        for is_batch, event, name, _source in factories:
-            if is_batch is batch:
-                w.emit(1, f"{event!r}: {name},")
-        w.emit(0, "}")
-    return header + "".join(part[3] for part in factories) + "\n\n" + w.source()
+    w.emit(0, "FACTORIES = {")
+    for event, name, _source in factories:
+        w.emit(1, f"{event!r}: {name},")
+    w.emit(0, "}")
+    return header + "".join(part[2] for part in factories) + "\n\n" + w.source()
 
 
 def kernel_source_for(prop: "CompiledProperty", timed: bool = False) -> str:
@@ -968,22 +915,16 @@ class KernelModule:
     source: str
     #: event -> ``factory(rt) -> kernel(values, record, pretouched)``
     factories: dict[str, Callable[..., Any]] = field(repr=False)
-    #: event -> ``factory(rt) -> batch_kernel(group, record)``
-    batch_factories: dict[str, Callable[..., Any]] = field(repr=False)
 
-    def bind(self, runtime: Any) -> tuple[dict[str, Any], dict[str, Any]]:
-        """Bind one runtime's kernels: ``(kernels, batch_kernels)``.
+    def bind(self, runtime: Any) -> dict[str, Any]:
+        """Bind one runtime's kernels: event -> kernel.
 
         Calls every factory with the runtime, producing per-event closures
         over *its* trees, join indices (looked up by literal domain) and
         statistics.  Distinct runtimes of one property share code objects
         but never state.
         """
-        kernels = {event: make(runtime) for event, make in self.factories.items()}
-        batch_kernels = {
-            event: make(runtime) for event, make in self.batch_factories.items()
-        }
-        return kernels, batch_kernels
+        return {event: make(runtime) for event, make in self.factories.items()}
 
 
 class KernelCache:
@@ -1035,18 +976,16 @@ class KernelCache:
         filename = f"<repro-kernels:{prop.spec_name}:{fingerprint[:12]}{':timed' * timed}>"
         namespace: dict[str, Any] = {}
         factories: dict[str, Callable[..., Any]] = {}
-        batch_factories: dict[str, Callable[..., Any]] = {}
         # The sources are generated above, never taken from input.
         exec(compile(header, filename, "exec"), namespace)  # noqa: S102
-        for is_batch, event, name, source in parts:
+        for event, name, source in parts:
             exec(compile(source, filename, "exec"), namespace)  # noqa: S102
-            (batch_factories if is_batch else factories)[event] = namespace[name]
+            factories[event] = namespace[name]
         module = KernelModule(
             fingerprint=fingerprint,
             spec_name=prop.spec_name,
             source=_assemble(header, parts),
             factories=factories,
-            batch_factories=batch_factories,
         )
         with self._lock:
             # Two threads may have raced the generation; first one wins so

@@ -119,48 +119,6 @@ class TestLiveBinding:
 
 
 # ---------------------------------------------------------------------------
-# Engine / service death injection
-# ---------------------------------------------------------------------------
-
-
-class TestNoteDeaths:
-    def test_lazy_engine_is_noop(self):
-        engine = MonitoringEngine(HASNEXT_SRC, gc="alldead", propagation="lazy")
-        engine.note_deaths({"i": {123}})
-        assert engine._pending_dead == []
-
-    def test_eager_engine_queues_for_next_boundary(self):
-        engine = MonitoringEngine(HASNEXT_SRC, gc="alldead", propagation="eager")
-        token = Obj("i1")
-        engine.emit("hasnexttrue", i=token)
-        assert engine.stats_for("HasNext").live_monitors == 1
-        key = id(token)
-        del token
-        gc.collect()
-        engine.note_deaths({"i": {key}})
-        other = Obj("i2")
-        engine.emit("hasnexttrue", i=other)  # boundary: deaths propagate
-        gc.collect()
-        assert engine.stats_for("HasNext").monitors_collected >= 1
-
-    def test_unknown_parameter_names_ignored(self):
-        engine = MonitoringEngine(HASNEXT_SRC, propagation="eager")
-        engine.note_deaths({"zz": {1, 2}})
-        assert engine._pending_dead == []
-
-    def test_service_forwards_to_shards(self):
-        with MonitorService(HASNEXT_SRC, shards=2, mode="inline",
-                            propagation="eager", gc="alldead") as service:
-            token = Obj("i1")
-            service.emit("hasnexttrue", i=token)
-            key = id(token)
-            del token
-            gc.collect()
-            service.note_deaths({"i": {key}})
-            assert any(engine._pending_dead for engine in service.engines)
-
-
-# ---------------------------------------------------------------------------
 # TraceWeaver (forced settrace backend; default backend covered on 3.12 CI)
 # ---------------------------------------------------------------------------
 

@@ -39,12 +39,7 @@ from repro.properties import ALL_PROPERTIES, CATALOGUE
 from repro.runtime.engine import MonitoringEngine
 from repro.runtime.tracelog import replay_entries
 from repro.service import MonitorService, ingest_symbolic
-from repro.spec.codegen import (
-    _assemble,
-    _module_parts,
-    kernel_source_for,
-    shared_kernel_cache,
-)
+from repro.spec.codegen import kernel_source_for, shared_kernel_cache
 from repro.spec.compiler import CompiledProperty
 
 from ..conftest import Obj
@@ -161,19 +156,48 @@ def test_kernels_bind_on_first_event_and_never_replace_a_wrapper():
     engine = _codegen_engine("unsafeiter", telemetry=True)
     runtime = _runtime(engine)
     wrapper = runtime.handle
-    assert not runtime._kernels and not engine._codegen_single
+    assert not runtime._kernels
     c, i = Obj("c"), Obj("i")
     engine.emit("create", c=c, i=i)
     assert runtime._kernels and runtime.handle is wrapper
+    # A wrapped runtime is routed through its wrapper, never around it.
+    assert engine._routes["next"].func is wrapper
     bound = dict(runtime._kernels)
     engine.emit("next", i=i)
     assert runtime._kernels == bound  # idempotent: bound once
     # Unwrapped, the first event swaps in the direct handle and the engine
     # re-resolves its routes to call the kernels straight from emit.
     plain = _codegen_engine("unsafeiter")
-    assert not plain._codegen_single
+    assert not _runtime(plain)._kernels
+    assert plain._routes["next"].func == _runtime(plain)._handle_codegen
     plain.emit("create", c=c, i=i)
-    assert plain._codegen_single["next"] is _runtime(plain)._kernels["next"]
+    assert plain._routes["next"] is _runtime(plain)._kernels["next"]
+
+
+def test_eager_engine_routes_a_shared_event_straight_to_the_kernels():
+    """Under eager propagation (``tm``) the route of an event several
+    properties declare calls their bound kernels directly once pending
+    deaths are propagated, as a lazy engine's does — never ``handle``."""
+    specs = [ALL_PROPERTIES[key].make().silence() for key in ("hasnext", "unsafeiter")]
+    engine = MonitoringEngine(specs, system="tm", dispatch="codegen")
+    receivers = [r for r in engine.runtimes if "next" in r.event_domains]
+    assert len(receivers) == 3  # HasNext's two formalisms and UnsafeIter
+    c, i = Obj("c"), Obj("i")
+    engine.emit("create", c=c, i=i)
+    engine.emit("hasnexttrue", i=i)
+    assert all(runtime._kernels for runtime in receivers)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the route entered a runtime through handle")
+
+    for runtime in receivers:
+        runtime.handle = refuse
+    engine.emit("create", c=c, i=Obj("dies"))
+    assert engine._pending_dead
+    events = [runtime.stats.events for runtime in receivers]
+    engine.emit("next", i=i)
+    assert not engine._pending_dead
+    assert [runtime.stats.events for runtime in receivers] == [n + 1 for n in events]
 
 
 FIRST_BUILD = textwrap.dedent(
@@ -336,20 +360,14 @@ PROBE_LINE = re.compile(r"\b(_pc|_tw|_tf)\b")
 def test_timed_module_is_the_plain_module_plus_probes():
     """Removing the probe lines (the ``perf_counter`` import, the
     ``_t0``/``_tw``/``_t1``/``_tf`` stamps and the ``return _tw, _tf``)
-    from the timed module leaves the plain module's scalar kernels byte
-    for byte, for every catalogue property and formalism."""
+    from the timed module leaves the plain module byte for byte, for every
+    catalogue property and formalism."""
     checked = 0
     for key in sorted(CATALOGUE):
         for prop in CATALOGUE[key].make().properties:
-            args = {
-                "has_fsm": prop.fsm_dispatch() is not None,
-                "spec_name": prop.spec_name,
-                "fingerprint": prop.fingerprint(),
-            }
-            header, parts = _module_parts(prop.dispatch_plan(), **args)
-            plain = _assemble(header, [part for part in parts if not part[0]])
+            plain = kernel_source_for(prop)
             timed = kernel_source_for(prop, timed=True)
-            assert "return _tw, _tf" in timed and "BATCH_FACTORIES = {\n}" in timed
+            assert "return _tw, _tf" in timed
             stripped = "".join(
                 line
                 for line in timed.splitlines(keepends=True)

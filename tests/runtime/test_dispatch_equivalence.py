@@ -340,28 +340,59 @@ def test_targeted_eager_equals_full_eager(key):
     assert run("eager") == run("eager_full")
 
 
-def test_batched_replay_equals_per_event_replay():
-    """emit_batch ingestion lands deaths at the same boundaries: identical
-    verdicts, monitor counts and event counts for any batch size."""
+BATCH_FIELDS = ("events", "monitors_created", *LIFETIME_FIELDS)
+
+
+class _AfterOnly:
+    def after_event(self, event, params):
+        pass
+
+
+class _BeforeEvent(_AfterOnly):
+    def before_event(self, event, params):
+        pass
+
+
+@pytest.mark.parametrize(
+    "observer", [None, _AfterOnly, _BeforeEvent], ids=["none", "after", "before"]
+)
+@pytest.mark.parametrize("dispatch", DISPATCHES)
+@pytest.mark.parametrize("propagation", ("lazy", "eager"))
+def test_batched_replay_equals_per_event_replay(propagation, dispatch, observer):
+    """emit_batch ingestion lands deaths at the same boundaries: the same
+    verdict sequence, event and creation counts and monitor lifetimes
+    for any batch size, under either propagation, on either tier, with or
+    without event hooks.  The trace ends on a fresh ``create`` and an
+    event no property declares (replay is non-strict): the created pair
+    dies right before that event, so on an eager engine its boundary alone
+    collects their monitor."""
     from repro.bench.workloads import WORKLOADS, record_workload_events
     from repro.properties import UNSAFEITER
 
     entries = record_workload_events(WORKLOADS["bloat"].scaled(0.05), [UNSAFEITER])
+    entries += [("create", {"c": "c-last", "i": "i-last"}), ("nosuchevent", {})]
 
     def run(batch_size):
-        verdicts: Counter = Counter()
+        verdicts: list = []
         engine = MonitoringEngine(
             UNSAFEITER.make().silence(),
             gc="coenable",
-            on_verdict=lambda prop, cat, mon: verdicts.update([cat]),
+            propagation=propagation,
+            dispatch=dispatch,
+            on_verdict=lambda prop, cat, mon: verdicts.append(
+                (cat, sorted((name, obj.symbol) for name, obj in mon.binding().items()))
+            ),
         )
+        if observer is not None:
+            engine.add_observer(observer())
         replay_entries(
             entries, engine, retire_after_last_use=True, batch_size=batch_size
         )
         stats = engine.stats_for("UnsafeIter")
-        return verdicts, stats.events, stats.monitors_created
+        return verdicts, [getattr(stats, field) for field in BATCH_FIELDS]
 
     baseline = run(None)
+    assert baseline[0]
     for batch_size in (1, 7, 64, 100000):
         assert run(batch_size) == baseline, batch_size
 

@@ -30,7 +30,6 @@ BOUNDARY_METHODS = (
     "emit_values",
     "emit_batch",
     "emit_selected_batch",
-    "note_deaths",
     "attach_property",
     "detach_property",
     "set_property_enabled",
@@ -112,14 +111,15 @@ class TestStackedObservers:
         engine = MonitoringEngine(UNSAFEITER.make().silence(), dispatch="codegen")
         recorder = engine.enable_flight_recorder()
         c, i = Obj("c"), Obj("i")
-        # Kernels bind on the first event; the routes exist from then on.
+        # Kernels bind on the first event; the routes call them from then on.
         engine.emit("create", c=c, i=i)
-        assert engine._codegen_single
+        runtime = engine.runtimes[0]
+        assert engine._routes["next"] is runtime._kernels["next"]
         engine.emit_batch([("update", {"c": c}), ("next", {"i": i})])
-        # The grouped batch path runs the after hooks once the batch is
-        # through, so the batch's verdict precedes its two events.
+        # Each batch event runs its after hooks as soon as it is
+        # dispatched, so the verdict lands between the batch's two events.
         kinds = [e["kind"] for e in recorder.snapshot()]
-        assert kinds == ["event", "verdict", "event", "event"]
+        assert kinds == ["event", "event", "verdict", "event"]
 
 
 class Probe:
@@ -172,12 +172,18 @@ class TestOrdering:
             ("first", "after", "next"),
             ("second", "after", "next"),
         ]
+        del i
         del log[:]
-        engine.note_deaths({"i": [id(i)]})
+        # The eager boundary propagates the death between the hooks.
+        engine.emit("update", c=c)
         engine.set_property_enabled(0, False)
         assert log == [
+            ("first", "before", "update"),
+            ("second", "before", "update"),
             ("first", "deaths", ("i",)),
             ("second", "deaths", ("i",)),
+            ("first", "after", "update"),
+            ("second", "after", "update"),
             ("first", "registry", "enable"),
             ("second", "registry", "enable"),
         ]
@@ -235,12 +241,12 @@ class BeforeAndAfter(AfterOnly):
 def test_after_hooks_stop_at_the_batch_event_that_raised(observer):
     """A strict batch that raises on its second event runs the after hooks
     of the first two events only, whether or not the observer also has a
-    ``before_event`` hook (which sends the batch through ``_emit_tapped``
-    instead of the grouped codegen path)."""
+    ``before_event`` hook: each event runs its hooks around its own
+    dispatch."""
     log = []
     engine = MonitoringEngine(UNSAFEITER.make().silence(), dispatch="codegen")
     c, i = Obj("c"), Obj("i")
-    engine.emit("update", c=c)  # binds the kernels: the grouped path exists
+    engine.emit("update", c=c)  # binds the kernels: the routes call them
     engine.add_observer(observer(log))
     batch = [("create", {"c": c, "i": i}), ("bogus", {}), ("next", {"i": i})]
     with pytest.raises(UnknownEventError):
