@@ -72,19 +72,34 @@ class FunctionContext:
     result: Any = None
 
 
-def _resolve_source(source: Any, context: FunctionContext) -> Any:
-    """Extract one parameter object from a function call context."""
+def _source_getter(source: Any) -> Callable[[FunctionContext], Any]:
+    """Compile one binding source into a getter over a call context.
+
+    Resolved once, where the advice is woven or decorated, so a call pays
+    one getter call per parameter instead of re-reading the source."""
     if callable(source):
-        return source(context)
+        return source
     if source == "result":
-        return context.result
+        return _result_of
     if source == "thread":
-        return threading.current_thread()
-    if source == "self":
-        return context.locals["self"]
-    if isinstance(source, str) and source.startswith("arg:"):
-        return context.locals[source[4:]]
+        return _current_thread
+    if isinstance(source, str) and (source == "self" or source.startswith("arg:")):
+        name = "self" if source == "self" else source[4:]
+        return lambda context: context.locals[name]
     raise ReproError(f"unknown function binding source {source!r}")
+
+
+def _result_of(context: FunctionContext) -> Any:
+    return context.result
+
+
+def _current_thread(_context: FunctionContext) -> Any:
+    return threading.current_thread()
+
+
+def _getters(bind: Iterable[tuple[str, Any]]) -> tuple[tuple[str, Callable], ...]:
+    """``(param, getter)`` for each ``(param, source)`` of a binding."""
+    return tuple((param, _source_getter(source)) for param, source in bind)
 
 
 @dataclass(frozen=True)
@@ -105,11 +120,19 @@ class FunctionPointcut:
     bind: tuple[tuple[str, Any], ...]
     condition: Callable[[FunctionContext], bool] | None = None
 
-    def extract(self, context: FunctionContext) -> dict[str, Any]:
-        """Bind the advice's spec parameters from one call."""
-        return {
-            param: _resolve_source(source, context) for param, source in self.bind
-        }
+    def compile(self, sink: Any) -> Callable[[FunctionContext], None]:
+        """The advice as one function of a call context: test the
+        condition, bind the spec parameters through getters compiled
+        here, and emit the event to ``sink`` (non-strict)."""
+        event, condition, getters = self.event, self.condition, _getters(self.bind)
+
+        def fire(context: FunctionContext) -> None:
+            if condition is None or condition(context):
+                sink.emit(
+                    event, _strict=False, **{param: get(context) for param, get in getters}
+                )
+
+        return fire
 
 
 #: Code-object flags marking suspendable frames (generator / coroutine /
@@ -167,13 +190,16 @@ def on_return(
 
 
 class _CodeHooks:
-    """The pointcuts woven into one code object, split by advice position."""
+    """The pointcuts woven into one code object, split by advice position,
+    each with its compiled advice (:meth:`FunctionPointcut.compile`)."""
 
-    __slots__ = ("calls", "returns")
+    __slots__ = ("calls", "returns", "call_fires", "return_fires")
 
     def __init__(self) -> None:
         self.calls: list[FunctionPointcut] = []
         self.returns: list[FunctionPointcut] = []
+        self.call_fires: list[Callable[[FunctionContext], None]] = []
+        self.return_fires: list[Callable[[FunctionContext], None]] = []
 
 
 class TraceWeaver:
@@ -228,8 +254,12 @@ class TraceWeaver:
                 fresh = True
             else:
                 fresh = False
-            bucket = hooks.calls if pointcut.when == "call" else hooks.returns
+            if pointcut.when == "call":
+                bucket, fires = hooks.calls, hooks.call_fires
+            else:
+                bucket, fires = hooks.returns, hooks.return_fires
             if pointcut not in bucket:
+                fires.append(pointcut.compile(self.sink))
                 bucket.append(pointcut)
             if not self._installed:
                 self._install()
@@ -271,11 +301,12 @@ class TraceWeaver:
 
     # -- advice firing -----------------------------------------------------
 
-    def _fire(self, pointcuts: list[FunctionPointcut], context: FunctionContext) -> None:
-        emit = self.sink.emit
-        for pointcut in pointcuts:
-            if pointcut.condition is None or pointcut.condition(context):
-                emit(pointcut.event, _strict=False, **pointcut.extract(context))
+    @staticmethod
+    def _fire(
+        fires: list[Callable[[FunctionContext], None]], context: FunctionContext
+    ) -> None:
+        for fire in fires:
+            fire(context)
 
     # -- settrace backend --------------------------------------------------
 
@@ -295,9 +326,9 @@ class TraceWeaver:
         hooks = self._by_code.get(frame.f_code)
         if hooks is None:
             return None  # decline: no line/return tracing for foreign frames
-        if hooks.calls:
-            self._fire(hooks.calls, FunctionContext(frame.f_locals))
-        if not hooks.returns:
+        if hooks.call_fires:
+            self._fire(hooks.call_fires, FunctionContext(frame.f_locals))
+        if not hooks.return_fires:
             return None
         raised = False
 
@@ -311,7 +342,7 @@ class TraceWeaver:
                 # "exception" to "return" with no line in between.
                 raised = False
             elif event == "return" and not raised:
-                self._fire(hooks.returns, FunctionContext(frame.f_locals, arg))
+                self._fire(hooks.return_fires, FunctionContext(frame.f_locals, arg))
             return local_trace
 
         return local_trace
@@ -348,18 +379,18 @@ class TraceWeaver:
 
     def _on_py_start(self, code: Any, _offset: int) -> Any:
         hooks = self._by_code.get(code)
-        if hooks is not None and hooks.calls:
+        if hooks is not None and hooks.call_fires:
             # The callback runs as a regular call from the instrumented
             # frame, so that frame is our immediate caller.
             frame = sys._getframe(1)
-            self._fire(hooks.calls, FunctionContext(frame.f_locals))
+            self._fire(hooks.call_fires, FunctionContext(frame.f_locals))
         return None
 
     def _on_py_return(self, code: Any, _offset: int, retval: Any) -> Any:
         hooks = self._by_code.get(code)
-        if hooks is not None and hooks.returns:
+        if hooks is not None and hooks.return_fires:
             frame = sys._getframe(1)
-            self._fire(hooks.returns, FunctionContext(frame.f_locals, retval))
+            self._fire(hooks.return_fires, FunctionContext(frame.f_locals, retval))
         return None
 
 
@@ -388,9 +419,10 @@ def _probe_wrapper(
 ) -> Callable:
     """The shared wrapper behind :func:`emits` and :meth:`LiveSession.probe`.
 
-    ``dispatch(event, sources, condition, context)`` performs the
-    emission; ``skip`` (optional) short-circuits to the plain call when
-    nobody is listening.
+    ``sources`` pairs each spec parameter with its compiled getter
+    (:func:`_getters`); ``dispatch(event, sources, condition, context)``
+    performs the emission; ``skip`` (optional) short-circuits to the plain
+    call when nobody is listening.
     """
     if when not in ("call", "return"):
         raise ReproError(f"unknown advice position {when!r}")
@@ -431,7 +463,7 @@ def emits(
     ``"self"``, ``"result"``, ``"thread"``, or a callable on the
     :class:`FunctionContext`); ``when`` is ``"call"`` or ``"return"``.
     """
-    sources = tuple((bind or {}).items())
+    sources = _getters((bind or {}).items())
 
     def decorate(func: Callable) -> Callable:
         return _probe_wrapper(
@@ -450,7 +482,7 @@ def _emit_ambient(
 ) -> None:
     if condition is not None and not condition(context):
         return
-    values = {param: _resolve_source(source, context) for param, source in sources}
+    values = {param: get(context) for param, get in sources}
     for session in _ACTIVE_SESSIONS:
         session.emit(event, _strict=False, **values)
 
@@ -719,7 +751,7 @@ class LiveSession:
         condition: Callable[[FunctionContext], bool] | None = None,
     ) -> Callable:
         """Session-bound :func:`emits`: the wrapper reports only here."""
-        sources = tuple((bind or {}).items())
+        sources = _getters((bind or {}).items())
 
         def decorate(func: Callable) -> Callable:
             return _probe_wrapper(
@@ -737,7 +769,4 @@ class LiveSession:
     ) -> None:
         if condition is not None and not condition(context):
             return
-        self.emit(
-            event,
-            **{param: _resolve_source(source, context) for param, source in sources},
-        )
+        self.emit(event, **{param: get(context) for param, get in sources})

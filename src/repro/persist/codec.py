@@ -133,6 +133,9 @@ def snapshot_engine(
             str(index): stats.snapshot()
             for index, (_spec, _formalism, stats) in engine._retired.items()
         },
+        # The ledger's event ordinal, so a death after restore is stamped
+        # as it would have been in the uninterrupted run.
+        "clock": engine.ledger.clock,
     }
     # Fail at snapshot time, not restore time, on non-JSON monitor state.
     try:
@@ -264,6 +267,8 @@ def restore_into(
             MonitorStats.from_snapshot(stats_payload),
         )
     engine.registry.restore_epoch(registry_payload.get("epoch", engine.registry.epoch))
+    # Snapshots written before the clock was recorded restore it as 0.
+    engine.ledger.clock = snapshot.get("clock", 0)
     return tokens
 
 

@@ -43,11 +43,13 @@ switches to the eager scheme the paper warns about (Section 4.2: "eager
 garbage collection ... introduces a very large amount of runtime
 overhead"): the ledger's death callback queues each dead entry, and the
 deaths are coalesced per event boundary and propagated *before* the next
-event.  The propagation is targeted — every structure probes its maps for
-the dead entries only; monitors flagged by the propagation are evicted
-from every remaining structure immediately (the Tracematches cost
-profile, minus the full-scan pathology).  Under lazy propagation the
-callback only stamps the death.
+event.  The propagation is targeted — each dead entry carries weak
+back-links to the maps that key it, so only those maps are touched (the
+reference tier probes every structure's maps for the dead entries
+instead); monitors flagged by the propagation are evicted from every
+remaining structure immediately by a generated eviction step (the
+Tracematches cost profile, minus the full-scan pathology).  Under lazy
+propagation the callback only stamps the death.
 ``propagation="eager_full"`` keeps the historical full-scan-per-boundary
 behavior for the ablation benchmark.
 
@@ -105,6 +107,12 @@ def _undeclared(event: str) -> UnknownEventError:
     return UnknownEventError(f"no monitored specification declares event {event!r}")
 
 
+def _pair_depth(pair: tuple[tuple, Any]) -> int:
+    """The depth of a ``(back-link, entry)`` pair's map (see
+    :meth:`PropertyRuntime.reap`)."""
+    return pair[0][2]
+
+
 def _fan_out(targets: list[Callable[[Mapping[str, Any]], Any]]) -> Callable:
     """One route over several receiving runtimes, entered in slot order."""
     targets = tuple(targets)
@@ -158,6 +166,7 @@ class PropertyRuntime:
         telemetry: "Telemetry | None" = None,
         provenance_get: Callable[[], Any] | None = None,
         attribution: Any = None,
+        backlinks: bool = False,
     ):
         self.prop = prop
         self.slot = slot
@@ -170,8 +179,13 @@ class PropertyRuntime:
         self._serial = 0
         self._event_serial = 0
         #: Collector of monitors flagged during a targeted eager purge
-        #: (None outside :meth:`collect_deaths`).
+        #: (None outside :meth:`collect_deaths` and :meth:`reap`).
         self._flag_sink: list[MonitorInstance] | None = None
+        #: Eager propagation on generated kernels: the structures are
+        #: built of back-linking maps and deaths arrive through
+        #: :meth:`reap` (see :meth:`MonitoringEngine._propagate_deaths`).
+        self._backlinks = backlinks
+        link_slot = slot if backlinks else None
 
         definition = prop.definition
         self.event_domains: dict[str, frozenset[str]] = {
@@ -197,6 +211,7 @@ class PropertyRuntime:
                 notify=self._notify_monitor,
                 ledger=ledger,
                 scan_budget=scan_budget,
+                link_slot=link_slot,
             )
         # Join indices are statically known (the dispatch plan lists them);
         # both dispatch paths share the same structures.
@@ -206,6 +221,7 @@ class PropertyRuntime:
                 notify=self._notify_monitor,
                 ledger=ledger,
                 scan_budget=scan_budget,
+                link_slot=link_slot,
             )
             for join_domain, key_domain in prop.dispatch_plan().join_index_keys
         }
@@ -229,12 +245,14 @@ class PropertyRuntime:
         #: Timed kernel variants, bound on the first attributed sample.
         self._timed_kernels: dict[str, Any] = {}
         self._kernel_module = None
+        #: The generated eviction step (eager variant), bound on first use.
+        self._evict: Callable[[list[MonitorInstance]], None] | None = None
         #: Called once kernels are bound (the engine re-resolves its routes).
         self._on_kernels_bound: Callable[[], None] | None = None
         if dispatch == "codegen":
             from ..spec.codegen import shared_kernel_cache
 
-            self._kernel_module = shared_kernel_cache.module_for(prop)
+            self._kernel_module = shared_kernel_cache.module_for(prop, eager=backlinks)
             self.handle = self._handle_codegen  # type: ignore[method-assign]
         else:
             self.handle = self._handle_reference  # type: ignore[method-assign]
@@ -254,11 +272,12 @@ class PropertyRuntime:
 
         ``handle`` gains an exact per-property handled counter (riding the
         sampler tick through :meth:`Counter.add_pull`, no lock) and a
-        1-in-N sampled latency histogram labelled (property, event);
-        ``collect_deaths`` gains a sampled purge timer (death boundaries
-        can be per-event under retire-on-last-use, so it is gated like a
-        hot path) and ``scan_all`` an unsampled one (budgeted sweeps are
-        rare; sampling them would record nothing).
+        1-in-N sampled latency histogram labelled (property, event); the
+        eager death step (``reap``, or the reference tier's
+        ``collect_deaths``) gains a sampled purge timer (death boundaries can be per-event under
+        retire-on-last-use, so they are gated like a hot path) and
+        ``scan_all`` an unsampled one (budgeted sweeps are rare; sampling
+        them would record nothing).
 
         Inside an attributed event (``plane.active``, set by the plane's
         boundary observer hooks) a codegen ``handle`` runs the timed
@@ -283,7 +302,6 @@ class PropertyRuntime:
         purge_pause = pause.labels(spec, "purge")
         scan_pause = pause.labels(spec, "scan")
         purge_sampler = telemetry.sampler(offset + 1)
-        inner_collect = self.collect_deaths
         inner_scan = self.scan_all
         attributed = plane is not None
         timed = self._timed_kernels
@@ -309,7 +327,9 @@ class PropertyRuntime:
                     if not timed:
                         from ..spec.codegen import shared_kernel_cache
 
-                        module = shared_kernel_cache.module_for(self.prop, timed=True)
+                        module = shared_kernel_cache.module_for(
+                            self.prop, timed=True, eager=self._backlinks
+                        )
                         timed.update(module.bind(self))
                     walk, step = timed[event](values, record, pretouched)
                 else:
@@ -341,18 +361,24 @@ class PropertyRuntime:
                     gc_cell.add(elapsed)
                     plane.charged += elapsed
 
-        def collect_deaths(dead, found):
-            if purge_sampler.sample():
-                return timed_gc(inner_collect, (dead, found), purge_pause)
-            if attributed and plane.active:
-                return timed_gc(inner_collect, (dead, found), None)
-            return inner_collect(dead, found)
+        def death_step(inner):
+            def step(dead, found):
+                if purge_sampler.sample():
+                    return timed_gc(inner, (dead, found), purge_pause)
+                if attributed and plane.active:
+                    return timed_gc(inner, (dead, found), None)
+                return inner(dead, found)
+
+            return step
 
         def scan_all():
             timed_gc(inner_scan, (), scan_pause)
 
         self.handle = handle  # type: ignore[method-assign]
-        self.collect_deaths = collect_deaths  # type: ignore[method-assign]
+        if self._backlinks:
+            self.reap = death_step(self.reap)  # type: ignore[method-assign]
+        else:
+            self.collect_deaths = death_step(self.collect_deaths)  # type: ignore[method-assign]
         self.scan_all = scan_all  # type: ignore[method-assign]
 
     # -- static precomputation ---------------------------------------------
@@ -427,11 +453,46 @@ class PropertyRuntime:
         # these dicts) — clear them for the same refcount-only guarantee.
         self._kernels.clear()
         self._timed_kernels.clear()
+        self._evict = None
+
+    def reap(self, pairs: list[tuple[tuple, Any]], found: list[tuple[str, Any]]) -> None:
+        """Eager propagation of coalesced deaths through back-links.
+
+        ``pairs`` lists ``(link, entry)`` for every back-link of a dead
+        entry into this runtime's maps (see
+        :class:`~repro.runtime.rvmap.LinkedRVMap`).  Shallow maps go first,
+        as in :meth:`collect_deaths`' walk from the roots: removing a dead
+        key drops the subtree below it, whose maps then never appear,
+        since their weak back-links are dead.  A map scans the bucket only
+        while the entry is still its key (a lazy scan may have removed it
+        already), appending ``(parameter name, entry)`` to ``found``.
+        Monitors the notifications flag are then evicted by the generated
+        eviction step.  Cost grows with where the dead objects were keyed,
+        not with the number of structures or live keys.
+        """
+        if len(pairs) > 1:
+            pairs.sort(key=_pair_depth)
+        flagged: list[MonitorInstance] = []
+        self._flag_sink = flagged
+        try:
+            for link, entry in pairs:
+                node = link[0]()
+                if node is not None and entry in node._buckets:
+                    node._scan_bucket(entry)
+                    found.append((link[1], entry))
+        finally:
+            self._flag_sink = None
+        if flagged:
+            evict = self._evict
+            if evict is None:
+                evict = self._evict = self._kernel_module.evict_factory(self)
+            evict(flagged)
 
     def collect_deaths(
         self, dead: Sequence[Any], found: list[tuple[str, Any]]
     ) -> None:
-        """Targeted eager propagation of coalesced parameter deaths.
+        """Targeted eager propagation of coalesced parameter deaths (the
+        reference tier's death step, and the oracle for :meth:`reap`).
 
         ``dead`` lists the ledger entries of objects that died since the
         last boundary.  Every structure probes its maps for those keys
@@ -459,7 +520,9 @@ class PropertyRuntime:
         Structures whose key path contains the dead object were already
         purged; the survivors are reachable through the monitor's still-live
         parameters, so eviction is a handful of direct lookups instead of
-        a full second scan pass.
+        a full second scan pass.  Generated kernels run the same steps
+        unrolled per monitor domain (``spec/codegen.py``'s eviction
+        factory).
         """
         live: dict[str, Any] = {}
         for name, entry in monitor.params.items():
@@ -894,6 +957,9 @@ class MonitoringEngine:
         self.propagation = propagation
         self.scan_budget = scan_budget
         self.dispatch = dispatch
+        #: Targeted eager propagation on generated kernels follows the dead
+        #: entries' back-links; the reference tier keeps its purge walk.
+        self._backlinks = propagation == "eager" and dispatch == "codegen"
         self._on_verdict = on_verdict
         #: Telemetry plane (None = off: hot paths identical to the
         #: un-instrumented build).  See :mod:`repro.obs`.
@@ -1073,6 +1139,7 @@ class MonitoringEngine:
             telemetry=self.telemetry,
             provenance_get=lambda: self.provenance_source,
             attribution=self.attribution,
+            backlinks=self._backlinks,
         )
         runtime._on_kernels_bound = self._rebuild_event_index
         return runtime
@@ -1372,7 +1439,14 @@ class MonitoringEngine:
             self._pending_dead.append(entry)
 
     def _propagate_deaths(self) -> None:
-        """Eager boundary propagation of all deaths since the last event."""
+        """Eager boundary propagation of all deaths since the last event.
+
+        On generated kernels each dead entry's back-links name the maps
+        that key it; they are grouped by owning runtime and handed to
+        :meth:`PropertyRuntime.reap`, so the step touches only those maps.
+        The reference tier hands every runtime the dead entries instead
+        (:meth:`PropertyRuntime.collect_deaths`, the oracle).
+        """
         if self.propagation == "eager_full":
             self.flush_gc()
             return
@@ -1381,9 +1455,26 @@ class MonitoringEngine:
         # Paused runtimes receive deaths too: a long-paused property must
         # not accumulate dead keys until it is resumed.
         found: list[tuple[str, Any]] = []
-        for runtime in self.runtimes:
-            if runtime is not None:
-                runtime.collect_deaths(pending, found)
+        if self._backlinks:
+            by_slot: dict[int, list[tuple[tuple, Any]]] = {}
+            for entry in pending:
+                links = entry.links
+                if links:
+                    for link in links:
+                        pairs = by_slot.get(link[3])
+                        if pairs is None:
+                            by_slot[link[3]] = [(link, entry)]
+                        else:
+                            pairs.append((link, entry))
+            runtimes = self.runtimes
+            for slot in sorted(by_slot):
+                runtime = runtimes[slot]
+                if runtime is not None:
+                    runtime.reap(by_slot[slot], found)
+        else:
+            for runtime in self.runtimes:
+                if runtime is not None:
+                    runtime.collect_deaths(pending, found)
         if found and self._death_hooks:
             dead: dict[str, set[int]] = {}
             for name, entry in found:

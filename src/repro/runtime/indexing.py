@@ -39,7 +39,7 @@ from typing import Any, Callable, Collection, Iterator, Mapping, Sequence
 
 from .instance import MonitorInstance
 from .refs import ParamLedger
-from .rvmap import DROP, KEEP, RVMap
+from .rvmap import DROP, KEEP, LinkedRVMap, RVMap
 from .rvset import RVSet
 
 __all__ = ["Leaf", "IndexingTree", "JoinIndex"]
@@ -94,11 +94,15 @@ class _TreeBase:
         notify: Callable[[MonitorInstance], None],
         ledger: ParamLedger,
         scan_budget: int = 2,
+        link_slot: int | None = None,
     ):
         self.params = params
         self._notify = notify
         self._entry = ledger.entry
         self._scan_budget = scan_budget
+        #: The owner's slot when the levels are back-linking maps
+        #: (eager propagation on generated kernels), else ``None``.
+        self._link_slot = link_slot
         self._root: Any = self._new_node(depth=0)
 
     # -- node construction ---------------------------------------------------
@@ -110,9 +114,19 @@ class _TreeBase:
         # binding the matching inspector here removes isinstance dispatch
         # from the per-operation scan path.
         holds_leaves = depth + 1 == len(self.params)
+        inspect = self._inspect_leaf if holds_leaves else self._inspect_map
+        if self._link_slot is not None:
+            return LinkedRVMap(
+                self.params[depth],
+                depth,
+                self._link_slot,
+                on_dead_value=self._notify_subtree,
+                inspect_value=inspect,
+                scan_budget=self._scan_budget,
+            )
         return RVMap(
             on_dead_value=self._notify_subtree,
-            inspect_value=self._inspect_leaf if holds_leaves else self._inspect_map,
+            inspect_value=inspect,
             scan_budget=self._scan_budget,
         )
 
@@ -122,16 +136,27 @@ class _TreeBase:
     # -- GC plumbing -----------------------------------------------------------
 
     def _notify_subtree(self, node: Any) -> None:
-        """Figure 7A: a key died — notify every monitor under ``node``."""
-        if isinstance(node, RVMap):
+        """Figure 7A: a key died — notify every monitor under ``node``.
+
+        Leaves and sets are matched by exact type first (the common case
+        below a dying key, on every eager death); ``notify`` only flags, so
+        their member lists are iterated in place."""
+        notify = self._notify
+        kind = type(node)
+        if kind is Leaf:
+            own = node.own
+            if own is not None:
+                notify(own)
+            extensions = node.extensions
+            if extensions is not None:
+                for monitor in extensions._items:
+                    notify(monitor)
+        elif kind is RVSet:
+            for monitor in node._items:
+                notify(monitor)
+        elif isinstance(node, RVMap):
             for value in node.all_values():
                 self._notify_subtree(value)
-        elif isinstance(node, Leaf):
-            for monitor in node.monitors():
-                self._notify(monitor)
-        elif isinstance(node, RVSet):
-            for monitor in node:
-                self._notify(monitor)
 
     def _inspect_map(self, node: RVMap) -> bool:
         """Section 5.1.1: drop empty submaps during scans."""
@@ -241,9 +266,11 @@ class _TreeBase:
     def purge(self, dead: Collection[Any], found: list[tuple[str, Any]]) -> None:
         """Targeted dead-key purge: scan only the keys of known-dead entries.
 
-        The eager-propagation flush uses this instead of a full
+        The reference tier's eager propagation uses this instead of a full
         :meth:`scan_all`: finding a dead key costs a probe per map, not a
-        scan of every key of every level.  Scanning a key notifies the
+        scan of every key of every level (generated-kernel engines follow
+        the dead entries' back-links instead, see
+        :meth:`repro.runtime.engine.PropertyRuntime.reap`).  Scanning a key notifies the
         monitors below the broken mapping and removes it — exactly what a
         full scan would eventually do for these keys.  Each removal appends
         ``(parameter name, entry)`` to ``found``.
@@ -275,9 +302,10 @@ class IndexingTree(_TreeBase):
         notify: Callable[[MonitorInstance], None],
         ledger: ParamLedger,
         scan_budget: int = 2,
+        link_slot: int | None = None,
     ):
         self.tracks_extensions = tracks_extensions
-        super().__init__(params, notify, ledger, scan_budget)
+        super().__init__(params, notify, ledger, scan_budget, link_slot)
 
     def _new_leaf(self) -> Leaf:
         return Leaf(self.tracks_extensions)
@@ -318,8 +346,9 @@ class JoinIndex(_TreeBase):
         notify: Callable[[MonitorInstance], None],
         ledger: ParamLedger,
         scan_budget: int = 2,
+        link_slot: int | None = None,
     ):
-        super().__init__(key_params, notify, ledger, scan_budget)
+        super().__init__(key_params, notify, ledger, scan_budget, link_slot)
 
     def _new_leaf(self) -> RVSet:
         return RVSet()

@@ -40,11 +40,13 @@ class ParamEntry(weakref.ref):
     Calling the entry returns the object, or ``None`` once it is dead.
     ``serial`` numbers the object within its ledger, ``died`` is the
     ledger's event ordinal at its death (``None`` while alive) and ``key``
-    its ``id()`` in the ledger's index.  Entries hash and compare by
-    identity, never through the referent.
+    its ``id()`` in the ledger's index.  ``links`` lists the maps that key
+    the entry, as weak back-links an eager engine records (``None`` until
+    one does; see :func:`repro.runtime.rvmap.link_key`).  Entries hash and
+    compare by identity, never through the referent.
     """
 
-    __slots__ = ("serial", "died", "key")
+    __slots__ = ("serial", "died", "key", "links")
 
     __hash__ = object.__hash__
     __eq__ = object.__eq__
@@ -118,6 +120,7 @@ class ParamLedger:
         entry.serial = self._serial
         entry.died = None
         entry.key = key
+        entry.links = None
         self._by_id[key] = entry
         return entry
 
@@ -132,6 +135,7 @@ class ParamLedger:
         entry.serial = serial
         entry.died = self.clock
         entry.key = 0
+        entry.links = None
         return entry
 
     def __len__(self) -> int:

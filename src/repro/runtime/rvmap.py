@@ -20,13 +20,21 @@ is gone.  Faithful to the paper:
 A recycled ``id()`` gets a fresh ledger entry, so a new object never
 shares a key with a dead one: the scan order depends only on the order in
 which objects were first keyed, not on the allocator.
+
+Under eager propagation an engine's maps are :class:`LinkedRVMap` objects:
+each key's entry gets a *weak* back-link to the map, so a death reaches
+exactly the maps that key the dead object instead of a walk over every
+map.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Iterator
 
-__all__ = ["RVMap"]
+from .refs import ParamEntry
+
+__all__ = ["RVMap", "LinkedRVMap", "link_key"]
 
 #: Kept-entry decision returned by ``inspect_value``.
 KEEP, DROP = True, False
@@ -171,3 +179,67 @@ class RVMap:
 
     def __repr__(self) -> str:
         return f"RVMap({len(self)} entries)"
+
+
+class LinkedRVMap(RVMap):
+    """An :class:`RVMap` whose keys' ledger entries link back to it.
+
+    ``link`` is the map's back-link, ``(weakref to the map, parameter name,
+    depth, owner slot)``: the parameter its keys bind, its level in the
+    owning tree, and the slot of the runtime that owns the tree.  Every
+    entry keyed here gets the link (:func:`link_key`); the weak reference
+    keeps nothing alive, so a dropped submap dies with its last strong
+    reference as a plain map does.
+    """
+
+    __slots__ = ("__weakref__", "link")
+
+    def __init__(
+        self,
+        param: str,
+        depth: int,
+        slot: int,
+        on_dead_value: Callable[[Any], None] | None = None,
+        inspect_value: Callable[[Any], bool] | None = None,
+        scan_budget: int = 2,
+    ):
+        super().__init__(on_dead_value, inspect_value, scan_budget)
+        self.link = (weakref.ref(self), param, depth, slot)
+
+    def put(self, entry: Any, value: Any) -> None:
+        self.scan_some()
+        buckets = self._buckets
+        if entry not in buckets:
+            link_key(entry, self.link)
+        buckets[entry] = value
+
+    def put_fresh(self, entry: Any, value: Any) -> None:
+        self._buckets[entry] = value
+        link_key(entry, self.link)
+
+
+def link_key(entry: Any, link: tuple) -> None:
+    """Record that the map of ``link`` keys ``entry``.
+
+    Immortal entries never die, so they get no links.  A link already
+    present is not repeated; when the list reaches a power of two (from 8
+    on) it drops links to maps that died or no longer key the entry, so a
+    long-lived object re-keyed across many short-lived maps keeps a list
+    proportional to where it is keyed now.
+    """
+    if type(entry) is not ParamEntry:
+        return
+    links = entry.links
+    if links is None:
+        entry.links = [link]
+        return
+    if link in links:
+        return
+    links.append(link)
+    count = len(links)
+    if count >= 8 and not count & (count - 1):
+        links[:] = [
+            kept
+            for kept in links
+            if (node := kept[0]()) is not None and entry in node._buckets
+        ]

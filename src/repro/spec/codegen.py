@@ -64,6 +64,17 @@ durations; everything else is the plain source, line for line.  The
 runtime's instrument wrapper runs them on attributed samples only
 (cached under ``fingerprint + ":timed"``), so ``repro_prop_stage_*``
 times the code that runs unsampled.
+
+Eager variant
+-------------
+With ``eager=True`` (an engine with ``propagation="eager"``) every map a
+kernel creates is a :class:`~repro.runtime.rvmap.LinkedRVMap`, and every
+key a kernel inserts gets a weak back-link to its map, so a parameter's
+death reaches exactly the maps that key it.  The module also carries
+``_make_evict``, the generated eviction of freshly flagged monitors.
+Everything else is the plain source, line for line.  It is cached under
+``fingerprint + ":eager"``; the plain module a lazy engine binds is
+untouched.
 """
 
 from __future__ import annotations
@@ -73,7 +84,14 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from .dispatch import DispatchPlan, DomainCheck, EventPlan, InsertPlan, JoinPlan
+from .dispatch import (
+    DispatchPlan,
+    DomainCheck,
+    EventPlan,
+    InsertPlan,
+    JoinPlan,
+    _domain_sort_key,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .compiler import CompiledProperty
@@ -134,7 +152,12 @@ class _KernelEmitter:
     """
 
     def __init__(
-        self, plan: DispatchPlan, ep: EventPlan, has_fsm: bool, timed: bool = False
+        self,
+        plan: DispatchPlan,
+        ep: EventPlan,
+        has_fsm: bool,
+        timed: bool = False,
+        eager: bool = False,
     ):
         self.plan = plan
         self.ep = ep
@@ -142,6 +165,9 @@ class _KernelEmitter:
         #: Emit the timed variant: ``perf_counter`` probes around the tree
         #: walk and the stepping loop, returned as ``(_tw, _tf)``.
         self.timed = timed
+        #: Emit the eager variant: every map a kernel creates is a
+        #: ``LinkedRVMap``, and every key it inserts links back to its map.
+        self.eager = eager
         self.depth = len(ep.params)
         self.prelude: list[str] = []
         self._uid = 0
@@ -301,16 +327,31 @@ class _KernelEmitter:
         ctx: dict[str, str],
         child: str,
         child_holds_leaves: bool,
+        param: str,
+        depth: int,
     ) -> None:
-        """Inline interior-node construction (``_TreeBase._new_node``)."""
+        """Inline interior-node construction (``_TreeBase._new_node``);
+        ``param`` and ``depth`` name the new map's level (its back-link,
+        in the eager variant)."""
         insp = ctx["il"] if child_holds_leaves else ctx["im"]
-        w.emit(d, f"{child} = _RM_new(_RVMap)")
+        w.emit(d, f"{child} = _RM_new({'_LinkedRVMap' if self.eager else '_RVMap'})")
         w.emit(d, f"{child}._buckets = {{}}")
         w.emit(d, f"{child}._scan_keys = []")
         w.emit(d, f"{child}._scan_pos = 0")
         w.emit(d, f"{child}.on_dead_value = {ctx['nsub']}")
         w.emit(d, f"{child}.inspect_value = {insp}")
         w.emit(d, f"{child}.scan_budget = _budget")
+        if self.eager:
+            w.emit(d, f"{child}.link = (_wref({child}), {param!r}, {depth}, _slot)")
+
+    def emit_insert(
+        self, w: _Writer, d: int, node: str, buckets: str, entry: str, child: str
+    ) -> None:
+        """Key ``child`` under ``entry`` in ``node`` (a proven-absent key:
+        ``RVMap.put_fresh``, or ``LinkedRVMap.put_fresh`` when eager)."""
+        w.emit(d, f"{buckets}[{entry}] = {child}")
+        if self.eager:
+            w.emit(d, f"_link_key({entry}, {node}.link)")
 
     def emit_main_walk(self, w: _Writer, d: int) -> None:
         """The event-domain walk of ``lookup_entries(ents, create=True)``."""
@@ -326,8 +367,11 @@ class _KernelEmitter:
             if leaf_level:
                 self.emit_new_leaf(w, d + 1, ctx, child)
             else:
-                self.emit_new_map(w, d + 1, ctx, child, level + 2 == depth)
-            w.emit(d + 1, f"{buckets}[e{level}] = {child}")
+                self.emit_new_map(
+                    w, d + 1, ctx, child, level + 2 == depth,
+                    self.ep.params[level + 1], level + 1,
+                )
+            self.emit_insert(w, d + 1, node, buckets, f"e{level}", child)
             if not leaf_level:
                 node = child
                 buckets = f"_bk{level + 1}"
@@ -337,17 +381,19 @@ class _KernelEmitter:
         self,
         w: _Writer,
         d: int,
-        tree_path: str,
+        domain: frozenset,
         ents: tuple[str, ...],
         out: str,
     ) -> None:
-        """A ``lookup_entries(ents, create=True)`` over an auxiliary tree.
+        """A ``lookup_entries(ents, create=True)`` over ``domain``'s tree.
 
         Used by the inlined materialize to register the new monitor in
         its own leaf and the extension sets of every strictly-smaller
         event domain; the walk performs exactly the scan/probe/create
         sequence of ``_TreeBase.lookup_entries`` on that tree.
         """
+        tree_path = self.tree(domain)
+        params = sorted(domain)
         n = self.uid()
         root = self.bind(f"t{n}_root", f"{tree_path}._root")
         depth = len(ents)
@@ -366,8 +412,10 @@ class _KernelEmitter:
             if leaf_level:
                 self.emit_new_leaf(w, d + 1, ctx, child)
             else:
-                self.emit_new_map(w, d + 1, ctx, child, i + 2 == depth)
-            w.emit(d + 1, f"{buckets}[{ents[i]}] = {child}")
+                self.emit_new_map(
+                    w, d + 1, ctx, child, i + 2 == depth, params[i + 1], i + 1
+                )
+            self.emit_insert(w, d + 1, node, buckets, ents[i], child)
             if not leaf_level:
                 node = child
                 buckets = f"_nbk{n}_{i + 1}"
@@ -708,7 +756,7 @@ class _KernelEmitter:
         w.emit(d, "monitor.provenance = None")
         if own_leaf is None:
             own_leaf = f"_ol{self.uid()}"
-            self.emit_aux_create_walk(w, d, self.tree(ip.domain), ents, own_leaf)
+            self.emit_aux_create_walk(w, d, ip.domain, ents, own_leaf)
         w.emit(d, f"{own_leaf}.own = monitor")
         if ip.own_is_event_domain:
             w.emit(d, f"_lx = {own_leaf}.extensions")
@@ -719,7 +767,7 @@ class _KernelEmitter:
             u = self.uid()
             out = f"_el{u}"
             self.emit_aux_create_walk(
-                w, d, self.tree(ext_domain), tuple(ents[i] for i in extract), out
+                w, d, ext_domain, tuple(ents[i] for i in extract), out
             )
             w.emit(d, f"_ex{u} = {out}.extensions")
             w.emit(d, f"if _ex{u} is not None:")
@@ -791,6 +839,8 @@ class _KernelEmitter:
             ]
         else:
             lines.append("root_leaf = tree._root")
+        if self.eager:
+            lines.append("_slot = rt.slot")
         if self.has_fsm:
             lines += [
                 "rows = rt._fsm_rows",
@@ -810,6 +860,93 @@ class _KernelEmitter:
         return lines
 
 
+def _evict_factory(plan: DispatchPlan) -> str:
+    """The eager variant's eviction step: ``_make_evict(rt) -> evict``.
+
+    ``evict(flagged)`` drops each freshly flagged monitor from every
+    structure that still holds it, the reference tier's
+    ``PropertyRuntime._evict_flagged`` unrolled per monitor domain: one
+    function per domain walks, in the runtime's order, each event-domain
+    tree below it (own slot and extension set), its own tree, and its
+    join indices, each by ``lookup_entries`` over the monitor's own
+    entries where they are all alive.  Structures keyed by a dead entry
+    were already purged through its back-links.
+    """
+    w = _Writer()
+    w.blank()
+    w.blank()
+    w.emit(0, "def _make_evict(rt):")
+    body = _Writer()
+    bound: dict[str, str] = {}
+
+    def bind(prefix: str, expr: str) -> str:
+        """A bind-time structure variable (first use emits it)."""
+        var = bound.get(expr)
+        if var is None:
+            var = bound[expr] = f"{prefix}{len(bound)}"
+            w.emit(1, f"{var} = {expr}")
+        return var
+
+    def lookup(out: str, structure: str, domain: frozenset, slot: dict) -> int:
+        """``out = structure.lookup_entries(...)`` under the all-alive
+        test of ``domain``'s entries; returns the indentation below it."""
+        params = sorted(domain)
+        d = 2
+        if params:
+            body.emit(d, "if " + " and ".join(f"a{slot[p]}" for p in params) + ":")
+            d += 1
+        ents = _tuple(f"e{slot[p]}" for p in params)
+        body.emit(d, f"{out} = {structure}.lookup_entries({ents}, False)")
+        return d
+
+    evictors: list[tuple[frozenset, str]] = []
+    for number, domain in enumerate(sorted(plan.monitor_domains, key=_domain_sort_key)):
+        name = f"evict_{number}"
+        evictors.append((domain, name))
+        slot = {param: k for k, param in enumerate(sorted(domain))}
+        body.blank()
+        body.emit(1, f"def {name}(monitor):")
+        body.emit(2, "params = monitor.params")
+        for param, k in slot.items():
+            body.emit(2, f"e{k} = params[{param!r}]")
+        for k in slot.values():
+            body.emit(2, f"a{k} = e{k}() is not None")
+        for event_domain in plan.event_domains:
+            if event_domain <= domain:
+                tree = bind("tree", f"rt.trees[{_domain(event_domain)}]")
+                d = lookup("leaf", tree, event_domain, slot)
+                body.emit(d, "if leaf is not None:")
+                body.emit(d + 1, "if leaf.own is monitor:")
+                body.emit(d + 2, "leaf.own = None")
+                body.emit(d + 1, "if leaf.extensions is not None:")
+                body.emit(d + 2, "leaf.extensions.compact()")
+        if domain not in plan.event_domains:
+            tree = bind("tree", f"rt.trees[{_domain(domain)}]")
+            d = lookup("leaf", tree, domain, slot)
+            body.emit(d, "if leaf is not None and leaf.own is monitor:")
+            body.emit(d + 1, "leaf.own = None")
+        for join_domain, key_domain in plan.join_index_keys:
+            if join_domain == domain:
+                key = f"({_domain(join_domain)}, {_domain(key_domain)})"
+                index = bind("index", f"rt._join_indices[{key}]")
+                d = lookup("bucket", index, key_domain, slot)
+                body.emit(d, "if bucket is not None:")
+                body.emit(d + 1, "bucket.compact()")
+    w.lines.extend(body.lines)
+    w.blank()
+    w.emit(1, "evictors = {")
+    for domain, name in evictors:
+        w.emit(2, f"{_domain(domain)}: {name},")
+    w.emit(1, "}")
+    w.blank()
+    w.emit(1, "def evict(flagged):")
+    w.emit(2, "for monitor in flagged:")
+    w.emit(3, "evictors[monitor.domain](monitor)")
+    w.blank()
+    w.emit(1, "return evict")
+    return w.source()
+
+
 def _module_parts(
     plan: DispatchPlan,
     *,
@@ -817,14 +954,17 @@ def _module_parts(
     spec_name: str,
     fingerprint: str,
     timed: bool = False,
-) -> tuple[str, list[tuple[bool, str, str, str]]]:
+    eager: bool = False,
+) -> tuple[str, list[tuple[str, str, str]]]:
     """The generated module as ``(header, factories)``.
 
     ``factories`` lists ``(event, factory name, source)`` in module
     order; each source is one top-level ``def _make_*`` that needs only
     the header's names, so the cache can compile them one at a time.
     ``timed`` renders the attribution variant: the kernels with their
-    timing probes.
+    timing probes.  ``eager`` renders the back-linking variant an eager
+    engine binds, plus its eviction step, listed last under the event
+    ``None``.
     """
     w = _Writer()
     w.emit(0, f'"""Generated dispatch kernels for {spec_name}')
@@ -841,6 +981,9 @@ def _module_parts(
     w.emit(0, "from repro.runtime.indexing import Leaf as _Leaf")
     w.emit(0, "from repro.runtime.instance import MonitorInstance as _MonitorInstance")
     w.emit(0, "from repro.runtime.rvmap import RVMap as _RVMap")
+    if eager:
+        w.emit(0, "from repro.runtime.rvmap import LinkedRVMap as _LinkedRVMap")
+        w.emit(0, "from repro.runtime.rvmap import link_key as _link_key")
     w.emit(0, "from repro.runtime.rvset import RVSet as _RVSet")
     w.emit(0, "")
     w.emit(0, "_FM_new = _FSMMonitor.__new__")
@@ -853,8 +996,10 @@ def _module_parts(
         ep = plan.event_plans[event]
         fw = _Writer()
         name = f"_make_{index}_{_sanitize(event)}"
-        _KernelEmitter(plan, ep, has_fsm, timed).emit_factory(fw, name, spec_name)
+        _KernelEmitter(plan, ep, has_fsm, timed, eager).emit_factory(fw, name, spec_name)
         factories.append((event, name, fw.source()))
+    if eager:
+        factories.append((None, "_make_evict", _evict_factory(plan)))
     return w.source(), factories
 
 
@@ -865,10 +1010,11 @@ def kernel_module_source(
     spec_name: str,
     fingerprint: str = "",
     timed: bool = False,
+    eager: bool = False,
 ) -> str:
     """Render the full generated-kernel module for one property.
 
-    A pure function of ``(plan, has_fsm, spec_name, timed)`` — the
+    A pure function of ``(plan, has_fsm, spec_name, timed, eager)`` — the
     property fingerprint covers the first three — so equal fingerprints
     always yield byte-identical source (the cache-correctness invariant
     the invalidation tests pin down).
@@ -880,21 +1026,28 @@ def kernel_module_source(
             spec_name=spec_name,
             fingerprint=fingerprint,
             timed=timed,
+            eager=eager,
         )
     )
 
 
-def _assemble(header: str, factories: list[tuple[str, str, str]]) -> str:
-    """Join :func:`_module_parts` into one module with its factory table."""
+def _assemble(header: str, factories: list[tuple[str | None, str, str]]) -> str:
+    """Join :func:`_module_parts` into one module with its factory table
+    (and, in the eager variant, its eviction factory as ``EVICT``)."""
     w = _Writer()
     w.emit(0, "FACTORIES = {")
     for event, name, _source in factories:
-        w.emit(1, f"{event!r}: {name},")
+        if event is not None:
+            w.emit(1, f"{event!r}: {name},")
     w.emit(0, "}")
+    if factories and factories[-1][0] is None:
+        w.emit(0, f"EVICT = {factories[-1][1]}")
     return header + "".join(part[2] for part in factories) + "\n\n" + w.source()
 
 
-def kernel_source_for(prop: "CompiledProperty", timed: bool = False) -> str:
+def kernel_source_for(
+    prop: "CompiledProperty", timed: bool = False, eager: bool = False
+) -> str:
     """The generated module source for one compiled property (diagnostics,
     docs, and the CI artifact dumped when the codegen perf gate fails)."""
     return kernel_module_source(
@@ -903,6 +1056,7 @@ def kernel_source_for(prop: "CompiledProperty", timed: bool = False) -> str:
         spec_name=prop.spec_name,
         fingerprint=prop.fingerprint(),
         timed=timed,
+        eager=eager,
     )
 
 
@@ -915,6 +1069,8 @@ class KernelModule:
     source: str
     #: event -> ``factory(rt) -> kernel(values, record, pretouched)``
     factories: dict[str, Callable[..., Any]] = field(repr=False)
+    #: The eager variant's ``factory(rt) -> evict(flagged)``, else None.
+    evict_factory: Callable[..., Any] | None = field(default=None, repr=False)
 
     def bind(self, runtime: Any) -> dict[str, Any]:
         """Bind one runtime's kernels: event -> kernel.
@@ -949,17 +1105,22 @@ class KernelCache:
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self._modules
 
-    def module_for(self, prop: "CompiledProperty", timed: bool = False) -> KernelModule:
+    def module_for(
+        self, prop: "CompiledProperty", timed: bool = False, eager: bool = False
+    ) -> KernelModule:
         """The compiled kernel module for ``prop`` (generate on miss).
 
-        ``timed`` selects the attribution variant, cached under
-        ``fingerprint + ":timed"``.  The header is compiled once, then
-        each factory separately into the same namespace: compiling the
-        whole module in one call would hold its complete syntax tree,
-        several times the size of any one factory's, at the peak.
+        ``timed`` selects the attribution variant, ``eager`` the
+        back-linking one with its eviction step; they are cached under
+        ``fingerprint`` plus ``":eager"`` and then ``":timed"``.  The
+        header is compiled once, then each factory separately into the
+        same namespace: compiling the whole module in one call would hold
+        its complete syntax tree, several times the size of any one
+        factory's, at the peak.
         """
         fingerprint = prop.fingerprint()
-        key = fingerprint + ":timed" if timed else fingerprint
+        variant = ":eager" * eager + ":timed" * timed
+        key = fingerprint + variant
         with self._lock:
             module = self._modules.get(key)
             if module is not None:
@@ -972,10 +1133,11 @@ class KernelCache:
             spec_name=prop.spec_name,
             fingerprint=fingerprint,
             timed=timed,
+            eager=eager,
         )
-        filename = f"<repro-kernels:{prop.spec_name}:{fingerprint[:12]}{':timed' * timed}>"
+        filename = f"<repro-kernels:{prop.spec_name}:{fingerprint[:12]}{variant}>"
         namespace: dict[str, Any] = {}
-        factories: dict[str, Callable[..., Any]] = {}
+        factories: dict[Any, Callable[..., Any]] = {}
         # The sources are generated above, never taken from input.
         exec(compile(header, filename, "exec"), namespace)  # noqa: S102
         for event, name, source in parts:
@@ -985,6 +1147,7 @@ class KernelCache:
             fingerprint=fingerprint,
             spec_name=prop.spec_name,
             source=_assemble(header, parts),
+            evict_factory=factories.pop(None, None),
             factories=factories,
         )
         with self._lock:
@@ -993,10 +1156,11 @@ class KernelCache:
             return self._modules.setdefault(key, module)
 
     def invalidate(self, fingerprint: str) -> bool:
-        """Drop one property's cached modules, plain and timed; returns
+        """Drop one property's cached modules, every variant; returns
         whether the plain one was present."""
         with self._lock:
-            self._modules.pop(fingerprint + ":timed", None)
+            for variant in (":timed", ":eager", ":eager:timed"):
+                self._modules.pop(fingerprint + variant, None)
             return self._modules.pop(fingerprint, None) is not None
 
     def clear(self) -> None:

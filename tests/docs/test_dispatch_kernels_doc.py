@@ -4,7 +4,8 @@ Every python code fence in the page that shows generated kernel code
 (anything that is not the `import`-ing usage example) carries a marker
 line, ``<!-- kernel: <catalogue key> -->``, right before the fence, and
 must appear *verbatim* — byte for byte, indentation included — in the
-module `repro.spec.codegen` actually generates for that property today.
+module `repro.spec.codegen` actually generates for that property today
+(the plain module or its eager variant).
 A codegen change that reshapes the emitted source must update the
 documentation in the same commit, or this test points at the drifted
 excerpt.
@@ -23,7 +24,10 @@ FENCE = re.compile(r"(?:<!-- kernel: (\w+) -->\n)?```python\n(.*?)```", re.DOTAL
 
 
 def generated_source(key: str) -> str:
-    return kernel_source_for(CATALOGUE[key].make().properties[0])
+    """The property's plain module followed by its eager variant, which
+    alone carries the back-links and the eviction step."""
+    prop = CATALOGUE[key].make().properties[0]
+    return kernel_source_for(prop) + kernel_source_for(prop, eager=True)
 
 
 def test_documented_excerpts_match_generated_source():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import io
 import sys
+import threading
 import weakref
 
 import pytest
@@ -147,6 +148,47 @@ class TestTraceWeaver:
             ])
             step(token)
         assert events == [("next", {"i": token}), ("stepped", {"i": token})]
+
+    def test_every_binding_source_and_an_unknown_one(self):
+        """Each source kind binds through the getter compiled at weave
+        time; an unknown source fails the weave, before any call."""
+        events = []
+
+        class Sink:
+            def emit(self, event, _strict=False, **params):
+                events.append((event, params))
+
+        class Box:
+            def put(self, item):
+                return item
+
+        weaver = TraceWeaver(Sink(), backend="settrace")
+        box, item = Box(), Obj("item")
+        with weaver:
+            weaver.weave(
+                on_return(
+                    Box.put,
+                    "put",
+                    {
+                        "s": "self",
+                        "a": "arg:item",
+                        "r": "result",
+                        "t": "thread",
+                        "f": lambda context: context.locals["self"],
+                    },
+                    condition=lambda context: context.result is item,
+                )
+            )
+            box.put(item)
+            box.put(Obj("skipped"))
+            with pytest.raises(ReproError, match="unknown function binding source"):
+                weaver.weave(on_call(Box.put, "bad", {"x": "local:item"}))
+        assert events == [
+            (
+                "put",
+                {"s": box, "a": item, "r": item, "t": threading.current_thread(), "f": box},
+            )
+        ]
 
     def test_exceptional_exit_skips_return_advice(self):
         events = []

@@ -100,25 +100,29 @@ class TestEngineWiring:
         del c, i
 
     def test_gc_purge_pause_observed_on_deaths(self):
-        telemetry = sample_everything()
-        engine = MonitoringEngine(
-            UNSAFEITER.make().silence(),
-            gc="coenable",
-            propagation="eager",  # lazy GC never calls collect_deaths
-            telemetry=telemetry,
-        )
-        keepalive = emit_triples(engine, 4)
-        del keepalive
+        """The eager death step is timed on either tier: ``reap`` on
+        generated kernels, ``collect_deaths`` on the reference tier."""
         import gc as _gc
 
-        _gc.collect()
-        engine.emit("update", c=Obj("fresh"))  # death boundary -> purge
-        snap = telemetry.snapshot()
-        phases = {
-            tuple(key): value["count"]
-            for key, value in snap["repro_engine_gc_pause_seconds"]["series"]
-        }
-        assert phases.get(("UnsafeIter/ere", "purge"), 0) >= 1
+        for dispatch in ("codegen", "reference"):
+            telemetry = sample_everything()
+            engine = MonitoringEngine(
+                UNSAFEITER.make().silence(),
+                gc="coenable",
+                propagation="eager",  # lazy GC has no death step
+                dispatch=dispatch,
+                telemetry=telemetry,
+            )
+            keepalive = emit_triples(engine, 4)
+            del keepalive
+            _gc.collect()
+            engine.emit("update", c=Obj("fresh"))  # death boundary -> purge
+            snap = telemetry.snapshot()
+            phases = {
+                tuple(key): value["count"]
+                for key, value in snap["repro_engine_gc_pause_seconds"]["series"]
+            }
+            assert phases.get(("UnsafeIter/ere", "purge"), 0) >= 1, dispatch
 
     def test_telemetry_none_records_nothing(self):
         engine = MonitoringEngine(UNSAFEITER.make().silence())

@@ -255,3 +255,55 @@ class TestDurableEngine:
         fresh = Obj("fresh")
         assert recovered.registry.symbol_for(fresh) == f"o{used + 1}"
         recovered.close()
+
+    def test_a_death_after_recovery_is_stamped_as_uninterrupted(self, tmp_path):
+        """The ledger's clock is checkpointed: an object that dies after a
+        recovery from a checkpoint plus a WAL suffix gets the same ``died``
+        ordinal as in the run that never stopped."""
+        trace = unsafeiter_trace(60, seed=20110607)
+        pool = {k: Obj(k) for k in ("c0", "c1", "c2", "i0", "i1", "i2")}
+
+        def death_after(target, engine):
+            late = Obj("late")
+            target.emit("update", c=late)
+            entry = engine.ledger.entry(late)
+            del late
+            return entry.died
+
+        uninterrupted = MonitoringEngine(
+            ALL_PROPERTIES["unsafeiter"].make().silence(), system="tm"
+        )
+        drive(uninterrupted, trace, pool)
+        want = death_after(uninterrupted, uninterrupted)
+        assert want == len(trace) + 1
+
+        durable = DurableEngine(
+            ALL_PROPERTIES["unsafeiter"].make().silence(),
+            str(tmp_path),
+            system="tm",
+            fsync_interval=1,
+        )
+        drive(durable, trace[:40], pool)
+        durable.checkpoint()
+        drive(durable, trace[40:], pool)
+        del durable
+        gc.collect()
+        recovered, _tokens = DurableEngine.recover(
+            ALL_PROPERTIES["unsafeiter"].make().silence(), str(tmp_path)
+        )
+        assert death_after(recovered, recovered.engine) == want
+        recovered.close()
+
+    def test_a_snapshot_without_a_clock_restores_it_as_zero(self):
+        from repro.persist.codec import restore_engine, snapshot_engine
+
+        engine = MonitoringEngine(ALL_PROPERTIES["unsafeiter"].make().silence())
+        c = Obj("c")
+        engine.emit("update", c=c)
+        snapshot = snapshot_engine(engine)
+        assert snapshot["clock"] == 1
+        del snapshot["clock"]
+        restored, _tokens = restore_engine(
+            snapshot, ALL_PROPERTIES["unsafeiter"].make().silence()
+        )
+        assert restored.ledger.clock == 0

@@ -35,6 +35,8 @@ import textwrap
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from repro.properties import ALL_PROPERTIES, CATALOGUE
 from repro.runtime.engine import MonitoringEngine
 from repro.runtime.tracelog import replay_entries
@@ -376,3 +378,88 @@ def test_timed_module_is_the_plain_module_plus_probes():
             assert stripped == plain, (key, prop.formalism)
             checked += 1
     assert checked >= len(CATALOGUE)
+
+
+#: Lines of the eager module that exist only for its back-links.
+LINK_LINE = re.compile(r"\b(_LinkedRVMap|_link_key|_slot)\b|\.link = \(")
+
+
+def eager_stripped(source: str) -> str:
+    """The eager module without its back-link lines and eviction factory."""
+    head, _evict, tail = source.partition("\n\ndef _make_evict(rt):\n")
+    if _evict:
+        tail = tail[tail.index("\n\nFACTORIES = {") :]
+    lines = (head + tail).replace("EVICT = _make_evict\n", "")
+    return "".join(
+        line.replace("_RM_new(_LinkedRVMap)", "_RM_new(_RVMap)")
+        for line in lines.splitlines(keepends=True)
+        if not LINK_LINE.search(line) or "_RM_new(_LinkedRVMap)" in line
+    )
+
+
+def test_eager_module_is_the_plain_module_plus_back_links():
+    """The eager variant differs from the plain module only by its
+    back-links (the ``LinkedRVMap`` construction, the ``link`` of each new
+    map, a ``_link_key`` call after each inserted key) and the eviction
+    factory, plain and timed, for every catalogue property and formalism;
+    the eviction step unrolls every monitor domain."""
+    checked = 0
+    for key in sorted(CATALOGUE):
+        for prop in CATALOGUE[key].make().properties:
+            for timed in (False, True):
+                plain = kernel_source_for(prop, timed=timed)
+                eager = kernel_source_for(prop, timed=timed, eager=True)
+                assert "EVICT = _make_evict" in eager
+                assert "_link_key" not in plain and "_make_evict" not in plain
+                assert eager_stripped(eager) == plain, (key, prop.formalism, timed)
+            evictors = eager[eager.index("    evictors = {") :]
+            assert evictors.count(": evict_") == len(prop.monitor_domains())
+            checked += 1
+    assert checked >= len(CATALOGUE)
+
+
+@pytest.mark.parametrize(
+    "propagation, dispatch, linked",
+    [
+        ("lazy", "codegen", False),
+        ("eager", "codegen", True),
+        ("eager_full", "codegen", False),
+        ("eager", "reference", False),
+    ],
+)
+def test_only_eager_codegen_engines_link_their_maps(propagation, dispatch, linked):
+    """A lazy engine binds the plain module and builds plain maps; only
+    targeted eager propagation on generated kernels binds the eager
+    variant (cached under ``":eager"``) and builds back-linking maps."""
+    from repro.runtime.rvmap import LinkedRVMap
+
+    engine = MonitoringEngine(
+        ALL_PROPERTIES["unsafeiter"].make().silence(),
+        propagation=propagation,
+        dispatch=dispatch,
+    )
+    c, i = Obj("c"), Obj("i")
+    engine.emit("create", c=c, i=i)
+    runtime = _runtime(engine)
+    module = runtime._kernel_module
+    if dispatch == "codegen":
+        assert (module.evict_factory is not None) is linked
+        variant = _prop(engine).fingerprint() + ":eager" * linked
+        assert shared_kernel_cache.module_for(_prop(engine), eager=linked) is module
+        assert variant in shared_kernel_cache
+    tree = runtime.trees[frozenset(("c", "i"))]
+    nodes = [tree._root, *tree._root.all_values()]
+    assert all(isinstance(node, LinkedRVMap) is linked for node in nodes)
+    assert bool(engine.ledger.entry(i).links) is linked
+
+
+def test_invalidation_drops_every_variant():
+    prop = _prop(_codegen_engine("unsafeiter"))
+    fingerprint = prop.fingerprint()
+    for timed in (False, True):
+        for eager in (False, True):
+            shared_kernel_cache.module_for(prop, timed=timed, eager=eager)
+    variants = ("", ":timed", ":eager", ":eager:timed")
+    assert all(fingerprint + variant in shared_kernel_cache for variant in variants)
+    assert shared_kernel_cache.invalidate(fingerprint)
+    assert not any(fingerprint + variant in shared_kernel_cache for variant in variants)

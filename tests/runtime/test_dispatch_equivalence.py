@@ -39,7 +39,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import UnsupportedFormalismError
-from repro.properties import ALL_PROPERTIES
+from repro.properties import ALL_PROPERTIES, CATALOGUE
 from repro.runtime.engine import MonitoringEngine
 from repro.runtime.tracelog import replay_entries
 
@@ -52,13 +52,15 @@ KILL_PROBABILITY = 0.12
 SEEDS = (1, 2)
 
 
-def synth_ops(definition, seed: int):
+def synth_ops(definition, seed: int, burst: int = 1):
     """A reproducible op list: emits over the alphabet + object kills.
 
     Pools are small so bindings collide (shared sub-instances exercise the
     defineTo and join creation paths); kills replace a pooled object so the
     name can be re-bound by a fresh identity later (exercising recreation
-    and the disable-knowledge checks).
+    and the disable-knowledge checks).  ``burst`` > 1 lets up to that many
+    kills land before one event, so one boundary sees several deaths (the
+    default draws exactly the historical sequence).
     """
     rng = random.Random(seed)
     alphabet = sorted(definition.alphabet)
@@ -68,6 +70,9 @@ def synth_ops(definition, seed: int):
         if parameters and rng.random() < KILL_PROBABILITY:
             param = rng.choice(parameters)
             ops.append(("kill", param, rng.randrange(POOL)))
+            for _extra in range(burst - 1):
+                if rng.random() < 0.5:
+                    ops.append(("kill", rng.choice(parameters), rng.randrange(POOL)))
         event = rng.choice(alphabet)
         ops.append(
             (
@@ -108,14 +113,30 @@ def pinned_rows(corpus: str, prefix: str) -> dict[str, list[int]]:
     return {key: table[key] for key in table if key.startswith(prefix + "/")}
 
 
-def run_lockstep(spec_factory, ops, gc_kind: str, dispatches=DISPATCHES):
-    """Run one engine per dispatch over the same objects/deaths.
+class _DeathLog:
+    """Records every ``on_deaths`` payload, in boundary order."""
 
-    Returns ``(engines, verdict_bags)`` keyed by dispatch name; each bag
-    counts verdicts keyed by property identity plus the *binding identity*
-    of the firing monitor, so a stale or duplicated monitor shows up even
-    when verdict totals happen to agree.
+    def __init__(self):
+        self.payloads = []
+
+    def on_deaths(self, dead):
+        self.payloads.append({name: sorted(serials) for name, serials in dead.items()})
+
+
+def run_lockstep(spec_factory, ops, gc_kind: str, configs=None):
+    """Run one engine per configuration over the same objects/deaths.
+
+    ``configs`` maps a name to ``(propagation, dispatch)``; the default is
+    one lazy engine per :data:`DISPATCHES` entry, named by its dispatch.
+    Returns ``(engines, verdict_bags, death_logs, live)`` keyed by name:
+    each bag counts verdicts keyed by property identity plus the *binding
+    identity* of the firing monitor, so a stale or duplicated monitor
+    shows up even when verdict totals happen to agree; each log holds the
+    engine's ``on_deaths`` payloads; ``live`` lists the engine's
+    live-monitor count after every event.
     """
+    if configs is None:
+        configs = {dispatch: ("lazy", dispatch) for dispatch in DISPATCHES}
 
     def collector(bag: Counter):
         def on_verdict(prop, category, monitor):
@@ -137,13 +158,16 @@ def run_lockstep(spec_factory, ops, gc_kind: str, dispatches=DISPATCHES):
 
     engines: dict[str, MonitoringEngine] = {}
     verdicts: dict[str, Counter] = {}
-    for dispatch in dispatches:
+    logs: dict[str, _DeathLog] = {}
+    live: dict[str, list[int]] = {name: [] for name in configs}
+    for name, (propagation, dispatch) in configs.items():
         bag: Counter = Counter()
-        engines[dispatch] = MonitoringEngine(
-            spec_factory(), gc=gc_kind, on_verdict=collector(bag),
-            dispatch=dispatch,
+        engines[name] = MonitoringEngine(
+            spec_factory(), gc=gc_kind, propagation=propagation,
+            on_verdict=collector(bag), dispatch=dispatch,
         )
-        verdicts[dispatch] = bag
+        verdicts[name] = bag
+        logs[name] = engines[name].add_observer(_DeathLog())
     pools: dict[str, list[Obj]] = {}
     serial = 0
     for op in ops:
@@ -161,13 +185,14 @@ def run_lockstep(spec_factory, ops, gc_kind: str, dispatches=DISPATCHES):
                 if pool is None:
                     pool = pools[param] = [Obj(f"{param}{n}") for n in range(POOL)]
                 values[param] = pool[slot]
-            for engine in engines.values():
+            for name, engine in engines.items():
                 engine.emit(event, **values)
+                live[name].append(engine.total_live_monitors())
     pools.clear()
     gc.collect()
     for engine in engines.values():
         engine.flush_gc()
-    return engines, verdicts
+    return engines, verdicts, logs, live
 
 
 @pytest.mark.parametrize("gc_kind", GC_STRATEGIES)
@@ -183,7 +208,7 @@ def test_dispatches_equal_reference(key, gc_kind):
         pytest.skip(f"{key} does not support the {gc_kind} strategy (CFG)")
     for seed in SEEDS:
         ops = synth_ops(spec.definition, seed=zlib.crc32(f"{key}/{seed}".encode()))
-        engines, verdicts = run_lockstep(
+        engines, verdicts, _logs, _live = run_lockstep(
             lambda: paper_prop.make().silence(), ops, gc_kind
         )
         reference = engines["reference"]
@@ -289,55 +314,57 @@ def test_all_properties_together_codegen_vs_reference():
         assert stats.monitors_created == other.monitors_created, key
 
 
-@pytest.mark.parametrize("key", ("hasnext", "unsafeiter", "unsafemapiter", "safeenum"))
+#: The eager oracle's engines: targeted eager on generated kernels (dead
+#: entries' back-links, generated eviction), targeted eager on the
+#: reference tier (``_TreeBase.purge``, ``_evict_flagged``), and the
+#: full-scan ablation.
+EAGER_CONFIGS = {
+    "codegen": ("eager", "codegen"),
+    "reference": ("eager", "reference"),
+    "full": ("eager_full", "codegen"),
+}
+#: Per-property observables the three eager regimes must agree on.
+EAGER_FIELDS = ("events", "monitors_created", *LIFETIME_FIELDS)
+
+
+@pytest.mark.parametrize("key", sorted(CATALOGUE))
 def test_targeted_eager_equals_full_eager(key):
-    """The targeted eager propagation (purge only affected trees/buckets,
-    evict flagged monitors directly) must match the historical full-scan
-    eager regime on every robust observable, including flag counts — both
-    deliver every pending death notification at the same event boundary."""
-    paper_prop = ALL_PROPERTIES[key]
+    """The targeted eager propagation (back-links on generated kernels,
+    the purge walk on the reference tier; flagged monitors evicted
+    directly) must match the full-scan eager regime under every GC
+    strategy, on the verdicts with their binding identities, E and M, and
+    the monitor lifetimes FM, CM and the live peak: all three deliver
+    every pending death notification at the same event boundary, and
+    leave no flagged monitor behind it, so the live-monitor count after
+    every event agrees too.  The two targeted engines also
+    report the same ``on_deaths`` payloads (the full scan reports none).
+    Kills come in bursts, so a boundary can see a key and a key below it
+    die together."""
+    paper_prop = CATALOGUE[key]
     spec = paper_prop.make().silence()
-    ops = synth_ops(spec.definition, seed=zlib.crc32(key.encode()) ^ 0xE46E5)
-
-    def run(propagation):
-        verdicts: Counter = Counter()
-        engine = MonitoringEngine(
-            paper_prop.make().silence(),
-            gc="coenable",
-            propagation=propagation,
-            on_verdict=lambda prop, cat, mon: verdicts.update(
-                [(cat, tuple(sorted(name for name, _ in mon.binding().items())))]
-            ),
+    ops = synth_ops(spec.definition, seed=zlib.crc32(key.encode()) ^ 0xE46E5, burst=3)
+    checked = 0
+    for gc_kind in GC_STRATEGIES:
+        try:
+            MonitoringEngine(paper_prop.make().silence(), gc=gc_kind)
+        except UnsupportedFormalismError:
+            continue
+        engines, verdicts, logs, live = run_lockstep(
+            lambda: paper_prop.make().silence(), ops, gc_kind, EAGER_CONFIGS
         )
-        pools: dict[str, list[Obj]] = {}
-        serial = 0
-        for op in ops:
-            if op[0] == "kill":
-                _tag, param, slot = op
-                if param in pools:
-                    serial += 1
-                    pools[param][slot] = Obj(f"{param}#{serial}")
-            else:
-                _tag, event, binding = op
-                values = {}
-                for param, slot in binding.items():
-                    pool = pools.setdefault(
-                        param, [Obj(f"{param}{n}") for n in range(POOL)]
+        for name in ("reference", "full"):
+            assert verdicts[name] == verdicts["codegen"], (key, gc_kind, name)
+            assert live[name] == live["codegen"], (key, gc_kind, name)
+            for prop_key, stats in engines["codegen"].stats().items():
+                other = engines[name].stats_for(*prop_key)
+                for field in EAGER_FIELDS:
+                    assert getattr(other, field) == getattr(stats, field), (
+                        key, gc_kind, name, prop_key, field,
                     )
-                    values[param] = pool[slot]
-                engine.emit(event, **values)
-        pools.clear()
-        gc.collect()
-        engine.flush_gc()
-        stats = next(iter(engine.stats().values()))
-        return (
-            verdicts,
-            stats.events,
-            stats.monitors_created,
-            stats.monitors_flagged,
-        )
-
-    assert run("eager") == run("eager_full")
+        assert logs["codegen"].payloads == logs["reference"].payloads, (key, gc_kind)
+        assert not logs["full"].payloads
+        checked += 1
+    assert checked
 
 
 BATCH_FIELDS = ("events", "monitors_created", *LIFETIME_FIELDS)
