@@ -4,22 +4,20 @@ Measures ``MonitorService`` ingestion throughput on the unsafe-iterator
 workload (UNSAFEITER over the ``bloat`` DaCapo analog — the paper's
 pathological leak case) for 1, 2 and 4 shards, in two engine regimes:
 
-* ``eager_full`` propagation (the Tracematches-style cost profile, kept as
-  the ablation regime since PR 3's targeted eager propagation): every
-  parameter death triggers full scans of the engine's structures, so
-  per-event cost grows with *engine state*.  Sharding divides that state —
-  anchor routing keeps each collection's slices on one shard and sticky
-  routing keeps anchor-free ``next`` traffic off the other shards — so
-  throughput rises superlinearly with shard count on one core.  This is
-  the headline number: **>= 2x at 4 shards**.  (The default ``eager``
-  regime no longer full-scans per boundary — see
-  ``benchmarks/bench_dispatch.py`` — so sharding no longer buys it a
-  single-core speedup; that is a feature.)
+* ``eager`` propagation (the Tracematches-style regime): every parameter
+  death is propagated at the next event boundary, through the dead
+  object's back-links to the maps that key it, so its cost grows with
+  where the object was keyed, not with engine state.  Sharding divides
+  nothing that eager death propagation pays for, so on one core it buys
+  no speedup (the headline ``headline_speedup_eager_4_shards`` reports
+  the ratio as measured).
 * ``lazy`` propagation (the paper's design): per-event cost is already
   O(1) in engine state, so on a single core sharding buys no speedup —
-  expect ~0.8-1.0x (routing overhead).  The row is reported to keep the
-  claim honest; with real parallelism the lazy regime is where worker
-  threads/processes would earn their keep.
+  expect ~0.7-1.0x (routing overhead).  With real parallelism the lazy
+  regime is where worker threads/processes would earn their keep.
+
+The lazy 1-shard row is the recorded baseline of
+``benchmarks/bench_dispatch.py --check-baseline``.
 
 The run is deterministic end to end: the workload trace is recorded once
 (symbolic identities) and ingested by every configuration via
@@ -47,7 +45,7 @@ from repro.properties import UNSAFEITER
 from repro.service import MonitorService, ingest_symbolic
 
 SHARD_COUNTS = (1, 2, 4)
-PROPAGATIONS = ("eager_full", "lazy")
+PROPAGATIONS = ("eager", "lazy")
 REPEATS = 2
 
 
@@ -127,7 +125,7 @@ def run_matrix(scale: float, seed: "int | None" = None) -> dict:
     eager_4 = next(
         row
         for row in results
-        if row["propagation"] == "eager_full" and row["shards"] == 4
+        if row["propagation"] == "eager" and row["shards"] == 4
     )
     return {
         "benchmark": "service_scaling",

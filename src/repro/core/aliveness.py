@@ -85,6 +85,26 @@ class AlivenessFormula:
                 return True
         return False
 
+    def holds_over(self, entries: Mapping[str, Callable[[], object]]) -> bool:
+        """:meth:`evaluate` over a monitor's ledger entries.
+
+        A parameter is alive while its entry still returns its object;
+        a parameter with no entry is unbound and counts as alive (Theorem
+        1).  One notification per parameter death makes this the hottest
+        interpreted check of every GC strategy that consults a formula, so
+        the atoms call the entries directly instead of going through a
+        liveness callable.
+        """
+        get = entries.get
+        for conjunct in self._conjuncts:
+            for name in conjunct:
+                entry = get(name)
+                if entry is not None and entry() is None:
+                    break
+            else:
+                return True
+        return False
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlivenessFormula):
             return NotImplemented

@@ -43,15 +43,16 @@ switches to the eager scheme the paper warns about (Section 4.2: "eager
 garbage collection ... introduces a very large amount of runtime
 overhead"): the ledger's death callback queues each dead entry, and the
 deaths are coalesced per event boundary and propagated *before* the next
-event.  The propagation is targeted — each dead entry carries weak
-back-links to the maps that key it, so only those maps are touched (the
-reference tier probes every structure's maps for the dead entries
-instead); monitors flagged by the propagation are evicted from every
-remaining structure immediately by a generated eviction step (the
-Tracematches cost profile, minus the full-scan pathology).  Under lazy
-propagation the callback only stamps the death.
-``propagation="eager_full"`` keeps the historical full-scan-per-boundary
-behavior for the ablation benchmark.
+event.  The propagation is targeted on both dispatch tiers — each dead
+entry carries weak back-links to the maps that key it, so only those maps
+are touched (:meth:`PropertyRuntime.reap`); monitors flagged by the
+propagation are evicted from every remaining structure immediately (the
+Tracematches cost profile, minus the full-scan pathology), by a generated
+eviction step on codegen and by :meth:`PropertyRuntime._evict_flagged` on
+the reference tier.  Under lazy propagation the callback only stamps the
+death.  A full scan of every structure is not a propagation regime: it is
+:meth:`MonitoringEngine.flush_gc`, which the equivalence suites call at
+each death boundary of a lazy engine as the oracle for eager propagation.
 
 The property set is **dynamic**: the engine consumes a versioned
 :class:`~repro.spec.registry.PropertyRegistry` (built implicitly from the
@@ -95,9 +96,8 @@ SYSTEMS: dict[str, tuple[str, str]] = {
     "none": ("none", "lazy"),
 }
 
-#: Propagation regimes: the paper's lazy design, targeted eager, and the
-#: historical full-scan eager (ablation only).
-PROPAGATIONS = ("lazy", "eager", "eager_full")
+#: Propagation regimes: the paper's lazy design and targeted eager.
+PROPAGATIONS = ("lazy", "eager")
 
 #: Verdict callback signature: (property, category, monitor instance).
 VerdictCallback = Callable[[CompiledProperty, str, MonitorInstance], None]
@@ -166,7 +166,7 @@ class PropertyRuntime:
         telemetry: "Telemetry | None" = None,
         provenance_get: Callable[[], Any] | None = None,
         attribution: Any = None,
-        backlinks: bool = False,
+        propagation: str = "lazy",
     ):
         self.prop = prop
         self.slot = slot
@@ -178,14 +178,14 @@ class PropertyRuntime:
         self.ledger = ledger
         self._serial = 0
         self._event_serial = 0
-        #: Collector of monitors flagged during a targeted eager purge
-        #: (None outside :meth:`collect_deaths` and :meth:`reap`).
+        #: Collector of monitors flagged during an eager death step (None
+        #: outside :meth:`reap`).
         self._flag_sink: list[MonitorInstance] | None = None
-        #: Eager propagation on generated kernels: the structures are
-        #: built of back-linking maps and deaths arrive through
-        #: :meth:`reap` (see :meth:`MonitoringEngine._propagate_deaths`).
-        self._backlinks = backlinks
-        link_slot = slot if backlinks else None
+        #: Eager propagation: the structures are built of back-linking
+        #: maps and deaths arrive through :meth:`reap` (see
+        #: :meth:`MonitoringEngine._propagate_deaths`).
+        self._eager = propagation == "eager"
+        link_slot = slot if self._eager else None
 
         definition = prop.definition
         self.event_domains: dict[str, frozenset[str]] = {
@@ -245,14 +245,14 @@ class PropertyRuntime:
         #: Timed kernel variants, bound on the first attributed sample.
         self._timed_kernels: dict[str, Any] = {}
         self._kernel_module = None
-        #: The generated eviction step (eager variant), bound on first use.
+        #: The eviction step of :meth:`reap`, bound on first use.
         self._evict: Callable[[list[MonitorInstance]], None] | None = None
         #: Called once kernels are bound (the engine re-resolves its routes).
         self._on_kernels_bound: Callable[[], None] | None = None
         if dispatch == "codegen":
             from ..spec.codegen import shared_kernel_cache
 
-            self._kernel_module = shared_kernel_cache.module_for(prop, eager=backlinks)
+            self._kernel_module = shared_kernel_cache.module_for(prop, eager=self._eager)
             self.handle = self._handle_codegen  # type: ignore[method-assign]
         else:
             self.handle = self._handle_reference  # type: ignore[method-assign]
@@ -273,9 +273,9 @@ class PropertyRuntime:
         ``handle`` gains an exact per-property handled counter (riding the
         sampler tick through :meth:`Counter.add_pull`, no lock) and a
         1-in-N sampled latency histogram labelled (property, event); the
-        eager death step (``reap``, or the reference tier's
-        ``collect_deaths``) gains a sampled purge timer (death boundaries can be per-event under
-        retire-on-last-use, so they are gated like a hot path) and
+        eager death step ``reap`` gains a sampled purge timer (death
+        boundaries can be per-event under retire-on-last-use, so they are
+        gated like a hot path) and
         ``scan_all`` an unsampled one (budgeted sweeps are rare; sampling
         them would record nothing).
 
@@ -328,7 +328,7 @@ class PropertyRuntime:
                         from ..spec.codegen import shared_kernel_cache
 
                         module = shared_kernel_cache.module_for(
-                            self.prop, timed=True, eager=self._backlinks
+                            self.prop, timed=True, eager=self._eager
                         )
                         timed.update(module.bind(self))
                     walk, step = timed[event](values, record, pretouched)
@@ -375,10 +375,7 @@ class PropertyRuntime:
             timed_gc(inner_scan, (), scan_pause)
 
         self.handle = handle  # type: ignore[method-assign]
-        if self._backlinks:
-            self.reap = death_step(self.reap)  # type: ignore[method-assign]
-        else:
-            self.collect_deaths = death_step(self.collect_deaths)  # type: ignore[method-assign]
+        self.reap = death_step(self.reap)  # type: ignore[method-assign]
         self.scan_all = scan_all  # type: ignore[method-assign]
 
     # -- static precomputation ---------------------------------------------
@@ -426,7 +423,8 @@ class PropertyRuntime:
                 sink.append(monitor)
 
     def scan_all(self) -> None:
-        """Full dead-key scan of every structure (eager_full mode / flush)."""
+        """Full dead-key scan of every structure (one pass of
+        :meth:`MonitoringEngine.flush_gc`)."""
         for tree in self.trees.values():
             tree.scan_all()
         for index in self._join_indices.values():
@@ -461,14 +459,15 @@ class PropertyRuntime:
         ``pairs`` lists ``(link, entry)`` for every back-link of a dead
         entry into this runtime's maps (see
         :class:`~repro.runtime.rvmap.LinkedRVMap`).  Shallow maps go first,
-        as in :meth:`collect_deaths`' walk from the roots: removing a dead
-        key drops the subtree below it, whose maps then never appear,
-        since their weak back-links are dead.  A map scans the bucket only
-        while the entry is still its key (a lazy scan may have removed it
-        already), appending ``(parameter name, entry)`` to ``found``.
-        Monitors the notifications flag are then evicted by the generated
-        eviction step.  Cost grows with where the dead objects were keyed,
-        not with the number of structures or live keys.
+        as a walk from the roots would: removing a dead key drops the
+        subtree below it, whose maps then never appear, since their weak
+        back-links are dead.  A map scans the bucket only while the entry
+        is still its key (a lazy scan may have removed it already),
+        appending ``(parameter name, entry)`` to ``found``.  Monitors the
+        notifications flag are then evicted: by the generated eviction
+        step on codegen, by :meth:`_evict_flagged` on the reference tier.
+        Cost grows with where the dead objects were keyed, not with the
+        number of structures or live keys.
         """
         if len(pairs) > 1:
             pairs.sort(key=_pair_depth)
@@ -485,72 +484,50 @@ class PropertyRuntime:
         if flagged:
             evict = self._evict
             if evict is None:
-                evict = self._evict = self._kernel_module.evict_factory(self)
+                module = self._kernel_module
+                evict = self._evict = (
+                    self._evict_flagged if module is None else module.evict_factory(self)
+                )
             evict(flagged)
 
-    def collect_deaths(
-        self, dead: Sequence[Any], found: list[tuple[str, Any]]
-    ) -> None:
-        """Targeted eager propagation of coalesced parameter deaths (the
-        reference tier's death step, and the oracle for :meth:`reap`).
+    def _evict_flagged(self, flagged: list[MonitorInstance]) -> None:
+        """Drop freshly flagged monitors from every remaining structure.
 
-        ``dead`` lists the ledger entries of objects that died since the
-        last boundary.  Every structure probes its maps for those keys
-        only (the notification work a full scan would do for them, without
-        scanning live keys), appending ``(parameter name, entry)`` to
-        ``found`` per removed key.  Monitors the notifications flag are
-        then evicted from every structure still holding them, so the eager
-        regime keeps its collect-at-boundary semantics.
+        Structures whose key path contains a dead object were already
+        reaped; the survivors are reachable through each monitor's
+        still-live parameters, so eviction is a handful of direct lookups
+        instead of a full second scan pass.  Generated kernels run the same
+        steps unrolled per monitor domain (``spec/codegen.py``'s eviction
+        factory); the lockstep holds the two to each other.
         """
-        flagged: list[MonitorInstance] = []
-        self._flag_sink = flagged
-        try:
-            for tree in self.trees.values():
-                tree.purge(dead, found)
-            for index in self._join_indices.values():
-                index.purge(dead, found)
-        finally:
-            self._flag_sink = None
         for monitor in flagged:
-            self._evict_flagged(monitor)
-
-    def _evict_flagged(self, monitor: MonitorInstance) -> None:
-        """Drop one freshly flagged monitor from every remaining structure.
-
-        Structures whose key path contains the dead object were already
-        purged; the survivors are reachable through the monitor's still-live
-        parameters, so eviction is a handful of direct lookups instead of
-        a full second scan pass.  Generated kernels run the same steps
-        unrolled per monitor domain (``spec/codegen.py``'s eviction
-        factory).
-        """
-        live: dict[str, Any] = {}
-        for name, entry in monitor.params.items():
-            value = entry()
-            if value is not None:
-                live[name] = value
-        domain = monitor.domain
-        for event_domain in self._event_domain_list:
-            if event_domain <= domain and all(name in live for name in event_domain):
-                leaf = self.trees[event_domain].lookup(
-                    {name: live[name] for name in event_domain}, create=False
-                )
-                if leaf is not None:
-                    if leaf.own is monitor:
-                        leaf.own = None
-                    if leaf.extensions is not None:
-                        leaf.extensions.compact()
-        if all(name in live for name in domain) and domain not in self._event_domain_list:
-            own_leaf = self.trees[domain].lookup(live, create=False)
-            if own_leaf is not None and own_leaf.own is monitor:
-                own_leaf.own = None
-        for (join_domain, key_domain), index in self._join_indices.items():
-            if join_domain == domain and all(name in live for name in key_domain):
-                bucket = index.lookup(
-                    {name: live[name] for name in key_domain}, create=False
-                )
-                if bucket is not None:
-                    bucket.compact()
+            live: dict[str, Any] = {}
+            for name, entry in monitor.params.items():
+                value = entry()
+                if value is not None:
+                    live[name] = value
+            domain = monitor.domain
+            for event_domain in self._event_domain_list:
+                if event_domain <= domain and all(name in live for name in event_domain):
+                    leaf = self.trees[event_domain].lookup(
+                        {name: live[name] for name in event_domain}, create=False
+                    )
+                    if leaf is not None:
+                        if leaf.own is monitor:
+                            leaf.own = None
+                        if leaf.extensions is not None:
+                            leaf.extensions.compact()
+            if all(name in live for name in domain) and domain not in self._event_domain_list:
+                own_leaf = self.trees[domain].lookup(live, create=False)
+                if own_leaf is not None and own_leaf.own is monitor:
+                    own_leaf.own = None
+            for (join_domain, key_domain), index in self._join_indices.items():
+                if join_domain == domain and all(name in live for name in key_domain):
+                    bucket = index.lookup(
+                        {name: live[name] for name in key_domain}, create=False
+                    )
+                    if bucket is not None:
+                        bucket.compact()
 
     # -- event processing (generated kernels) -----------------------------------
 
@@ -921,8 +898,8 @@ class MonitoringEngine:
 
     ``gc`` selects the monitor-collection strategy (``none`` / ``alldead`` /
     ``coenable`` / ``statebased``), ``propagation`` is ``lazy`` (the paper's
-    design), ``eager`` (targeted boundary propagation — the Tracematches
-    profile) or ``eager_full`` (the historical full-scan ablation);
+    design) or ``eager`` (targeted boundary propagation — the Tracematches
+    profile);
     ``system`` is a convenience preset: ``rv`` / ``mop`` / ``tm`` /
     ``none`` (see :data:`SYSTEMS`).  ``dispatch`` selects ``"codegen"``
     (default) — per-(property, event) kernels generated and
@@ -957,9 +934,6 @@ class MonitoringEngine:
         self.propagation = propagation
         self.scan_budget = scan_budget
         self.dispatch = dispatch
-        #: Targeted eager propagation on generated kernels follows the dead
-        #: entries' back-links; the reference tier keeps its purge walk.
-        self._backlinks = propagation == "eager" and dispatch == "codegen"
         self._on_verdict = on_verdict
         #: Telemetry plane (None = off: hot paths identical to the
         #: un-instrumented build).  See :mod:`repro.obs`.
@@ -1139,7 +1113,7 @@ class MonitoringEngine:
             telemetry=self.telemetry,
             provenance_get=lambda: self.provenance_source,
             attribution=self.attribution,
-            backlinks=self._backlinks,
+            propagation=self.propagation,
         )
         runtime._on_kernels_bound = self._rebuild_event_index
         return runtime
@@ -1441,40 +1415,30 @@ class MonitoringEngine:
     def _propagate_deaths(self) -> None:
         """Eager boundary propagation of all deaths since the last event.
 
-        On generated kernels each dead entry's back-links name the maps
-        that key it; they are grouped by owning runtime and handed to
+        Each dead entry's back-links name the maps that key it; they are
+        grouped by owning runtime and handed to
         :meth:`PropertyRuntime.reap`, so the step touches only those maps.
-        The reference tier hands every runtime the dead entries instead
-        (:meth:`PropertyRuntime.collect_deaths`, the oracle).
         """
-        if self.propagation == "eager_full":
-            self.flush_gc()
-            return
         with self._dead_lock:
             pending, self._pending_dead = self._pending_dead, []
         # Paused runtimes receive deaths too: a long-paused property must
         # not accumulate dead keys until it is resumed.
+        by_slot: dict[int, list[tuple[tuple, Any]]] = {}
+        for entry in pending:
+            links = entry.links
+            if links:
+                for link in links:
+                    pairs = by_slot.get(link[3])
+                    if pairs is None:
+                        by_slot[link[3]] = [(link, entry)]
+                    else:
+                        pairs.append((link, entry))
         found: list[tuple[str, Any]] = []
-        if self._backlinks:
-            by_slot: dict[int, list[tuple[tuple, Any]]] = {}
-            for entry in pending:
-                links = entry.links
-                if links:
-                    for link in links:
-                        pairs = by_slot.get(link[3])
-                        if pairs is None:
-                            by_slot[link[3]] = [(link, entry)]
-                        else:
-                            pairs.append((link, entry))
-            runtimes = self.runtimes
-            for slot in sorted(by_slot):
-                runtime = runtimes[slot]
-                if runtime is not None:
-                    runtime.reap(by_slot[slot], found)
-        else:
-            for runtime in self.runtimes:
-                if runtime is not None:
-                    runtime.collect_deaths(pending, found)
+        runtimes = self.runtimes
+        for slot in sorted(by_slot):
+            runtime = runtimes[slot]
+            if runtime is not None:
+                runtime.reap(by_slot[slot], found)
         if found and self._death_hooks:
             dead: dict[str, set[int]] = {}
             for name, entry in found:
@@ -1485,9 +1449,10 @@ class MonitoringEngine:
     def flush_gc(self) -> None:
         """Fully scan every structure: purge dead keys, notify, compact.
 
-        Lazy mode never needs this (detection happens on access); it exists
-        for eager_full propagation, for tests, and for end-of-run
-        accounting.
+        Neither propagation regime needs this (lazy detects on access,
+        eager reaps through back-links); it exists for end-of-run
+        accounting, checkpoints, and the equivalence suites, whose
+        full-scan oracle is a lazy engine flushed at every death boundary.
 
         Two passes, mark-and-sweep style: the first pass may flag a monitor
         *after* some structure holding it was already scanned (scan order

@@ -95,19 +95,7 @@ class CoenableGc(GcStrategy):
         formula = self._aliveness.get(monitor.last_event)
         if formula is None:
             return monitor.all_params_dead()
-        # Fused formula.evaluate(monitor.param_alive): one notification per
-        # parameter death makes this the hottest interpreted check in the
-        # lazy path, so the liveness atoms call the entries directly
-        # (unbound parameters count as alive — Theorem 1).
-        params = monitor.params
-        for conjunct in formula._conjuncts:
-            for name in conjunct:
-                entry = params.get(name)
-                if entry is not None and entry() is None:
-                    break
-            else:
-                return False
-        return True
+        return not formula.holds_over(monitor.params)
 
 
 class StateBasedGc(GcStrategy):
@@ -145,7 +133,7 @@ class StateBasedGc(GcStrategy):
             # Unknown state (e.g. the implicit fail sink of a fresh machine):
             # nothing can be seen from it, so the monitor is unnecessary.
             return True
-        return not formula.evaluate(monitor.param_alive)
+        return not formula.holds_over(monitor.params)
 
 
 STRATEGY_NAMES = ("none", "alldead", "coenable", "statebased")

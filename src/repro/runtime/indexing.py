@@ -35,7 +35,7 @@ scanning ``Theta``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Collection, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .instance import MonitorInstance
 from .refs import ParamLedger
@@ -100,8 +100,8 @@ class _TreeBase:
         self._notify = notify
         self._entry = ledger.entry
         self._scan_budget = scan_budget
-        #: The owner's slot when the levels are back-linking maps
-        #: (eager propagation on generated kernels), else ``None``.
+        #: The owner's slot when the levels are back-linking maps (eager
+        #: propagation), else ``None``.
         self._link_slot = link_slot
         self._root: Any = self._new_node(depth=0)
 
@@ -223,7 +223,7 @@ class _TreeBase:
         yield from walk(self._root, 0, {})
 
     def scan_all(self) -> None:
-        """Full dead-key scan of every level (eager propagation / tests).
+        """Full dead-key scan of every level (``flush_gc`` / tests).
 
         A zero-parameter structure degenerates to a bare root leaf (e.g. a
         join index with an empty key domain); there is no RVMap above it to
@@ -262,34 +262,6 @@ class _TreeBase:
                 node.release()
 
         walk(self._root)
-
-    def purge(self, dead: Collection[Any], found: list[tuple[str, Any]]) -> None:
-        """Targeted dead-key purge: scan only the keys of known-dead entries.
-
-        The reference tier's eager propagation uses this instead of a full
-        :meth:`scan_all`: finding a dead key costs a probe per map, not a
-        scan of every key of every level (generated-kernel engines follow
-        the dead entries' back-links instead, see
-        :meth:`repro.runtime.engine.PropertyRuntime.reap`).  Scanning a key notifies the
-        monitors below the broken mapping and removes it — exactly what a
-        full scan would eventually do for these keys.  Each removal appends
-        ``(parameter name, entry)`` to ``found``.
-        """
-        params = self.params
-        last = len(params) - 1
-
-        def walk(node: RVMap, depth: int) -> None:
-            buckets = node._buckets
-            for entry in dead:
-                if entry in buckets:
-                    node._scan_bucket(entry)
-                    found.append((params[depth], entry))
-            if depth < last:
-                for value in node.all_values():
-                    walk(value, depth + 1)
-
-        if last >= 0:
-            walk(self._root, 0)
 
 
 class IndexingTree(_TreeBase):

@@ -136,7 +136,7 @@ class RVMap:
         return cleaned
 
     def scan_all(self) -> int:
-        """Scan every key (used by eager propagation and by tests)."""
+        """Scan every key (used by ``flush_gc`` and by tests)."""
         cleaned = 0
         for key in list(self._buckets):
             cleaned += self._scan_bucket(key)

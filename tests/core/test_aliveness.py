@@ -111,12 +111,26 @@ def assignments(draw):
     return {p: draw(st.booleans()) for p in _PARAMS}
 
 
-@given(families(), assignments())
-def test_minimization_preserves_truth(family, assignment):
+@given(families(), assignments(), st.frozensets(st.sampled_from(_PARAMS)))
+def test_minimization_preserves_truth(family, assignment, unbound):
+    """Both evaluation forms agree with the unminimized family: over a
+    liveness mapping, and over ledger-style entries (a dead entry returns
+    ``None``) where the ``unbound`` parameters have no entry and count as
+    alive."""
     raw_truth = any(
         all(assignment[p] for p in conjunct) for conjunct in family
     )
-    assert AlivenessFormula(family).evaluate(assignment) == raw_truth
+    formula = AlivenessFormula(family)
+    assert formula.evaluate(assignment) == raw_truth
+    entries = {
+        p: (lambda alive=alive: object() if alive else None)
+        for p, alive in assignment.items()
+        if p not in unbound
+    }
+    raw_over_entries = any(
+        all(assignment[p] or p in unbound for p in conjunct) for conjunct in family
+    )
+    assert formula.holds_over(entries) == raw_over_entries
 
 
 @given(families())

@@ -41,7 +41,7 @@ EAGER_CASES = (
     ("statebased", "codegen", "eager"),
     ("coenable", "codegen", "eager"),
     ("alldead", "reference", "eager"),
-    ("coenable", "codegen", "eager_full"),
+    ("coenable", "reference", "eager"),
 )
 
 SEED = 7

@@ -100,8 +100,8 @@ class TestEngineWiring:
         del c, i
 
     def test_gc_purge_pause_observed_on_deaths(self):
-        """The eager death step is timed on either tier: ``reap`` on
-        generated kernels, ``collect_deaths`` on the reference tier."""
+        """The eager death step, ``reap``, is timed on either dispatch
+        tier."""
         import gc as _gc
 
         for dispatch in ("codegen", "reference"):

@@ -418,21 +418,17 @@ def test_eager_module_is_the_plain_module_plus_back_links():
     assert checked >= len(CATALOGUE)
 
 
-@pytest.mark.parametrize(
-    "propagation, dispatch, linked",
-    [
-        ("lazy", "codegen", False),
-        ("eager", "codegen", True),
-        ("eager_full", "codegen", False),
-        ("eager", "reference", False),
-    ],
-)
-def test_only_eager_codegen_engines_link_their_maps(propagation, dispatch, linked):
-    """A lazy engine binds the plain module and builds plain maps; only
-    targeted eager propagation on generated kernels binds the eager
-    variant (cached under ``":eager"``) and builds back-linking maps."""
+@pytest.mark.parametrize("dispatch", ("codegen", "reference"))
+@pytest.mark.parametrize("propagation", ("lazy", "eager"))
+def test_every_eager_engine_links_its_maps_and_no_lazy_engine_does(
+    propagation, dispatch
+):
+    """An eager engine builds back-linking maps on either dispatch tier,
+    and on codegen binds the eager variant (cached under ``":eager"``); a
+    lazy engine binds the plain module and builds plain maps."""
     from repro.runtime.rvmap import LinkedRVMap
 
+    linked = propagation == "eager"
     engine = MonitoringEngine(
         ALL_PROPERTIES["unsafeiter"].make().silence(),
         propagation=propagation,

@@ -40,7 +40,7 @@ import pytest
 
 from repro.core.errors import UnsupportedFormalismError
 from repro.properties import ALL_PROPERTIES, CATALOGUE
-from repro.runtime.engine import MonitoringEngine
+from repro.runtime.engine import PROPAGATIONS, MonitoringEngine
 from repro.runtime.tracelog import replay_entries
 
 from ..conftest import Obj
@@ -114,25 +114,61 @@ def pinned_rows(corpus: str, prefix: str) -> dict[str, list[int]]:
 
 
 class _DeathLog:
-    """Records every ``on_deaths`` payload, in boundary order."""
+    """Records every ``on_deaths`` payload, in boundary order, and the
+    payload each death boundary should report (:func:`reachable_dead`)."""
 
     def __init__(self):
         self.payloads = []
+        self.expected = []
 
     def on_deaths(self, dead):
         self.payloads.append({name: sorted(serials) for name, serials in dead.items()})
 
 
+def reachable_dead(engine) -> dict[str, list[int]]:
+    """The ``on_deaths`` payload an eager engine's next boundary must
+    report, found by walking every structure from its root: each pending
+    dead entry under the parameter name of every map the walk reaches it
+    in.  The walk does not descend below a dead key, whose subtree goes
+    with it; so a death step that scans deep maps before shallow ones
+    reports keys that this walk never reaches."""
+    dead = set(engine._pending_dead)
+    found: dict[str, set[int]] = {}
+
+    def walk(node, params, depth):
+        for entry, child in node._buckets.items():
+            if entry in dead:
+                found.setdefault(params[depth], set()).add(entry.serial)
+            elif depth + 1 < len(params):
+                walk(child, params, depth + 1)
+
+    for runtime in engine.runtimes:
+        if runtime is not None:
+            for structure in (*runtime.trees.values(), *runtime._join_indices.values()):
+                if structure.params:
+                    walk(structure._root, structure.params, 0)
+    return {name: sorted(serials) for name, serials in sorted(found.items())}
+
+
+#: The full-scan oracle's regime in a lockstep configuration: a lazy
+#: engine whose every structure is fully scanned (``flush_gc``) before the
+#: first event after a kill, so every death is propagated and every flagged
+#: monitor swept at the boundary where an eager engine reaps it.
+FULL_SCAN = "full-scan"
+
+
 def run_lockstep(spec_factory, ops, gc_kind: str, configs=None):
     """Run one engine per configuration over the same objects/deaths.
 
-    ``configs`` maps a name to ``(propagation, dispatch)``; the default is
-    one lazy engine per :data:`DISPATCHES` entry, named by its dispatch.
+    ``configs`` maps a name to ``(propagation, dispatch)``, where the
+    propagation may also be :data:`FULL_SCAN`; the default is one lazy
+    engine per :data:`DISPATCHES` entry, named by its dispatch.
     Returns ``(engines, verdict_bags, death_logs, live)`` keyed by name:
     each bag counts verdicts keyed by property identity plus the *binding
     identity* of the firing monitor, so a stale or duplicated monitor
     shows up even when verdict totals happen to agree; each log holds the
-    engine's ``on_deaths`` payloads; ``live`` lists the engine's
+    engine's ``on_deaths`` payloads and, for an eager engine, the
+    :func:`reachable_dead` payload of each boundary; ``live`` lists the engine's
     live-monitor count after every event.
     """
     if configs is None:
@@ -160,16 +196,21 @@ def run_lockstep(spec_factory, ops, gc_kind: str, configs=None):
     verdicts: dict[str, Counter] = {}
     logs: dict[str, _DeathLog] = {}
     live: dict[str, list[int]] = {name: [] for name in configs}
+    flushed = []
     for name, (propagation, dispatch) in configs.items():
         bag: Counter = Counter()
         engines[name] = MonitoringEngine(
-            spec_factory(), gc=gc_kind, propagation=propagation,
+            spec_factory(), gc=gc_kind,
+            propagation="lazy" if propagation == FULL_SCAN else propagation,
             on_verdict=collector(bag), dispatch=dispatch,
         )
         verdicts[name] = bag
         logs[name] = engines[name].add_observer(_DeathLog())
+        if propagation == FULL_SCAN:
+            flushed.append(engines[name])
     pools: dict[str, list[Obj]] = {}
     serial = 0
+    killed = False
     for op in ops:
         if op[0] == "kill":
             _tag, param, slot = op
@@ -177,6 +218,7 @@ def run_lockstep(spec_factory, ops, gc_kind: str, configs=None):
             if pool is not None:
                 serial += 1
                 pool[slot] = Obj(f"{param}#{serial}")  # the old object dies here
+                killed = True
         else:
             _tag, event, binding = op
             values = {}
@@ -185,7 +227,17 @@ def run_lockstep(spec_factory, ops, gc_kind: str, configs=None):
                 if pool is None:
                     pool = pools[param] = [Obj(f"{param}{n}") for n in range(POOL)]
                 values[param] = pool[slot]
+            if killed:
+                # Rebinding ``values`` above dropped the last event's
+                # objects: every kill has taken effect by now.
+                for engine in flushed:
+                    engine.flush_gc()
+                killed = False
             for name, engine in engines.items():
+                if engine._pending_dead:
+                    expected = reachable_dead(engine)
+                    if expected:
+                        logs[name].expected.append(expected)
                 engine.emit(event, **values)
                 live[name].append(engine.total_live_monitors())
     pools.clear()
@@ -231,6 +283,17 @@ def test_only_codegen_and_reference_are_dispatch_tiers():
     for dispatch in ("compiled", "interpreted", ""):
         with pytest.raises(ValueError, match="unknown dispatch"):
             MonitoringEngine(HASNEXT.make().silence(), dispatch=dispatch)
+
+
+def test_only_lazy_and_eager_are_propagations():
+    """The full scan per boundary is the test oracle (:data:`FULL_SCAN`),
+    not an engine option."""
+    from repro.properties import HASNEXT
+
+    assert PROPAGATIONS == ("lazy", "eager")
+    for propagation in ("eager_full", "full", ""):
+        with pytest.raises(ValueError, match="unknown propagation"):
+            MonitoringEngine(HASNEXT.make().silence(), propagation=propagation)
 
 
 def test_recycled_id_does_not_extend_a_dead_monitors_life():
@@ -314,30 +377,33 @@ def test_all_properties_together_codegen_vs_reference():
         assert stats.monitors_created == other.monitors_created, key
 
 
-#: The eager oracle's engines: targeted eager on generated kernels (dead
-#: entries' back-links, generated eviction), targeted eager on the
-#: reference tier (``_TreeBase.purge``, ``_evict_flagged``), and the
-#: full-scan ablation.
+#: The eager oracle's engines: targeted eager on both dispatch tiers (dead
+#: entries' back-links; generated eviction on codegen, the interpreted
+#: ``_evict_flagged`` on reference), and the full-scan oracle
+#: (:data:`FULL_SCAN`: lazy generated kernels, flushed at each death
+#: boundary).
 EAGER_CONFIGS = {
     "codegen": ("eager", "codegen"),
     "reference": ("eager", "reference"),
-    "full": ("eager_full", "codegen"),
+    "full": (FULL_SCAN, "codegen"),
 }
-#: Per-property observables the three eager regimes must agree on.
+#: Per-property observables the eager engines and the oracle must agree on.
 EAGER_FIELDS = ("events", "monitors_created", *LIFETIME_FIELDS)
 
 
 @pytest.mark.parametrize("key", sorted(CATALOGUE))
 def test_targeted_eager_equals_full_eager(key):
-    """The targeted eager propagation (back-links on generated kernels,
-    the purge walk on the reference tier; flagged monitors evicted
-    directly) must match the full-scan eager regime under every GC
-    strategy, on the verdicts with their binding identities, E and M, and
-    the monitor lifetimes FM, CM and the live peak: all three deliver
-    every pending death notification at the same event boundary, and
-    leave no flagged monitor behind it, so the live-monitor count after
-    every event agrees too.  The two targeted engines also
-    report the same ``on_deaths`` payloads (the full scan reports none).
+    """The targeted eager propagation (back-links on both tiers; flagged
+    monitors evicted directly, by generated code on codegen and by the
+    interpreted eviction on reference) must match the full-scan oracle
+    under every GC strategy, on the verdicts with their binding
+    identities, E and M, and the monitor lifetimes FM, CM and the live
+    peak: all three deliver every pending death notification at the same
+    event boundary, and leave no flagged monitor behind it, so the
+    live-monitor count after every event agrees too.  Each eager engine
+    reports, at every boundary, the ``on_deaths`` payload a walk from the
+    roots finds (:func:`reachable_dead`), and the two report the same
+    payloads (the lazy oracle reports none).
     Kills come in bursts, so a boundary can see a key and a key below it
     die together."""
     paper_prop = CATALOGUE[key]
@@ -361,6 +427,8 @@ def test_targeted_eager_equals_full_eager(key):
                     assert getattr(other, field) == getattr(stats, field), (
                         key, gc_kind, name, prop_key, field,
                     )
+        for name in ("codegen", "reference"):
+            assert logs[name].payloads == logs[name].expected, (key, gc_kind, name)
         assert logs["codegen"].payloads == logs["reference"].payloads, (key, gc_kind)
         assert not logs["full"].payloads
         checked += 1

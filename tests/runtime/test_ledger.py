@@ -18,8 +18,7 @@ import pytest
 from repro.bench.workloads import WORKLOADS, record_workload_events
 from repro.instrument.live import LiveSession
 from repro.properties import ALL_PROPERTIES, UNSAFEITER, UNSAFEMAPITER
-from repro.runtime.engine import MonitoringEngine, PropertyRuntime
-from repro.runtime.indexing import _TreeBase
+from repro.runtime.engine import MonitoringEngine
 from repro.runtime.rvmap import LinkedRVMap, RVMap
 from repro.runtime.tracelog import ReplayToken, replay_entries
 
@@ -171,8 +170,8 @@ def test_back_links_keep_no_released_map_alive():
 
 def test_back_linked_replay_collects_as_the_reference_tier():
     """UNSAFEMAPITER's pmd stream replayed with deaths under ``tm``: the
-    back-linked codegen engine flags, collects and peaks as the reference
-    tier's purge walk does."""
+    codegen engine, with its generated eviction, flags, collects and
+    peaks as the reference tier does with its interpreted eviction."""
     entries = record_workload_events(WORKLOADS["pmd"].scaled(0.1), [UNSAFEMAPITER])
     spec_name = UNSAFEMAPITER.make().properties[0].spec_name
     counts = {}
@@ -192,13 +191,16 @@ def test_back_linked_replay_collects_as_the_reference_tier():
     assert counts["codegen"] == counts["reference"]
 
 
+@pytest.mark.parametrize("dispatch", ("codegen", "reference"))
 @pytest.mark.parametrize("collections", (10, 1000))
-def test_one_death_costs_the_same_whatever_lives_beside_it(collections, monkeypatch):
+def test_one_death_costs_the_same_whatever_lives_beside_it(
+    collections, dispatch, monkeypatch
+):
     """An iterator dies beside ``collections`` live collections, each
     keyed at depth 0 of UNSAFEITER's ``<c, i>`` tree with an iterator of
-    its own.  The death step reaches the same maps and scans the same
-    buckets however many collections there are: it follows the dead
-    entry's back-links, never the reference tier's purge walk."""
+    its own.  On either dispatch tier the death step reaches the same
+    maps and scans the same buckets however many collections there are:
+    it follows the dead entry's back-links."""
     scans = []
     scan_bucket = RVMap._scan_bucket
 
@@ -206,7 +208,9 @@ def test_one_death_costs_the_same_whatever_lives_beside_it(collections, monkeypa
         scans.append(key)
         return scan_bucket(node, key, known_dirty)
 
-    engine = MonitoringEngine(UNSAFEITER.make().silence(), system="tm")
+    engine = MonitoringEngine(
+        UNSAFEITER.make().silence(), system="tm", dispatch=dispatch
+    )
     c, i = Obj("c"), Obj("i")
     engine.emit("create", c=c, i=i)
     keep = [(Obj(f"c{n}"), Obj(f"i{n}")) for n in range(collections - 1)]
@@ -217,8 +221,6 @@ def test_one_death_costs_the_same_whatever_lives_beside_it(collections, monkeypa
     reap = runtime.reap
     monkeypatch.setattr(runtime, "reap", lambda p, found: (reaped.extend(p), reap(p, found)))
     monkeypatch.setattr(RVMap, "_scan_bucket", counting)
-    monkeypatch.setattr(PropertyRuntime, "collect_deaths", _never)
-    monkeypatch.setattr(_TreeBase, "purge", _never)
     dead = engine.ledger.entry(i)
     del i
     assert engine._pending_dead == [dead]
@@ -226,10 +228,6 @@ def test_one_death_costs_the_same_whatever_lives_beside_it(collections, monkeypa
     assert len(scans) == 2  # <c, i> at depth 1 and <i> at depth 0
     assert sorted(link[2] for link, _entry in reaped) == [0, 1]
     assert engine.stats_for("UnsafeIter").monitors_flagged == 1
-
-
-def _never(*_args):
-    raise AssertionError("the reference tier's death step ran on generated kernels")
 
 
 def test_a_long_lived_object_keeps_a_short_back_link_list():
