@@ -29,7 +29,6 @@ import io
 import json
 import os
 import platform
-import sys
 from collections import Counter
 
 from repro.app import AppServer, DriverConfig, app_specs, run_driver, weave_app
@@ -151,7 +150,6 @@ def main() -> None:
         "scale": args.scale,
         "seed": args.seed,
         "python": platform.python_version(),
-        "has_sys_monitoring": hasattr(sys, "monitoring"),
         "properties": list(
             prop.key for prop in app_specs()
         ),

@@ -9,9 +9,9 @@ the wall-clock ratio.  Three instrumentation paths are measured:
    passthrough cost when no session listens, full monitoring when one
    does);
 2. **woven** — the *unmodified* helpers are woven with
-   :class:`~repro.instrument.live.TraceWeaver` function pointcuts
-   (``sys.monitoring`` on 3.12+, ``settrace`` on 3.11 — the report
-   records which);
+   :class:`~repro.instrument.live.TraceWeaver` function pointcuts (each
+   woven function's code is swapped for a trampoline that runs the
+   advice around it);
 3. **resources** — real ``ThreadPoolExecutor`` + ``TemporaryDirectory``
    churn under the EXECUTOR and TEMPDIR catalogue properties' default
    class weaving.
@@ -33,7 +33,6 @@ import io
 import json
 import os
 import platform
-import sys
 import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -174,24 +173,22 @@ def bench_wrapper(handles: int) -> dict:
     }
 
 
-def bench_woven(handles: int, backend: str | None) -> dict:
+def bench_woven(handles: int) -> dict:
     events = handles * (1 + USES_PER_HANDLE + 1) + expected_violations(handles)
     baseline = timed(lambda: run_program(open_handle_p, use_handle_p,
                                          close_handle_p, handles))
     verdicts: Counter = Counter()
-    session = LiveSession(make_engine(verdicts), backend=backend)
+    session = LiveSession(make_engine(verdicts))
     with session:
         session.weave_functions([
             on_return(open_handle_p, "h_open", {"h": "result"}),
             on_call(use_handle_p, "h_use", {"h": "arg:handle"}),
             on_call(close_handle_p, "h_close", {"h": "arg:handle"}),
         ])
-        weaver_backend = session._trace_weaver.backend
         monitored = timed(lambda: run_program(open_handle_p, use_handle_p,
                                               close_handle_p, handles))
     assert verdicts["error"] == expected_violations(handles)
     return {
-        "backend": weaver_backend,
         "events": events,
         "uninstrumented_s": round(baseline, 4),
         "monitored_s": round(monitored, 4),
@@ -250,15 +247,10 @@ def main() -> None:
         "benchmark": "live-instrumentation overhead",
         "scale": args.scale,
         "python": platform.python_version(),
-        "has_sys_monitoring": hasattr(sys, "monitoring"),
         "wrapper": bench_wrapper(handles),
-        "woven": bench_woven(handles, backend=None),
+        "woven": bench_woven(handles),
         "resources": bench_resources(rounds),
     }
-    # The settrace fallback is measured explicitly where the default
-    # backend is sys.monitoring, for the cross-version comparison.
-    if hasattr(sys, "monitoring"):
-        report["woven_settrace"] = bench_woven(handles, backend="settrace")
 
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)

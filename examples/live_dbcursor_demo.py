@@ -3,9 +3,9 @@
 ``sqlite3``'s classes are C types, so there is nothing to monkey-patch —
 instead the *data-access layer* (the realistic seam: applications route
 DB traffic through helper functions) is woven with
-:class:`~repro.instrument.live.TraceWeaver` function pointcuts: on 3.12
-they ride :pep:`669` ``sys.monitoring``, on 3.11 ``sys.settrace``.  The
-DAO code itself is completely unmodified.
+:class:`~repro.instrument.live.TraceWeaver` function pointcuts, which
+swap each DAO function's code for a trampoline that runs the advice
+around it.  The DAO source itself is unmodified.
 
 Executing on a cursor after its cursor — or its connection — was closed
 is reported by the CURSORSAFE monitor before sqlite3 raises.

@@ -13,8 +13,8 @@ The library implements the full RV-system stack from scratch:
 * a monitoring runtime with weak-keyed indexing trees and lazy monitor
   garbage collection (:mod:`repro.runtime`);
 * aspect-weaving instrumentation, *live-program* monitoring (weakref-
-  driven monitor GC over real Python objects, ``sys.monitoring``/
-  ``settrace`` weaving), and a Java-collections substrate
+  driven monitor GC over real Python objects, code-swap weaving of plain
+  functions), and a Java-collections substrate
   (:mod:`repro.instrument`);
 * the paper's ten properties (:mod:`repro.properties`) and the
   DaCapo-analog benchmark harness (:mod:`repro.bench`);

@@ -14,7 +14,8 @@ plays in the paper's evaluation.  It contains three pieces:
   :mod:`repro.properties.protocol` (plus the live-resource catalogue
   properties the routes touch), woven into the **unmodified** server
   through :class:`repro.instrument.live.LiveSession` /
-  :class:`~repro.instrument.live.TraceWeaver`.
+  :class:`~repro.instrument.live.TraceWeaver`, which swaps each seam's
+  code for a trampoline that runs the advice around it.
 * :mod:`repro.app.driver` — a seeded load driver opening N concurrent
   keep-alive connections with a deterministic request mix, including
   mid-request disconnects, slowloris-style stalls, and handler errors.

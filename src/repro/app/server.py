@@ -114,7 +114,8 @@ class Connection:
 
 # ---------------------------------------------------------------------------
 # Protocol seams.  Ordinary bookkeeping functions — and, because they are
-# plain module-level functions, exactly what TraceWeaver can instrument.
+# plain (not generator or coroutine) functions, exactly what TraceWeaver
+# can instrument by swapping their code.
 # ---------------------------------------------------------------------------
 
 _serials = itertools.count(1)

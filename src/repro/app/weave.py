@@ -3,7 +3,8 @@
 Everything the monitors see comes from pointcuts installed here onto the
 server's protocol seams (the plain module-level functions of
 :mod:`repro.app.server`): :class:`~repro.instrument.live.TraceWeaver`
-function pointcuts for the request/response/task/cursor milestones, plus
+function pointcuts for the request/response/task/cursor milestones (each
+seam's code is swapped for a trampoline that runs the advice), plus
 the live-resource catalogue's own class pointcuts (executor, tempdir) for
 the resources the routes touch.  The server module never imports any of
 this; run without a session, the seams are ordinary function calls.

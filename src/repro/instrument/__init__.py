@@ -7,8 +7,9 @@ Three layers:
   Python classes by monkey-patching (the Section 5 setting);
 * :mod:`~repro.instrument.live` — monitoring *real running programs*:
   ``LiveSession`` (engine/service front door; deaths reach the engines
-  through their identity ledgers), ``TraceWeaver`` (``sys.monitoring``/``settrace`` weaving of
-  plain functions), and the ``emits`` decorator;
+  through their identity ledgers), ``TraceWeaver`` (weaves plain
+  functions by swapping their code for advice trampolines), and the
+  ``emits`` decorator;
 * :mod:`~repro.instrument.collections_shim` — the Java-collections
   substrate the DaCapo-analog workloads run against.
 """

@@ -8,13 +8,13 @@ execution — the regime dynamic-analysis systems operate in — the paper's
 monitor GC is thereby driven by the *host garbage collector* instead of
 trace markers.  This module closes the loop with two pieces:
 
-* :class:`TraceWeaver` — an aspect weaver for plain Python functions: on
-  CPython 3.12+ it uses :pep:`669` ``sys.monitoring`` local events (near
-  zero cost for unmonitored code); on 3.11 it falls back to
-  ``sys.settrace``.  A :class:`FunctionPointcut` names a function, an
-  advice position (``call``/``return``), parameter bindings, and an
-  optional condition — the :mod:`repro.instrument.aspects` model lifted
-  from monkey-patched methods to arbitrary user code.
+* :class:`TraceWeaver` — an aspect weaver for plain Python functions: it
+  swaps each woven function's code for a generated trampoline that runs
+  the advice around the original code, so only woven functions pay, on
+  every thread.  A :class:`FunctionPointcut` names a function, an advice
+  position (``call``/``return``), parameter bindings, and an optional
+  condition — the :mod:`repro.instrument.aspects` model lifted from
+  monkey-patched methods to arbitrary user code.
 * :class:`LiveSession` — the front door: owns (or wraps) a
   :class:`~repro.runtime.engine.MonitoringEngine` or
   :class:`~repro.service.MonitorService`, weaves class pointcuts,
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import functools
 import inspect
-import sys
 import threading
+import types
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, TextIO
 
@@ -66,7 +67,8 @@ __all__ = [
 
 @dataclass
 class FunctionContext:
-    """What a function advice can see: the call's locals and its result."""
+    """What a function advice can see: the call's arguments by name (the
+    same at return) and, at return, its result."""
 
     locals: Mapping[str, Any]
     result: Any = None
@@ -114,7 +116,7 @@ class FunctionPointcut:
     :class:`FunctionContext`.
     """
 
-    code: Any  # the target's code object (the weaving key)
+    func: types.FunctionType  # the woven function
     event: str
     when: str  # "call" | "return"
     bind: tuple[tuple[str, Any], ...]
@@ -135,38 +137,38 @@ class FunctionPointcut:
         return fire
 
 
-#: Code-object flags marking suspendable frames (generator / coroutine /
-#: async generator) — see the rejection rationale in :func:`_code_of`.
-_SUSPENDABLE_FLAGS = (
-    inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
-)
+def _function_of(func: Any) -> types.FunctionType:
+    """The Python function behind ``func`` (through wrapper decorators and
+    bound methods), refused where a trampoline could not stand in for it.
 
-
-def _code_of(func: Any) -> Any:
-    """The code object behind a function (through wrapper decorators).
-
-    Suspendable functions (generators, coroutines, async generators) are
-    refused: ``settrace`` reports every suspension/resumption as a
-    return/call, while ``sys.monitoring``'s ``PY_START``/``PY_RETURN``
-    fire once per invocation — the same program would produce different
-    event streams per backend.  Wrap such functions with :func:`emits`
-    (or a session :meth:`~LiveSession.probe`) instead, which observes the
-    *call* rather than the frame.
+    Generators and coroutines are refused because a woven call returns as
+    soon as it has made the generator or coroutine: the return advice would
+    see that object, not what the body returns, and a trampoline would turn
+    a coroutine function into a plain one.  Wrap such functions with
+    :func:`emits` (or a session :meth:`~LiveSession.probe`), which observes
+    the call, instead.
     """
     func = inspect.unwrap(func)
-    code = getattr(func, "__code__", None)
-    if code is None:
+    func = getattr(func, "__func__", func)
+    if not isinstance(func, types.FunctionType):
         raise ReproError(
-            f"{func!r} has no __code__; only pure-Python functions can be "
-            "trace-woven (wrap C callables with the emits decorator instead)"
+            f"{func!r} is not a Python function, so it has no __code__ to "
+            "swap (wrap C callables with the emits decorator instead)"
         )
-    if code.co_flags & _SUSPENDABLE_FLAGS:
+    flags = func.__code__.co_flags
+    if flags & (inspect.CO_GENERATOR | inspect.CO_ASYNC_GENERATOR):
         raise ReproError(
-            f"{func!r} is a generator/coroutine; its frame suspensions "
-            "would be reported as calls/returns under settrace — use the "
-            "emits decorator (observes the call) instead"
+            f"{func!r} is a generator function: its body runs when the "
+            "generator is iterated, after a woven call has returned — use "
+            "the emits decorator (observes the call) instead"
         )
-    return code
+    if flags & inspect.CO_COROUTINE:
+        raise ReproError(
+            f"{func!r} is a coroutine function: its body runs when the "
+            "coroutine is awaited, and a trampoline would make it a plain "
+            "function — use the emits decorator (observes the call) instead"
+        )
+    return func
 
 
 def on_call(
@@ -176,7 +178,7 @@ def on_call(
     condition: Callable[[FunctionContext], bool] | None = None,
 ) -> FunctionPointcut:
     """Advice firing when ``func``'s body is entered."""
-    return FunctionPointcut(_code_of(func), event, "call", tuple(bind.items()), condition)
+    return FunctionPointcut(_function_of(func), event, "call", tuple(bind.items()), condition)
 
 
 def on_return(
@@ -186,212 +188,197 @@ def on_return(
     condition: Callable[[FunctionContext], bool] | None = None,
 ) -> FunctionPointcut:
     """Advice firing when ``func`` returns normally (sees ``result``)."""
-    return FunctionPointcut(_code_of(func), event, "return", tuple(bind.items()), condition)
+    return FunctionPointcut(_function_of(func), event, "return", tuple(bind.items()), condition)
 
 
-class _CodeHooks:
-    """The pointcuts woven into one code object, split by advice position,
-    each with its compiled advice (:meth:`FunctionPointcut.compile`)."""
+#: The module-global name under which trampolines find their advice: a
+#: dict mapping ``id(function)`` to the woven function's :class:`_Advice`,
+#: present while some function of that module is woven.  Trampoline names
+#: share its prefix, which woven functions may therefore not use.
+_ADVICE = "__repro_advice__"
 
-    __slots__ = ("calls", "returns", "call_fires", "return_fires")
+#: Stands in for the woven function's key in a trampoline template.
+_KEY = "__repro_key__"
 
-    def __init__(self) -> None:
-        self.calls: list[FunctionPointcut] = []
-        self.returns: list[FunctionPointcut] = []
-        self.call_fires: list[Callable[[FunctionContext], None]] = []
-        self.return_fires: list[Callable[[FunctionContext], None]] = []
+#: Trampoline templates by original code: weaving a function again, or
+#: another function of the same code, compiles nothing.
+_TEMPLATES: "weakref.WeakKeyDictionary[types.CodeType, types.CodeType]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _template(code: types.CodeType) -> types.CodeType:
+    """A trampoline with ``code``'s signature and free variables, keyed by
+    the :data:`_KEY` placeholder."""
+    template = _TEMPLATES.get(code)
+    if template is not None:
+        return template
+    count = code.co_argcount + code.co_kwonlyargcount
+    star = bool(code.co_flags & inspect.CO_VARARGS)
+    starstar = bool(code.co_flags & inspect.CO_VARKEYWORDS)
+    names = code.co_varnames[: count + star + starstar]
+    free = code.co_freevars
+    if any(name.startswith("__repro_") for name in names + free):
+        raise ReproError(f"{code.co_qualname} uses a name reserved for weaving")
+    params = list(names[: code.co_argcount])
+    args = params.copy()
+    if code.co_posonlyargcount:
+        params.insert(code.co_posonlyargcount, "/")
+    if star:
+        params.append(f"*{names[count]}")
+        args.append(f"*{names[count]}")
+    elif code.co_kwonlyargcount:
+        params.append("*")
+    params += names[code.co_argcount : count]
+    args += [f"{name}={name}" for name in names[code.co_argcount : count]]
+    if starstar:
+        params.append(f"**{names[-1]}")
+        args.append(f"**{names[-1]}")
+    arguments = "{" + ", ".join(f"{name!r}: {name}" for name in names) + "}"
+    # One line, so every instruction reports the original's first line; the
+    # unreachable tail after the return gives it the original's free variables.
+    namespace: dict[str, Any] = {}
+    exec(
+        f"def __repro_make__({', '.join(free)}):\n"
+        f" def __repro_trampoline__({', '.join(params)}): "
+        f"__repro_t__ = {_ADVICE}[{_KEY!r}]; "
+        f"__repro_t__.enter({arguments}) if __repro_t__.calls else None; "
+        f"__repro_r__ = __repro_t__.run({', '.join(args)}); "
+        f"__repro_t__.leave({arguments}, __repro_r__) if __repro_t__.returns else None; "
+        f"return __repro_r__" + "".join(f"; {name}" for name in free) + "\n"
+        f" return __repro_trampoline__\n",
+        namespace,
+    )
+    template = namespace["__repro_make__"](*free).__code__.replace(
+        co_name=code.co_name,
+        co_qualname=code.co_qualname,
+        co_filename=code.co_filename,
+        co_firstlineno=code.co_firstlineno,
+    )
+    _TEMPLATES[code] = template
+    return template
+
+
+class _Advice:
+    """One woven function: its original code, that code rebuilt as a
+    function (``run``, what the trampoline calls), and the advice every
+    weaver put on it, as the ``calls``/``returns`` fire tuples the
+    trampoline reads."""
+
+    __slots__ = ("func", "original", "run", "woven", "calls", "returns")
+
+    def __init__(self, func: types.FunctionType):
+        self.func = func
+        self.original = func.__code__
+        self.run = types.FunctionType(
+            self.original, func.__globals__, func.__name__, func.__defaults__,
+            func.__closure__,
+        )
+        self.run.__kwdefaults__ = func.__kwdefaults__
+        #: ``(weaver, pointcut, fire)`` in weave order.
+        self.woven: list[tuple[TraceWeaver, FunctionPointcut, Callable]] = []
+        self.calls: tuple[Callable[[FunctionContext], None], ...] = ()
+        self.returns: tuple[Callable[[FunctionContext], None], ...] = ()
+
+    @staticmethod
+    def of(func: types.FunctionType) -> "_Advice":
+        """``func``'s advice, swapping in its trampoline if no weaver has."""
+        tables = func.__globals__.get(_ADVICE)
+        advice = None if tables is None else tables.get(id(func))
+        if advice is None:
+            template = _template(func.__code__)
+            trampoline = template.replace(co_consts=tuple(
+                id(func) if const == _KEY else const for const in template.co_consts
+            ))
+            advice = _Advice(func)
+            func.__globals__.setdefault(_ADVICE, {})[id(func)] = advice
+            func.__code__ = trampoline
+        return advice
+
+    def enter(self, arguments: dict[str, Any]) -> None:
+        context = FunctionContext(arguments)
+        for fire in self.calls:
+            fire(context)
+
+    def leave(self, arguments: dict[str, Any], result: Any) -> None:
+        context = FunctionContext(arguments, result)
+        for fire in self.returns:
+            fire(context)
+
+    def refresh(self) -> None:
+        """Rebuild the fire tuples (replaced whole: a call in flight keeps
+        the tuple it read), and restore the original code once no weaver
+        advises the function."""
+        self.calls = tuple(fire for _, cut, fire in self.woven if cut.when == "call")
+        self.returns = tuple(fire for _, cut, fire in self.woven if cut.when == "return")
+        if not self.woven:
+            func = self.func
+            func.__code__ = self.original
+            tables = func.__globals__[_ADVICE]
+            del tables[id(func)]
+            if not tables:
+                del func.__globals__[_ADVICE]
 
 
 class TraceWeaver:
     """Weave :class:`FunctionPointcut` advice into running user code.
 
-    Backends:
+    Weaving swaps each woven function's ``__code__`` for a generated
+    *trampoline* with the same signature: the same parameters,
+    positional-only marker, keyword-only parameters, ``*args``/``**kwargs``
+    and free variables, so defaults, closures, zero-argument ``super()``
+    and :func:`inspect.signature` are unchanged.  The trampoline runs the
+    call advice, the original code, then the return advice.  Only woven
+    functions pay, on every thread (running ones included), and no
+    interpreter-wide trace hook is touched.  A trampoline finds its advice
+    in its module's globals under one reserved name, removed when the
+    module's last woven function is unwoven; so unweave while the woven
+    functions are idle, since a call entering a trampoline just as its
+    function is restored finds no advice.
 
-    * ``"monitoring"`` (CPython 3.12+, the default there) — :pep:`669`
-      ``sys.monitoring`` with *local* ``PY_START``/``PY_RETURN`` events on
-      exactly the woven code objects: unmonitored code runs at full speed.
-    * ``"settrace"`` (3.11 fallback, selectable everywhere) — a global
-      ``sys.settrace`` hook that declines to trace every frame whose code
-      object is not woven.  Inherent ``settrace`` limitation: threads
-      already running when :meth:`weave` is first called are never
-      instrumented (``threading.settrace`` only affects threads started
-      afterwards); start monitoring before worker threads, or use the
-      ``sys.monitoring`` backend, which covers all threads.
-
-    ``sink`` is anything with the engine ``emit`` signature — normally a
-    :class:`LiveSession`, so emitted parameters are death-watched.  Use as
-    a context manager or call :meth:`unweave` to restore the interpreter
-    hooks.
+    Every weaver of a function shares its one advice table, so weavers may
+    unweave in any order.  ``sink`` is anything with the engine ``emit``
+    signature — normally a :class:`LiveSession`, so emitted parameters are
+    death-watched.  Use as a context manager or call :meth:`unweave`.
     """
 
-    def __init__(self, sink: Any, backend: str | None = None):
-        if backend is None:
-            backend = "monitoring" if hasattr(sys, "monitoring") else "settrace"
-        if backend == "monitoring" and not hasattr(sys, "monitoring"):
-            raise ReproError("sys.monitoring requires Python 3.12+")
-        if backend not in ("monitoring", "settrace"):
-            raise ReproError(f"unknown trace backend {backend!r}")
+    def __init__(self, sink: Any):
         self.sink = sink
-        self.backend = backend
-        self._by_code: dict[Any, _CodeHooks] = {}
-        self._installed = False
-        self._previous_trace: Any = None
-        self._previous_threading_trace: Any = None
-        self._tool_id: int | None = None
-
-    # -- weaving -----------------------------------------------------------
+        self._woven: list[_Advice] = []
 
     def weave(
         self, pointcuts: "FunctionPointcut | Iterable[FunctionPointcut]"
     ) -> "TraceWeaver":
-        """Install advice; several pointcuts may share one function."""
+        """Install advice; several pointcuts may share one function.
+
+        An unknown binding source fails here, before the function is
+        touched; an identical pointcut is woven once per weaver."""
         if isinstance(pointcuts, FunctionPointcut):
             pointcuts = [pointcuts]
         for pointcut in pointcuts:
-            hooks = self._by_code.get(pointcut.code)
-            if hooks is None:
-                hooks = self._by_code[pointcut.code] = _CodeHooks()
-                fresh = True
-            else:
-                fresh = False
-            if pointcut.when == "call":
-                bucket, fires = hooks.calls, hooks.call_fires
-            else:
-                bucket, fires = hooks.returns, hooks.return_fires
-            if pointcut not in bucket:
-                fires.append(pointcut.compile(self.sink))
-                bucket.append(pointcut)
-            if not self._installed:
-                self._install()
-            if self.backend == "monitoring" and fresh:
-                self._watch_code(pointcut.code)
+            fire = pointcut.compile(self.sink)
+            advice = _Advice.of(pointcut.func)
+            if any(owner is self and cut == pointcut for owner, cut, _ in advice.woven):
+                continue
+            advice.woven.append((self, pointcut, fire))
+            advice.refresh()
+            if advice not in self._woven:
+                self._woven.append(advice)
         return self
 
     def unweave(self) -> None:
-        """Remove every advice and restore the interpreter hooks."""
-        if not self._installed:
-            self._by_code.clear()
-            return
-        if self.backend == "settrace":
-            sys.settrace(self._previous_trace)
-            threading.settrace(self._previous_threading_trace)
-        else:
-            monitoring = sys.monitoring
-            for code in self._by_code:
-                try:
-                    monitoring.set_local_events(self._tool_id, code, 0)
-                except ValueError:
-                    pass
-            monitoring.register_callback(
-                self._tool_id, monitoring.events.PY_START, None
-            )
-            monitoring.register_callback(
-                self._tool_id, monitoring.events.PY_RETURN, None
-            )
-            monitoring.free_tool_id(self._tool_id)
-            self._tool_id = None
-        self._by_code.clear()
-        self._installed = False
+        """Remove this weaver's advice (idempotent); a function no weaver
+        advises any more gets its original code back."""
+        for advice in reversed(self._woven):
+            advice.woven = [entry for entry in advice.woven if entry[0] is not self]
+            advice.refresh()
+        self._woven.clear()
 
     def __enter__(self) -> "TraceWeaver":
         return self
 
     def __exit__(self, *_exc: Any) -> None:
         self.unweave()
-
-    # -- advice firing -----------------------------------------------------
-
-    @staticmethod
-    def _fire(
-        fires: list[Callable[[FunctionContext], None]], context: FunctionContext
-    ) -> None:
-        for fire in fires:
-            fire(context)
-
-    # -- settrace backend --------------------------------------------------
-
-    def _install(self) -> None:
-        if self.backend == "settrace":
-            self._previous_trace = sys.gettrace()
-            self._previous_threading_trace = threading.gettrace()
-            sys.settrace(self._global_trace)
-            threading.settrace(self._global_trace)
-        else:
-            self._install_monitoring()
-        self._installed = True
-
-    def _global_trace(self, frame: Any, event: str, _arg: Any) -> Any:
-        if event != "call":
-            return None
-        hooks = self._by_code.get(frame.f_code)
-        if hooks is None:
-            return None  # decline: no line/return tracing for foreign frames
-        if hooks.call_fires:
-            self._fire(hooks.call_fires, FunctionContext(frame.f_locals))
-        if not hooks.return_fires:
-            return None
-        raised = False
-
-        def local_trace(frame: Any, event: str, arg: Any) -> Any:
-            nonlocal raised
-            if event == "exception":
-                raised = True
-            elif event == "line":
-                # Execution resumed after the exception was caught inside
-                # the frame; an exceptional unwind goes straight from
-                # "exception" to "return" with no line in between.
-                raised = False
-            elif event == "return" and not raised:
-                self._fire(hooks.return_fires, FunctionContext(frame.f_locals, arg))
-            return local_trace
-
-        return local_trace
-
-    # -- sys.monitoring backend (3.12+) ------------------------------------
-
-    def _install_monitoring(self) -> None:
-        monitoring = sys.monitoring
-        tool_id = None
-        for candidate in range(6):
-            if monitoring.get_tool(candidate) is None:
-                try:
-                    monitoring.use_tool_id(candidate, "repro-live")
-                except ValueError:  # raced another tool; keep looking
-                    continue
-                tool_id = candidate
-                break
-        if tool_id is None:
-            raise ReproError("no free sys.monitoring tool id")
-        self._tool_id = tool_id
-        monitoring.register_callback(
-            tool_id, monitoring.events.PY_START, self._on_py_start
-        )
-        monitoring.register_callback(
-            tool_id, monitoring.events.PY_RETURN, self._on_py_return
-        )
-
-    def _watch_code(self, code: Any) -> None:
-        monitoring = sys.monitoring
-        monitoring.set_local_events(
-            self._tool_id, code,
-            monitoring.events.PY_START | monitoring.events.PY_RETURN,
-        )
-
-    def _on_py_start(self, code: Any, _offset: int) -> Any:
-        hooks = self._by_code.get(code)
-        if hooks is not None and hooks.call_fires:
-            # The callback runs as a regular call from the instrumented
-            # frame, so that frame is our immediate caller.
-            frame = sys._getframe(1)
-            self._fire(hooks.call_fires, FunctionContext(frame.f_locals))
-        return None
-
-    def _on_py_return(self, code: Any, _offset: int, retval: Any) -> Any:
-        hooks = self._by_code.get(code)
-        if hooks is not None and hooks.return_fires:
-            frame = sys._getframe(1)
-            self._fire(hooks.return_fires, FunctionContext(frame.f_locals, retval))
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +501,7 @@ class LiveSession:
     Parameter deaths reach the sink's engines through their ledgers, which
     under eager propagation deliver them at the next event boundary;
     recorded death markers come from the recorder's symbol registry.
-    Exiting restores all woven code and interpreter hooks; the sink stays
+    Exiting restores all woven code and patched methods; the sink stays
     alive for inspection.
     """
 
@@ -524,7 +511,6 @@ class LiveSession:
         properties: Any = None,
         *,
         record: TextIO | None = None,
-        backend: str | None = None,
         telemetry: "Telemetry | bool | None" = None,
         **engine_options: Any,
     ):
@@ -556,7 +542,6 @@ class LiveSession:
             self.recorder = TraceRecorder(record, record_deaths=True).attach(
                 self.engine
             )
-        self._backend = backend
         self._weaver: Weaver | None = None
         self._trace_weaver: TraceWeaver | None = None
         #: (cls, method, original, patched) monkey-patches, LIFO-restored;
@@ -712,9 +697,9 @@ class LiveSession:
     def weave_functions(
         self, pointcuts: "FunctionPointcut | Iterable[FunctionPointcut]"
     ) -> "LiveSession":
-        """Weave user-code function pointcuts through the trace backend."""
+        """Weave user-code function pointcuts (restored on :meth:`close`)."""
         if self._trace_weaver is None:
-            self._trace_weaver = TraceWeaver(self, backend=self._backend)
+            self._trace_weaver = TraceWeaver(self)
         self._trace_weaver.weave(pointcuts)
         return self
 

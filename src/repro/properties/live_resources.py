@@ -16,9 +16,9 @@ pure-Python classes (``socket.socket``, ``tempfile.TemporaryDirectory``,
 where declarative pointcuts cannot express the hookup (asyncio task
 completion callbacks).  Resources implemented in C (``sqlite3``) carry no
 default weaving: their events come from user code annotated with
-:func:`repro.instrument.live.emits` or woven with
-:class:`~repro.instrument.live.TraceWeaver` — see
-``examples/live_dbcursor_demo.py``.
+:func:`repro.instrument.live.emits` or from the plain Python functions
+that call them, woven with :class:`~repro.instrument.live.TraceWeaver` —
+see ``examples/live_dbcursor_demo.py``.
 
 Event names are prefixed per resource family so any subset of these
 properties can be co-monitored in one engine without binding conflicts.

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import socket
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.instrument import collections_shim
+from repro.instrument.live import _ADVICE
 
 #: Classes the shipped pointcuts weave into, with their unwoven attributes.
 _WOVEN_CLASSES = {
@@ -24,10 +26,12 @@ _WOVEN_CLASSES = {
 
 @pytest.fixture(autouse=True)
 def no_leaked_advice():
-    """Fail a test that leaves a woven method behind.
+    """Fail a test that leaves a woven method or function behind.
 
     Advice binds its sink's ``emit`` at weave time, so a leaked advice
-    would go on feeding a stale engine in every later test, silently.
+    would go on feeding a stale engine in every later test, silently.  A
+    woven function is found by the advice table its module's globals hold
+    while it is woven.
     """
     yield
     leaked = [
@@ -42,9 +46,15 @@ def no_leaked_advice():
             setattr(cls, name, _WOVEN_CLASSES[cls][name])
         else:
             delattr(cls, name)
-    if leaked:
-        leaked = [f"{cls.__name__}.{name}" for cls, name in leaked]
-        pytest.fail(f"woven methods left behind: {', '.join(sorted(leaked))}")
+    names = [f"{cls.__name__}.{name}" for cls, name in leaked]
+    for module in list(sys.modules.values()):
+        tables = getattr(module, "__dict__", {}).get(_ADVICE)
+        for advice in list((tables or {}).values()):
+            names.append(advice.func.__qualname__)
+            advice.woven.clear()
+            advice.refresh()
+    if names:
+        pytest.fail(f"woven methods or functions left behind: {', '.join(sorted(names))}")
 
 
 class Obj:

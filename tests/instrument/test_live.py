@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import io
 import sys
 import threading
@@ -11,7 +12,7 @@ import weakref
 import pytest
 
 from repro.core.errors import ReproError
-from repro.instrument import collections_shim
+from repro.instrument import collections_shim, live
 from repro.instrument.aspects import Weaver, before
 from repro.instrument.live import (
     LiveSession,
@@ -120,8 +121,13 @@ class TestLiveBinding:
 
 
 # ---------------------------------------------------------------------------
-# TraceWeaver (forced settrace backend; default backend covered on 3.12 CI)
+# TraceWeaver: code-swap weaving of plain functions
 # ---------------------------------------------------------------------------
+
+
+def _uses_reserved_name(__repro_item):
+    # Module level: inside a class body the name would be mangled.
+    return __repro_item
 
 
 def make_session(**kwargs):
@@ -139,7 +145,7 @@ class TestTraceWeaver:
         def step(i):
             return i
 
-        weaver = TraceWeaver(Sink(), backend="settrace")
+        weaver = TraceWeaver(Sink())
         token = Obj("it")
         with weaver:
             weaver.weave([
@@ -162,7 +168,7 @@ class TestTraceWeaver:
             def put(self, item):
                 return item
 
-        weaver = TraceWeaver(Sink(), backend="settrace")
+        weaver = TraceWeaver(Sink())
         box, item = Box(), Obj("item")
         with weaver:
             weaver.weave(
@@ -200,7 +206,7 @@ class TestTraceWeaver:
         def boom(i):
             raise ValueError("no")
 
-        weaver = TraceWeaver(Sink(), backend="settrace")
+        weaver = TraceWeaver(Sink())
         with weaver:
             weaver.weave([on_return(boom, "after", {"i": "arg:i"})])
             with pytest.raises(ValueError):
@@ -221,7 +227,7 @@ class TestTraceWeaver:
                 pass
             return i
 
-        weaver = TraceWeaver(Sink(), backend="settrace")
+        weaver = TraceWeaver(Sink())
         with weaver:
             weaver.weave([on_return(resilient, "done", {"i": "result"})])
             resilient(Obj("x"))
@@ -237,7 +243,7 @@ class TestTraceWeaver:
         def step(i, flag):
             return i
 
-        weaver = TraceWeaver(Sink(), backend="settrace")
+        weaver = TraceWeaver(Sink())
         with weaver:
             weaver.weave([
                 on_call(step, "only_flagged", {"i": "arg:i"},
@@ -247,33 +253,259 @@ class TestTraceWeaver:
             step(Obj("b"), True)
         assert events == ["only_flagged"]
 
-    def test_unweave_restores_tracing(self):
+    def test_weaving_never_touches_the_trace_hook(self):
+        def step(i):
+            return i
+
         previous = sys.gettrace()
-        weaver = TraceWeaver(object(), backend="settrace")
-        weaver.weave([on_call(make_session, "x", {})])
+        original = step.__code__
+        weaver = TraceWeaver(object())
+        weaver.weave([on_call(step, "x", {})])
+        assert sys.gettrace() is previous
+        assert step.__code__ is not original
         weaver.unweave()
         assert sys.gettrace() is previous
+        assert step.__code__ is original
+
+    def test_backend_option_is_gone(self):
+        with pytest.raises(TypeError):
+            TraceWeaver(object(), backend="settrace")
+        with pytest.raises(TypeError):
+            LiveSession(properties=[HASNEXT_SRC], backend="settrace")
 
     def test_non_python_function_is_refused(self):
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="not a Python function"):
             on_call(len, "x", {})
 
     def test_suspendable_functions_are_refused(self):
         def generator():
             yield 1
 
+        async def async_generator():
+            yield 1
+
         async def coroutine():
             return 1
 
-        for suspendable in (generator, coroutine):
-            with pytest.raises(ReproError, match="generator/coroutine"):
+        for suspendable, reason in [
+            (generator, "generator function"),
+            (async_generator, "generator function"),
+            (coroutine, "coroutine function"),
+        ]:
+            with pytest.raises(ReproError, match=reason):
                 on_call(suspendable, "x", {})
 
-    def test_monitoring_backend_requires_312(self):
-        if hasattr(sys, "monitoring"):
-            pytest.skip("sys.monitoring available; default backend covers it")
-        with pytest.raises(ReproError):
-            TraceWeaver(object(), backend="monitoring")
+    def test_weaving_reserved_names_are_refused(self):
+        with pytest.raises(ReproError, match="reserved for weaving"):
+            TraceWeaver(object()).weave(on_call(_uses_reserved_name, "x", {}))
+        assert _uses_reserved_name.__code__.co_name == "_uses_reserved_name"
+
+    def test_closure_function(self):
+        events = []
+
+        class Sink:
+            def emit(self, event, _strict=False, **params):
+                events.append((event, params))
+
+        def counter():
+            count = 0
+
+            def bump(step):
+                nonlocal count
+                count += step
+                return count
+
+            return bump
+
+        bump, other = counter(), counter()
+        with TraceWeaver(Sink()) as weaver:
+            weaver.weave(on_return(bump, "bumped", {"n": "result", "s": "arg:step"}))
+            assert bump(2) == 2
+            assert bump(3) == 5
+            assert other(1) == 1  # same code, not woven: no advice
+        assert bump(1) == 6  # the closure cell survived the weave
+        assert events == [("bumped", {"n": 2, "s": 2}), ("bumped", {"n": 5, "s": 3})]
+
+    def test_method_using_zero_argument_super(self):
+        events = []
+
+        class Sink:
+            def emit(self, event, _strict=False, **params):
+                events.append((event, params))
+
+        class Base:
+            def size(self, extra):
+                return 1 + extra
+
+        class Derived(Base):
+            def size(self, extra):
+                return super().size(extra) * 10
+
+        item = Derived()
+        with TraceWeaver(Sink()) as weaver:
+            weaver.weave([
+                on_call(Derived.size, "sizing", {"s": "self"}),
+                on_return(item.size, "sized", {"n": "result"}),  # bound: same function
+            ])
+            assert item.size(1) == 20
+        assert events == [("sizing", {"s": item}), ("sized", {"n": 20})]
+        assert item.size(2) == 30
+
+    def test_every_signature_shape(self):
+        """Defaults, positional-only and keyword-only parameters, and
+        ``*args``/``**kwargs`` all reach the original code and the advice."""
+        seen = []
+
+        class Sink:
+            def emit(self, event, _strict=False, **params):
+                seen.append(params["locals"])
+
+        def plain(x, y=2):
+            return (x, y)
+
+        def positional_only(x, y=2, /):
+            return (x, y)
+
+        def keyword_only(*, z=3, w):
+            return (z, w)
+
+        def everything(x, y=2, /, *a, z=3, **kw):
+            return (x, y, a, z, kw)
+
+        def nothing():
+            return ()
+
+        calls = [
+            (plain, (1,), {}, {"x": 1, "y": 2}),
+            (plain, (), {"x": 1, "y": 5}, {"x": 1, "y": 5}),
+            (positional_only, (1, 4), {}, {"x": 1, "y": 4}),
+            (keyword_only, (), {"w": 9}, {"z": 3, "w": 9}),
+            (everything, (1,), {}, {"x": 1, "y": 2, "a": (), "z": 3, "kw": {}}),
+            (
+                everything, (1, 5, 6, 7), {"z": 9, "q": 0},
+                {"x": 1, "y": 5, "a": (6, 7), "z": 9, "kw": {"q": 0}},
+            ),
+            (nothing, (), {}, {}),
+        ]
+        expected = [func(*args, **kwargs) for func, args, kwargs, _ in calls]
+        functions = {func for func, *_ in calls}
+        with TraceWeaver(Sink()) as weaver:
+            weaver.weave([
+                on_return(func, "r", {"locals": lambda context: dict(context.locals)})
+                for func in functions
+            ])
+            assert [func(*args, **kwargs) for func, args, kwargs, _ in calls] == expected
+            with pytest.raises(TypeError):
+                positional_only(x=1)
+        assert seen == [arguments for *_, arguments in calls]
+
+    def test_signature_unchanged_while_woven(self):
+        def shaped(x: int, y=2, /, *a, z: str = "z", **kw) -> tuple:
+            return (x, y, a, z, kw)
+
+        def lambda_like(q, *, r=1):
+            return q
+
+        before = [inspect.signature(shaped), inspect.signature(lambda_like)]
+        with TraceWeaver(object()) as weaver:
+            weaver.weave([on_call(shaped, "x", {}), on_call(lambda_like, "y", {})])
+            assert [inspect.signature(shaped), inspect.signature(lambda_like)] == before
+            assert shaped.__name__ == "shaped"
+            assert shaped.__code__.co_qualname == (
+                "TestTraceWeaver.test_signature_unchanged_while_woven.<locals>.shaped"
+            )
+
+    @pytest.mark.parametrize("first_out", ["first", "second"])
+    def test_two_weavers_on_one_function(self, first_out):
+        events = []
+
+        class Sink:
+            def __init__(self, name):
+                self.name = name
+
+            def emit(self, event, _strict=False, **params):
+                events.append((self.name, event))
+
+        def step(i):
+            return i
+
+        original = step.__code__
+        first, second = TraceWeaver(Sink("first")), TraceWeaver(Sink("second"))
+        first.weave(on_call(step, "a", {"i": "arg:i"}))
+        second.weave(on_return(step, "b", {"i": "result"}))
+        step(1)
+        assert events == [("first", "a"), ("second", "b")]
+        leaving, staying = (first, second) if first_out == "first" else (second, first)
+        leaving.unweave()
+        events.clear()
+        step(1)
+        assert events == (
+            [("second", "b")] if first_out == "first" else [("first", "a")]
+        )
+        assert step.__code__ is not original
+        staying.unweave()
+        events.clear()
+        step(1)
+        assert events == []
+        assert step.__code__ is original
+        assert live._ADVICE not in globals()
+
+    def test_thread_started_before_weave_is_observed(self):
+        events = []
+
+        class Sink:
+            def emit(self, event, _strict=False, **params):
+                events.append((event, params["i"]))
+
+        def work(i):
+            return i
+
+        woven, done = threading.Event(), threading.Event()
+
+        def worker():
+            woven.wait(5)
+            work(1)
+            done.set()
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            with TraceWeaver(Sink()) as weaver:
+                weaver.weave(on_call(work, "work", {"i": "arg:i"}))
+                woven.set()
+                assert done.wait(5)
+        finally:
+            woven.set()
+            thread.join(5)
+        assert not thread.is_alive()
+        assert events == [("work", 1)]
+
+    def test_reweaving_reuses_the_trampoline(self):
+        def step(i):
+            return i
+
+        original = step.__code__
+        with TraceWeaver(object()) as weaver:
+            weaver.weave(on_call(step, "x", {}))
+            template = live._TEMPLATES[original]
+        with TraceWeaver(object()) as weaver:
+            weaver.weave(on_call(step, "x", {}))
+            assert live._TEMPLATES[original] is template
+            assert step.__code__.co_code == template.co_code
+
+    def test_advice_name_leaves_the_module_with_the_last_weave(self):
+        def one(i):
+            return i
+
+        def two(i):
+            return i
+
+        weaver = TraceWeaver(object())
+        weaver.weave([on_call(one, "x", {}), on_call(two, "y", {})])
+        assert set(globals()[live._ADVICE]) == {id(one), id(two)}
+        weaver.unweave()
+        assert live._ADVICE not in globals()
+        weaver.unweave()  # idempotent
 
 
 # ---------------------------------------------------------------------------

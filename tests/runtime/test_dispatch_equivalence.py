@@ -49,6 +49,8 @@ GC_STRATEGIES = ("none", "alldead", "coenable", "statebased")
 EVENTS = 350
 POOL = 4
 KILL_PROBABILITY = 0.12
+#: The share of kill bursts (``burst`` > 1) that kill every pooled object.
+WIPE_PROBABILITY = 0.1
 SEEDS = (1, 2)
 
 
@@ -59,8 +61,11 @@ def synth_ops(definition, seed: int, burst: int = 1):
     defineTo and join creation paths); kills replace a pooled object so the
     name can be re-bound by a fresh identity later (exercising recreation
     and the disable-knowledge checks).  ``burst`` > 1 lets up to that many
-    kills land before one event, so one boundary sees several deaths (the
-    default draws exactly the historical sequence).
+    kills land before one event, so one boundary sees several deaths, and
+    sometimes (:data:`WIPE_PROBABILITY` of the bursts) kills every pooled
+    object of every parameter, so one boundary sees keys die together with
+    keys keyed only below them (the default draws exactly the historical
+    sequence).
     """
     rng = random.Random(seed)
     alphabet = sorted(definition.alphabet)
@@ -73,6 +78,8 @@ def synth_ops(definition, seed: int, burst: int = 1):
             for _extra in range(burst - 1):
                 if rng.random() < 0.5:
                     ops.append(("kill", rng.choice(parameters), rng.randrange(POOL)))
+            if burst > 1 and rng.random() < WIPE_PROBABILITY:
+                ops += [("kill", name, index) for name in parameters for index in range(POOL)]
         event = rng.choice(alphabet)
         ops.append(
             (
