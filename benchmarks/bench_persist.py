@@ -11,7 +11,7 @@ pathological leak case):
 2. **Write-ahead log** — sustained append throughput at the default fsync
    interval, plus a full crash-recovery (snapshot + suffix replay) timing.
 3. **Thread vs process backend** — the same CPU-bound configuration
-   (eager propagation: per-event cost grows with engine state) ingested
+   (eager propagation: a death step at every event boundary) ingested
    by ``mode="thread"`` and ``mode="process"`` services.  Thread shards
    interleave under the GIL; process shards use real cores.  The headline
    ``process_speedup_vs_thread`` exceeds 1 only when the machine has
@@ -203,7 +203,7 @@ def bench_backend(entries, mode: str) -> dict:
         UNSAFEITER.make().silence(),
         shards=SHARDS,
         gc="coenable",
-        propagation="eager",  # CPU-bound: full scans on every parameter death
+        propagation="eager",  # CPU-bound: a death step at every boundary
         mode=mode,
         keep_verdict_log=False,
     )

@@ -20,8 +20,10 @@ the WAL adds what crash recovery needs:
 Event and delivery records are encoded without ``json.dumps``: the writer
 caches, per ``(event, parameter names in order)``, the encoded
 ``,"e":<event>,"p":{`` head and one ``"<name>":`` key per parameter, and
-joins them with the C string escaper of :mod:`json.encoder`.  The bytes on
-disk are exactly what ``json.dumps(entry, separators=(",", ":"))`` writes.
+joins them with the C string escaper of :mod:`json.encoder`; an event's
+symbols come already quoted from the registry, once per object.  The bytes
+on disk are exactly what ``json.dumps(entry, separators=(",", ":"))``
+writes.
 
 The WAL records *events*, not object deaths — the caveat documented by
 :mod:`repro.runtime.tracelog` applies to recovery replays as well.
@@ -260,10 +262,11 @@ class WalWriter:
         return seq
 
     def _event_line(
-        self, seq: int, event: str, names: Any, symbols: Any, end: str
+        self, seq: int, event: str, names: Any, quoted: Any, end: str
     ) -> str:
         """``{"q":<seq>,"e":<event>,"p":{<name:symbol,...>`` + ``end``, the
-        bytes ``json.dumps`` writes for those keys, from the cached head."""
+        bytes ``json.dumps`` writes for those keys, from the cached head and
+        the symbols already quoted as JSON strings."""
         head = self._heads.get((event, *names))
         if head is None:
             head = self._heads[(event, *names)] = (
@@ -272,15 +275,15 @@ class WalWriter:
             )
         return (
             '{"q":' + str(seq) + head[0]
-            + ",".join([key + _quote(symbol) for key, symbol in zip(head[1], symbols)])
+            + ",".join([key + symbol for key, symbol in zip(head[1], quoted)])
             + end
         )
 
     def append(self, event: str, params: Mapping[str, Any]) -> int:
         """Durably record one parametric event; returns its sequence number."""
         seq = self._next_seq("append")
-        symbols = map(self.registry.symbol_for, params.values())
-        line = self._event_line(seq, event, params, symbols, "}}\n")
+        quoted = map(self.registry.quoted_symbol, params.values())
+        line = self._event_line(seq, event, params, quoted, "}}\n")
         self._write_line(line, "append")
         return self._commit(seq)
 
@@ -296,7 +299,8 @@ class WalWriter:
         """
         seq = self._next_seq("append_delivery")
         end = '},"d":' + json.dumps(plan, separators=(",", ":")) + "}\n"
-        line = self._event_line(seq, event, symbols, symbols.values(), end)
+        quoted = map(_quote, symbols.values())
+        line = self._event_line(seq, event, symbols, quoted, end)
         self._write_line(line, "append")
         return self._commit(seq)
 

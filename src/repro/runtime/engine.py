@@ -45,7 +45,8 @@ overhead"): the ledger's death callback queues each dead entry, and the
 deaths are coalesced per event boundary and propagated *before* the next
 event.  The propagation is targeted on both dispatch tiers — each dead
 entry carries weak back-links to the maps that key it, so only those maps
-are touched (:meth:`PropertyRuntime.reap`); monitors flagged by the
+are touched (:meth:`PropertyRuntime.reap`), and no map of an eager engine
+scans incrementally on access; monitors flagged by the
 propagation are evicted from every remaining structure immediately (the
 Tracematches cost profile, minus the full-scan pathology), by a generated
 eviction step on codegen and by :meth:`PropertyRuntime._evict_flagged` on
@@ -82,7 +83,7 @@ from ..spec.registry import PropertyRegistry, normalize_properties
 from .gc_strategies import GcStrategy, make_strategy
 from .indexing import IndexingTree, JoinIndex, Leaf
 from .instance import MonitorInstance
-from .refs import ParamLedger
+from .refs import ParamEntry, ParamLedger
 from .statistics import MonitorStats
 
 __all__ = ["MonitoringEngine", "PropertyRuntime", "SYSTEMS"]
@@ -462,11 +463,13 @@ class PropertyRuntime:
         as a walk from the roots would: removing a dead key drops the
         subtree below it, whose maps then never appear, since their weak
         back-links are dead.  A map scans the bucket only while the entry
-        is still its key (a lazy scan may have removed it already),
-        appending ``(parameter name, entry)`` to ``found``.  Monitors the
-        notifications flag are then evicted: by the generated eviction
-        step on codegen, by :meth:`_evict_flagged` on the reference tier.
-        Cost grows with where the dead objects were keyed, not with the
+        is still its key (an explicit ``scan_all`` may have removed it
+        already), appending ``(parameter name, entry)`` to ``found``; a map
+        that this leaves without keys under an immortal key, which no
+        death will take along, leaves its parent (``drop_if_empty``).
+        Monitors the notifications flag are then evicted: by the generated
+        eviction step on codegen, by :meth:`_evict_flagged` on the
+        reference tier.  Cost grows with where the dead objects were keyed, not with the
         number of structures or live keys.
         """
         if len(pairs) > 1:
@@ -479,6 +482,8 @@ class PropertyRuntime:
                 if node is not None and entry in node._buckets:
                     node._scan_bucket(entry)
                     found.append((link[1], entry))
+                    if node.up is not None and not node._buckets:
+                        node.drop_if_empty()
         finally:
             self._flag_sink = None
         if flagged:
@@ -496,38 +501,44 @@ class PropertyRuntime:
         Structures whose key path contains a dead object were already
         reaped; the survivors are reachable through each monitor's
         still-live parameters, so eviction is a handful of direct lookups
-        instead of a full second scan pass.  Generated kernels run the same
-        steps unrolled per monitor domain (``spec/codegen.py``'s eviction
-        factory); the lockstep holds the two to each other.
+        instead of a full second scan pass.  A structure whose last key is
+        immortal, which no death will take along, is then dropped if the
+        cleanup emptied it (``drop_emptied``).  Generated kernels run the
+        same steps unrolled per monitor domain (``spec/codegen.py``'s
+        eviction factory); the lockstep holds the two to each other.
         """
         for monitor in flagged:
-            live: dict[str, Any] = {}
-            for name, entry in monitor.params.items():
-                value = entry()
-                if value is not None:
-                    live[name] = value
+            params = monitor.params
+            live = {name for name, entry in params.items() if entry() is not None}
             domain = monitor.domain
             for event_domain in self._event_domain_list:
-                if event_domain <= domain and all(name in live for name in event_domain):
-                    leaf = self.trees[event_domain].lookup(
-                        {name: live[name] for name in event_domain}, create=False
-                    )
+                if event_domain <= domain and event_domain <= live:
+                    tree = self.trees[event_domain]
+                    entries = [params[name] for name in tree.params]
+                    leaf = tree.lookup_entries(entries, False)
                     if leaf is not None:
                         if leaf.own is monitor:
                             leaf.own = None
                         if leaf.extensions is not None:
                             leaf.extensions.compact()
-            if all(name in live for name in domain) and domain not in self._event_domain_list:
-                own_leaf = self.trees[domain].lookup(live, create=False)
+                        if entries and type(entries[-1]) is not ParamEntry:
+                            tree.drop_emptied(entries)
+            if domain <= live and domain not in self._event_domain_list:
+                tree = self.trees[domain]
+                entries = [params[name] for name in tree.params]
+                own_leaf = tree.lookup_entries(entries, False)
                 if own_leaf is not None and own_leaf.own is monitor:
                     own_leaf.own = None
+                    if entries and type(entries[-1]) is not ParamEntry:
+                        tree.drop_emptied(entries)
             for (join_domain, key_domain), index in self._join_indices.items():
-                if join_domain == domain and all(name in live for name in key_domain):
-                    bucket = index.lookup(
-                        {name: live[name] for name in key_domain}, create=False
-                    )
+                if join_domain == domain and key_domain <= live:
+                    entries = [params[name] for name in index.params]
+                    bucket = index.lookup_entries(entries, False)
                     if bucket is not None:
                         bucket.compact()
+                        if entries and type(entries[-1]) is not ParamEntry:
+                            index.drop_emptied(entries)
 
     # -- event processing (generated kernels) -----------------------------------
 
@@ -901,7 +912,10 @@ class MonitoringEngine:
     design) or ``eager`` (targeted boundary propagation — the Tracematches
     profile);
     ``system`` is a convenience preset: ``rv`` / ``mop`` / ``tm`` /
-    ``none`` (see :data:`SYSTEMS`).  ``dispatch`` selects ``"codegen"``
+    ``none`` (see :data:`SYSTEMS`).  ``scan_budget`` bounds how many keys
+    the incremental dead-key scan of each map access checks; it applies to
+    lazy propagation only, since an eager engine's back-linked maps never
+    scan incrementally.  ``dispatch`` selects ``"codegen"``
     (default) — per-(property, event) kernels generated and
     ``exec``-compiled from the dispatch plan (:mod:`repro.spec.codegen`),
     bound on each property's first event — or the retained ``"reference"``

@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .instance import MonitorInstance
-from .refs import ParamLedger
+from .refs import ParamEntry, ParamLedger
 from .rvmap import DROP, KEEP, LinkedRVMap, RVMap
 from .rvset import RVSet
 
@@ -107,7 +107,10 @@ class _TreeBase:
 
     # -- node construction ---------------------------------------------------
 
-    def _new_node(self, depth: int) -> Any:
+    def _new_node(self, depth: int, parent: Any = None, key: Any = None) -> Any:
+        """A new level at ``depth``, to be keyed by ``key`` in ``parent``
+        (which a back-linked map records as its way up when ``key`` is
+        immortal)."""
         if depth == len(self.params):
             return self._new_leaf()
         # A map at this depth holds leaves when the next depth is the last;
@@ -122,7 +125,7 @@ class _TreeBase:
                 self._link_slot,
                 on_dead_value=self._notify_subtree,
                 inspect_value=inspect,
-                scan_budget=self._scan_budget,
+                up=None if parent is None or type(key) is ParamEntry else (parent.link[0], key),
             )
         return RVMap(
             on_dead_value=self._notify_subtree,
@@ -171,8 +174,9 @@ class _TreeBase:
         """Walk the levels with ledger entries in tree-parameter order.
 
         Returns the leaf (creating the spine if ``create``), or ``None``.
-        Every step performs the RVMap's incremental dead-key scan — this is
-        what makes collection *lazy*: detection happens on access.  The
+        On a plain ``RVMap`` every step performs the incremental dead-key
+        scan — this is what makes collection *lazy*: detection happens on
+        access.  A back-linked map (eager propagation) only probes.  The
         generated kernels inline this walk.
         """
         node = self._root
@@ -181,10 +185,29 @@ class _TreeBase:
             if child is None:
                 if not create:
                     return None
-                child = self._new_node(depth + 1)
+                child = self._new_node(depth + 1, node, entry)
                 node.put_fresh(entry, child)
             node = child
         return node
+
+    def drop_emptied(self, entries: Sequence[Any]) -> None:
+        """Drop the leaf or set at the key path ``entries`` (tree-parameter
+        order, every entry alive, the last one immortal) if a scan's
+        inspection would (``_inspect_leaf``), with each map this empties
+        above it (:meth:`~repro.runtime.rvmap.LinkedRVMap.drop_if_empty`).
+        Eager eviction calls it after cleaning the structure: an immortal
+        key never dies to take its structure along."""
+        node = self._root
+        *path, key = entries
+        for entry in path:
+            node = node._buckets.get(entry)
+            if node is None:
+                return
+        buckets = node._buckets
+        value = buckets.get(key)
+        if value is not None and self._inspect_leaf(value) is DROP:
+            del buckets[key]
+            node.drop_if_empty()
 
     def lookup(self, values: Mapping[str, Any], create: bool) -> Any | None:
         """:meth:`lookup_entries` over a ``{param: object}`` binding

@@ -29,6 +29,7 @@ the GC-semantics substitution recorded in DESIGN.md.
 from __future__ import annotations
 
 import weakref
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
 __all__ = ["ParamEntry", "ParamLedger", "SymbolRegistry"]
@@ -169,11 +170,13 @@ class SymbolRegistry:
     not block and must tolerate reentrancy.
     """
 
-    __slots__ = ("_ledger", "_symbols", "_by_symbol", "_counter", "on_death")
+    __slots__ = ("_ledger", "_symbols", "_quoted", "_by_symbol", "_counter", "on_death")
 
     def __init__(self, start: int = 0, on_death: Callable[[str], None] | None = None):
         self._ledger = ParamLedger(on_death=self._on_entry_death)
         self._symbols: dict[Any, str] = {}
+        #: entry -> its symbol as a JSON string literal (see quoted_symbol).
+        self._quoted: dict[Any, str] = {}
         self._by_symbol: dict[str, Any] = {}
         self._counter = start
         self.on_death = on_death
@@ -222,6 +225,21 @@ class SymbolRegistry:
         self._by_symbol[symbol] = entry
         return symbol
 
+    def quoted_symbol(self, value: Any) -> str:
+        """:meth:`symbol_for` as a JSON string literal, the bytes
+        ``json.dumps`` writes for it (the write-ahead log's encoding).
+
+        Cached per registered object until it dies or is re-registered; a
+        ``v:`` literal string, which names itself, is quoted every time.
+        """
+        entry = self._ledger.entry(value)
+        quoted = self._quoted.get(entry)
+        if quoted is None:
+            quoted = _quote(self.symbol_for(value))
+            if entry in self._symbols:
+                self._quoted[entry] = quoted
+        return quoted
+
     def register(self, value: Any, symbol: str) -> None:
         """Adopt an externally chosen symbol for ``value``.
 
@@ -240,6 +258,7 @@ class SymbolRegistry:
         if previous is not None and self._by_symbol.get(previous) == entry:
             del self._by_symbol[previous]
         self._symbols[entry] = symbol
+        self._quoted.pop(entry, None)
         self._by_symbol[symbol] = entry
         match = _NUMERIC_SYMBOL(symbol)
         if match is not None and match > self._counter:
@@ -254,6 +273,7 @@ class SymbolRegistry:
         return len(self._symbols)
 
     def _on_entry_death(self, entry: ParamEntry) -> None:
+        self._quoted.pop(entry, None)
         symbol = self._symbols.pop(entry, None)
         if symbol is None:
             return

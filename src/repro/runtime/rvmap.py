@@ -24,7 +24,17 @@ which objects were first keyed, not on the allocator.
 Under eager propagation an engine's maps are :class:`LinkedRVMap` objects:
 each key's entry gets a *weak* back-link to the map, so a death reaches
 exactly the maps that key the dead object instead of a walk over every
-map.
+map.  A back-linked map never scans incrementally: it hears of a death
+only when the engine's boundary step hands it the dead key
+(``PropertyRuntime.reap``), and its only full pass is an explicit
+``scan_all``.  An empty leaf or submap under a live key therefore stays
+until that key dies, where a lazy scan would have dropped it; it is
+reused if the key is seen again.  An *immortal* key (a value that cannot
+be weakly referenced, such as an int) never dies, so the boundary step
+drops what it empties under one: a map that ``reap`` leaves without keys
+(:meth:`LinkedRVMap.drop_if_empty`), and a leaf or set the eviction of
+flagged monitors leaves empty.  Otherwise each distinct immortal value
+ever seen would keep one empty structure for good.
 """
 
 from __future__ import annotations
@@ -190,9 +200,17 @@ class LinkedRVMap(RVMap):
     entry keyed here gets the link (:func:`link_key`); the weak reference
     keeps nothing alive, so a dropped submap dies with its last strong
     reference as a plain map does.
+
+    Deaths arrive through the links, so the map has no incremental scan:
+    ``get`` and ``put`` only probe and store, ``scan_some`` does nothing,
+    and the scan cursor and budget are never set.  ``scan_all`` and
+    ``_scan_bucket`` work as on a plain map.  ``up`` is ``(weakref to the
+    parent map, the key this map sits under)`` when that key is immortal,
+    the way out that :meth:`drop_if_empty` takes; it is ``None`` for a
+    root and under a mortal key, whose death takes the map along.
     """
 
-    __slots__ = ("__weakref__", "link")
+    __slots__ = ("__weakref__", "link", "up")
 
     def __init__(
         self,
@@ -201,13 +219,18 @@ class LinkedRVMap(RVMap):
         slot: int,
         on_dead_value: Callable[[Any], None] | None = None,
         inspect_value: Callable[[Any], bool] | None = None,
-        scan_budget: int = 2,
+        up: tuple | None = None,
     ):
-        super().__init__(on_dead_value, inspect_value, scan_budget)
+        self._buckets: dict[Any, Any] = {}
+        self.on_dead_value = on_dead_value
+        self.inspect_value = inspect_value
         self.link = (weakref.ref(self), param, depth, slot)
+        self.up = up
+
+    def get(self, entry: Any) -> Any | None:
+        return self._buckets.get(entry)
 
     def put(self, entry: Any, value: Any) -> None:
-        self.scan_some()
         buckets = self._buckets
         if entry not in buckets:
             link_key(entry, self.link)
@@ -216,6 +239,30 @@ class LinkedRVMap(RVMap):
     def put_fresh(self, entry: Any, value: Any) -> None:
         self._buckets[entry] = value
         link_key(entry, self.link)
+
+    def scan_some(self) -> int:
+        return 0
+
+    def release(self) -> None:
+        self._buckets.clear()
+        self.on_dead_value = None
+        self.inspect_value = None
+
+    def drop_if_empty(self) -> None:
+        """Remove this map from its parent if it keys nothing and has a
+        way ``up`` (it sits under an immortal key), then each ancestor
+        that this empties in turn on the same terms.  The death step calls
+        it where it removed keys, as a scan would drop an empty submap
+        (Section 5.1.1); under a mortal key the map stays until the key
+        dies, and is reused meanwhile."""
+        node = self
+        while not node._buckets and node.up is not None:
+            parent_ref, key = node.up
+            parent = parent_ref()
+            if parent is None or parent._buckets.get(key) is not node:
+                return
+            del parent._buckets[key]
+            node = parent
 
 
 def link_key(entry: Any, link: tuple) -> None:

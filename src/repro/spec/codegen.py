@@ -68,13 +68,18 @@ times the code that runs unsampled.
 Eager variant
 -------------
 With ``eager=True`` (an engine with ``propagation="eager"``) every map a
-kernel creates is a :class:`~repro.runtime.rvmap.LinkedRVMap`, and every
-key a kernel inserts gets a weak back-link to its map, so a parameter's
-death reaches exactly the maps that key it.  The module also carries
-``_make_evict``, the generated eviction of freshly flagged monitors.
-Everything else is the plain source, line for line.  It is cached under
-``fingerprint + ":eager"``; the plain module a lazy engine binds is
-untouched.
+kernel creates is a :class:`~repro.runtime.rvmap.LinkedRVMap` that
+records its way ``up`` (parent map and key), and every key a kernel
+inserts gets a weak back-link to its map, so a parameter's death reaches
+exactly the maps that key it.  Deaths reach the maps only
+through ``PropertyRuntime.reap`` at the event boundary, so the eager
+kernels scan nothing: no inlined ``RVMap.scan_some`` block, no
+``scan_some()`` call in join loops, and no scan cursor or budget on the
+maps they create, just as ``LinkedRVMap`` has no incremental scan on the
+reference tier.  The module also carries ``_make_evict``, the generated
+eviction of freshly flagged monitors.  Everything else is the plain
+source, line for line.  It is cached under ``fingerprint + ":eager"``;
+the plain module a lazy engine binds is untouched.
 """
 
 from __future__ import annotations
@@ -166,7 +171,8 @@ class _KernelEmitter:
         #: walk and the stepping loop, returned as ``(_tw, _tf)``.
         self.timed = timed
         #: Emit the eager variant: every map a kernel creates is a
-        #: ``LinkedRVMap``, and every key it inserts links back to its map.
+        #: ``LinkedRVMap`` with its way up, every key it inserts links back
+        #: to its map, and no walk scans.
         self.eager = eager
         self.depth = len(ep.params)
         self.prelude: list[str] = []
@@ -248,12 +254,18 @@ class _KernelEmitter:
         references to the value, so no local keeps a dead leaf or its
         monitors alive past the removal.  With ``inline_scans`` off the
         walk calls ``scan_some`` itself: the same operations, in a tenth of
-        the source.
+        the source.  The eager variant emits nothing: a back-linked map
+        never scans.
         """
         if not self.inline_scans:
-            w.emit(d, f"{node}.scan_some()")
+            if not self.eager:
+                w.emit(d, f"{node}.scan_some()")
             return
+        # Numbered in both variants, so the eager module's names stay those
+        # of the plain module.
         u = self.uid()
+        if self.eager:
+            return
         w.emit(d, f"if {buckets}:")
         w.emit(d + 1, f"_ks{u} = {node}._scan_keys")
         w.emit(d + 1, f"_p{u} = {node}._scan_pos")
@@ -329,20 +341,29 @@ class _KernelEmitter:
         child_holds_leaves: bool,
         param: str,
         depth: int,
+        parent: str,
+        key: str,
     ) -> None:
         """Inline interior-node construction (``_TreeBase._new_node``);
-        ``param`` and ``depth`` name the new map's level (its back-link,
-        in the eager variant)."""
+        ``param`` and ``depth`` name the new map's level, and ``parent``
+        and ``key`` where it is keyed (its back-link and way up, in the
+        eager variant)."""
         insp = ctx["il"] if child_holds_leaves else ctx["im"]
         w.emit(d, f"{child} = _RM_new({'_LinkedRVMap' if self.eager else '_RVMap'})")
         w.emit(d, f"{child}._buckets = {{}}")
-        w.emit(d, f"{child}._scan_keys = []")
-        w.emit(d, f"{child}._scan_pos = 0")
+        if not self.eager:
+            w.emit(d, f"{child}._scan_keys = []")
+            w.emit(d, f"{child}._scan_pos = 0")
         w.emit(d, f"{child}.on_dead_value = {ctx['nsub']}")
         w.emit(d, f"{child}.inspect_value = {insp}")
-        w.emit(d, f"{child}.scan_budget = _budget")
         if self.eager:
             w.emit(d, f"{child}.link = (_wref({child}), {param!r}, {depth}, _slot)")
+            w.emit(
+                d,
+                f"{child}.up = None if type({key}) is _ParamEntry else ({parent}.link[0], {key})",
+            )
+        else:
+            w.emit(d, f"{child}.scan_budget = _budget")
 
     def emit_insert(
         self, w: _Writer, d: int, node: str, buckets: str, entry: str, child: str
@@ -369,7 +390,7 @@ class _KernelEmitter:
             else:
                 self.emit_new_map(
                     w, d + 1, ctx, child, level + 2 == depth,
-                    self.ep.params[level + 1], level + 1,
+                    self.ep.params[level + 1], level + 1, node, f"e{level}",
                 )
             self.emit_insert(w, d + 1, node, buckets, f"e{level}", child)
             if not leaf_level:
@@ -413,7 +434,8 @@ class _KernelEmitter:
                 self.emit_new_leaf(w, d + 1, ctx, child)
             else:
                 self.emit_new_map(
-                    w, d + 1, ctx, child, i + 2 == depth, params[i + 1], i + 1
+                    w, d + 1, ctx, child, i + 2 == depth, params[i + 1], i + 1,
+                    node, ents[i],
                 )
             self.emit_insert(w, d + 1, node, buckets, ents[i], child)
             if not leaf_level:
@@ -623,10 +645,11 @@ class _KernelEmitter:
         is skipped; a live one's parameter objects are held for the rest of
         the call, as the reference path's ``candidate_values`` holds them.
 
-        The loop's walks call ``RVMap.scan_some`` rather than inline it:
-        joins are rare, and a three-parameter target's walks hold sixteen
-        scans, which inlined would double the factory's source and the
-        memory peak of compiling it.
+        The loop's walks call ``RVMap.scan_some`` rather than inline it
+        (the eager variant scans nothing): joins are rare, and a
+        three-parameter target's walks hold sixteen scans, which inlined
+        would double the factory's source and the memory peak of compiling
+        it.
         """
         self.inline_scans = False
         u = self.uid()
@@ -827,9 +850,9 @@ class _KernelEmitter:
         lines = [
             "stats = rt.stats",
             f"tree = rt.trees[{_domain(self.ep.domain)}]",
-            "_budget = tree._scan_budget",
-            "_brange = range(_budget)",
         ]
+        if not self.eager:
+            lines += ["_budget = tree._scan_budget", "_brange = range(_budget)"]
         if self.depth:
             lines += [
                 "root = tree._root",
@@ -870,7 +893,9 @@ def _evict_factory(plan: DispatchPlan) -> str:
     tree below it (own slot and extension set), its own tree, and its
     join indices, each by ``lookup_entries`` over the monitor's own
     entries where they are all alive.  Structures keyed by a dead entry
-    were already purged through its back-links.
+    were already purged through its back-links.  A structure whose last
+    key is immortal is handed to ``drop_emptied`` after the cleanup: no
+    death will take it along.
     """
     w = _Writer()
     w.blank()
@@ -899,6 +924,15 @@ def _evict_factory(plan: DispatchPlan) -> str:
         body.emit(d, f"{out} = {structure}.lookup_entries({ents}, False)")
         return d
 
+    def drop(structure: str, domain: frozenset, slot: dict, d: int) -> None:
+        """``structure.drop_emptied(...)`` when ``domain``'s last entry in
+        tree order is immortal."""
+        params = sorted(domain)
+        if params:
+            body.emit(d, f"if type(e{slot[params[-1]]}) is not _ParamEntry:")
+            ents = _tuple(f"e{slot[p]}" for p in params)
+            body.emit(d + 1, f"{structure}.drop_emptied({ents})")
+
     evictors: list[tuple[frozenset, str]] = []
     for number, domain in enumerate(sorted(plan.monitor_domains, key=_domain_sort_key)):
         name = f"evict_{number}"
@@ -920,11 +954,13 @@ def _evict_factory(plan: DispatchPlan) -> str:
                 body.emit(d + 2, "leaf.own = None")
                 body.emit(d + 1, "if leaf.extensions is not None:")
                 body.emit(d + 2, "leaf.extensions.compact()")
+                drop(tree, event_domain, slot, d + 1)
         if domain not in plan.event_domains:
             tree = bind("tree", f"rt.trees[{_domain(domain)}]")
             d = lookup("leaf", tree, domain, slot)
             body.emit(d, "if leaf is not None and leaf.own is monitor:")
             body.emit(d + 1, "leaf.own = None")
+            drop(tree, domain, slot, d + 1)
         for join_domain, key_domain in plan.join_index_keys:
             if join_domain == domain:
                 key = f"({_domain(join_domain)}, {_domain(key_domain)})"
@@ -932,6 +968,7 @@ def _evict_factory(plan: DispatchPlan) -> str:
                 d = lookup("bucket", index, key_domain, slot)
                 body.emit(d, "if bucket is not None:")
                 body.emit(d + 1, "bucket.compact()")
+                drop(index, key_domain, slot, d + 1)
     w.lines.extend(body.lines)
     w.blank()
     w.emit(1, "evictors = {")
@@ -982,6 +1019,7 @@ def _module_parts(
     w.emit(0, "from repro.runtime.instance import MonitorInstance as _MonitorInstance")
     w.emit(0, "from repro.runtime.rvmap import RVMap as _RVMap")
     if eager:
+        w.emit(0, "from repro.runtime.refs import ParamEntry as _ParamEntry")
         w.emit(0, "from repro.runtime.rvmap import LinkedRVMap as _LinkedRVMap")
         w.emit(0, "from repro.runtime.rvmap import link_key as _link_key")
     w.emit(0, "from repro.runtime.rvset import RVSet as _RVSet")

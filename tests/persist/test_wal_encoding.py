@@ -116,3 +116,44 @@ def test_event_appends_never_call_json_dumps(tmp_path, monkeypatch):
         ("read", {"f": "o1", "g": "o2"}),
     ]
 
+
+def test_quoted_symbols_follow_registration_and_death(tmp_path):
+    """The registry quotes each object's symbol once and the writer reuses
+    it: the lines stay ``json.dumps`` bytes for 1- and 2-parameter events,
+    immortal values (``v:`` symbols), a symbol re-registered after the
+    object's first append, and a new object handed a dead one's id."""
+    writer = WalWriter(str(tmp_path))
+    registry = writer.registry
+    expected = []
+
+    def append(event, **params):
+        seq = writer.append(event, params)
+        symbols = {name: registry.symbol_for(value) for name, value in params.items()}
+        expected.append(_dumps({"q": seq, "e": event, "p": symbols}))
+        return symbols
+
+    a, b = Obj("a"), Obj("b")
+    assert append("open", f=a) == {"f": "o1"}
+    assert append("read", f=a, g=b) == {"f": "o1", "g": "o2"}
+    assert append("read", f=7, g='v:"q"\n') == {"f": "v:7", "g": 'v:"q"\n'}
+    assert append("read", f=7, g=("t", "€")) == {
+        "f": "v:7", "g": "v:('t', '€')",
+    }
+    registry.register(a, 'a "renamed"€')
+    assert append("read", f=a, g=b) == {"f": 'a "renamed"€', "g": "o2"}
+    # A dead object's cached quoting goes with it: a new object handed its
+    # id gets a fresh symbol.
+    dead_id = id(b)
+    del b
+    held = []
+    fresh = Obj("c")
+    while id(fresh) != dead_id and len(held) < 1000:
+        held.append(fresh)
+        fresh = Obj("c")
+    assert id(fresh) == dead_id
+    assert append("open", f=fresh) == {"f": "o3"}
+    assert append("read", f=a, g=fresh) == {"f": 'a "renamed"€', "g": "o3"}
+    # The cache holds one quoting per named object, the dead one's gone.
+    assert len(registry._quoted) == len(registry)
+    writer.close()
+    assert _event_lines(str(tmp_path)) == expected
